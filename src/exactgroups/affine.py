@@ -83,26 +83,37 @@ def conj_class_ball(x, gens, radius):
     """Number of distinct conjugates w x w^-1 for words w of length <= radius.
 
     Breadth-first closure over the group generated by `gens` and inverses,
-    with exact equality for deduplication.
+    with exact equality for deduplication.  Each frontier word carries its
+    inverse, (g w)^-1 = w^-1 g^-1, so only the generators are inverted.
     """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
     alphabet = []
     for g in gens:
-        alphabet.append(g)
-        alphabet.append(g.inverse())
-    seen_words = {AffineElement.identity(len(x.translation))}
-    frontier = list(seen_words)
-    conjugates = {w.conjugate(x) for w in frontier}
+        g_inv = g.inverse()
+        alphabet.append((g, g_inv))
+        alphabet.append((g_inv, g))
+    e = AffineElement.identity(len(x.translation))
+    # Sets hold (translation, entries) keys, equal iff the elements are equal;
+    # plain tuples hash without a Python-level __hash__ call.
+    seen_words = {(e.translation, e.linear.data)}
+    frontier = [(e, e, None)]   # (w, w^-1, index of the letter that made w)
+    c = e * x * e
+    conjugates = {(c.translation, c.linear.data)}
     for _ in range(radius):
         new_frontier = []
-        for w in frontier:
-            for g in alphabet:
+        for w, w_inv, last in frontier:
+            for i, (g, g_inv) in enumerate(alphabet):
+                if i ^ 1 == last:
+                    continue   # g undoes the letter that made w: g w was seen
                 nw = g * w
-                if nw not in seen_words:
-                    seen_words.add(nw)
-                    new_frontier.append(nw)
-                    conjugates.add(nw.conjugate(x))
+                key = (nw.translation, nw.linear.data)
+                if key not in seen_words:
+                    seen_words.add(key)
+                    nw_inv = w_inv * g_inv
+                    new_frontier.append((nw, nw_inv, i))
+                    c = nw * x * nw_inv
+                    conjugates.add((c.translation, c.linear.data))
         frontier = new_frontier
         if not frontier:
             break

@@ -63,7 +63,11 @@ class CoboundaryWitness:
 def cocycle_eval(spec, word):
     """Value of the cocycle on a word over the spec's generators.
 
-    Inverse generators are handled through c(g^-1) = -g^-1 c(g).
+    A token g^e is the e-th power of the element (c(g), g) of Z^2 x| SL2(Z),
+    and c of the word is the translation part of the product of its tokens,
+    with (v, m)(c, h) = (v + m c, m h).  Inverse generators are handled
+    through c(g^-1) = -g^-1 c(g).  Powers are taken by square-and-multiply,
+    so a token costs O(log|e|) matrix products, not |e|.
     """
     m = Matrix.identity(2)
     v = (0, 0)
@@ -76,9 +80,14 @@ def cocycle_eval(spec, word):
             g_inv = g.inverse()
             g, cg = g_inv, vec_norm(tuple(-x for x in g_inv.apply(cg)))
             exp = -exp
-        for _ in range(exp):
-            v = vec_add(v, m.apply(cg))
-            m = m * g
+        # (cg, g) runs through the powers (c(g^(2^i)), g^(2^i)); they commute,
+        # so multiplying them into (v, m) bit by bit gives (cg, g)^exp.
+        while exp:
+            if exp & 1:
+                v, m = vec_add(v, m.apply(cg)), m * g
+            exp >>= 1
+            if exp:
+                cg, g = vec_add(cg, g.apply(cg)), g * g
     return v
 
 
@@ -192,6 +201,8 @@ def gamma1_obstruction(N, s):
     Integrality holds exactly for members of Gamma_1(N), which is the
     non-extendability obstruction for the family.
     """
+    if N < 1:
+        raise PreconditionError("level must be >= 1")
     if (s.rows, s.cols) != (2, 2) or not s.is_integral() or s.det() != 1:
         raise PreconditionError("expected an element of SL2(Z)")
     xi = (Fraction(1, N), Fraction(0))

@@ -8,6 +8,7 @@ and set members (needed for the conjugacy-ball enumeration).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 
 class ExactError(Exception):
@@ -24,6 +25,8 @@ class PreconditionError(ExactError):
 
 def _norm(x):
     # Canonicalize Fraction with denominator 1 to int.
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return int(x)
@@ -39,7 +42,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data):
-        rows = tuple(tuple(_norm(x) for x in row) for row in data)
+        rows = tuple(tuple(map(_norm, row)) for row in data)
         if not rows or not rows[0]:
             raise ShapeError("matrix must have at least one row and column")
         ncols = len(rows[0])
@@ -49,6 +52,16 @@ class Matrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
 
+    @classmethod
+    def _trusted(cls, rows):
+        """Matrix on a non-empty rectangular tuple of tuples whose entries are
+        already normalized (ints, or Fractions with denominator != 1)."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "data", rows)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", len(rows[0]))
+        return m
+
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
 
@@ -56,7 +69,8 @@ class Matrix:
 
     @staticmethod
     def identity(n):
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return Matrix._trusted(tuple(tuple(1 if i == j else 0 for j in range(n))
+                                     for i in range(n)))
 
     @staticmethod
     def zero(rows, cols=None):
@@ -96,16 +110,17 @@ class Matrix:
                        for r1, r2 in zip(self.data, other.data)])
 
     def __neg__(self):
-        return Matrix([[-a for a in r] for r in self.data])
+        return Matrix._trusted(tuple(tuple(-a for a in r) for r in self.data))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by "
                                  f"{other.rows}x{other.cols}")
-            cols = list(zip(*other.data))
-            return Matrix([[sum(a * b for a, b in zip(row, col)) for col in cols]
-                           for row in self.data])
+            cols = tuple(zip(*other.data))
+            # Each entry is normalized once, as it is computed.
+            return Matrix._trusted(tuple(tuple([_norm(sum(map(mul, row, col))) for col in cols])
+                                         for row in self.data))
         return Matrix([[other * a for a in r] for r in self.data])
 
     __rmul__ = __mul__
@@ -127,7 +142,7 @@ class Matrix:
         """Matrix-vector product, returning a tuple."""
         if len(vec) != self.cols:
             raise ShapeError("vector length mismatch")
-        return tuple(_norm(sum(a * x for a, x in zip(row, vec))) for row in self.data)
+        return tuple([_norm(sum(map(mul, row, vec))) for row in self.data])
 
     # -- structure ---------------------------------------------------------
 
@@ -172,8 +187,19 @@ class Matrix:
         return _norm(det)
 
     def inverse(self):
+        """Exact inverse; raises PreconditionError when singular.
+
+        An integer 2x2 or 3x3 matrix with determinant +-1 is inverted in
+        closed form as det * adj(M), so its inverse has int entries and no
+        Fraction is made.  Every other matrix (rational entries, another
+        determinant, or n >= 4) goes through Fraction Gauss-Jordan.
+        """
         if self.rows != self.cols:
             raise ShapeError("inverse of a non-square matrix")
+        if self.rows in (2, 3) and all(type(x) is int for row in self.data for x in row):
+            adj, det = _adjugate(self.data)
+            if det == 1 or det == -1:
+                return Matrix._trusted(tuple(tuple([det * x for x in r]) for r in adj))
         n = self.rows
         m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
              for i, row in enumerate(self.data)]
@@ -204,6 +230,19 @@ class Matrix:
             raise ShapeError("shape mismatch")
 
 
+def _adjugate(d):
+    """(adj(M), det M) of a 2x2 or 3x3 matrix given by its rows."""
+    if len(d) == 2:
+        (a, b), (c, e) = d
+        return ((e, -b), (-c, a)), a * e - b * c
+    (a, b, c), (e, f, g), (h, i, j) = d
+    c00, c01, c02 = f * j - g * i, g * h - e * j, e * i - f * h
+    adj = ((c00, c * i - b * j, b * g - c * f),
+           (c01, a * j - c * h, c * e - a * g),
+           (c02, b * h - a * i, a * f - b * e))
+    return adj, a * c00 + b * c01 + c * c02
+
+
 # -- vector helpers --------------------------------------------------------
 
 def vec_add(u, v):
@@ -212,10 +251,6 @@ def vec_add(u, v):
 
 def vec_sub(u, v):
     return tuple(_norm(a - b) for a, b in zip(u, v))
-
-
-def vec_neg(u):
-    return tuple(-a for a in u)
 
 
 def vec_is_integral(u):

@@ -74,6 +74,29 @@ def test_conj_class_ball_basics():
         conj_class_ball(x, gens, -1)
 
 
+def test_conj_class_ball_pinned_counts():
+    # Counts for radii 0..6, pinned from the implementation that inverted
+    # every word; carrying w^-1 through the search must not change them.
+    g = Matrix([[2, 1], [1, 1]])
+    st = [AffineElement((0, 0), S), AffineElement((0, 0), T)]
+    hyperbolic = [AffineElement((0, 0), g), AffineElement((0, 0), -Matrix.identity(2))]
+    x = AffineElement((1, 0), Matrix.identity(2))
+    y = AffineElement((2, -1), Matrix.identity(2))
+    z = AffineElement((1, 0), T)
+    cases = [
+        (x, st, [1, 3, 8, 12, 20, 32, 52]),
+        (y, st, [1, 5, 16, 34, 56, 92, 150]),
+        (z, st, [1, 3, 8, 12, 20, 32, 52]),
+        (x, hyperbolic, [1, 4, 8, 12, 16, 20, 24]),
+        (y, hyperbolic, [1, 4, 8, 12, 16, 20, 24]),
+        (z, hyperbolic, [1, 4, 8, 12, 16, 20, 24]),
+    ]
+    for el, gens, want in cases:
+        assert [conj_class_ball(el, gens, r) for r in range(7)] == want
+    affine_gens = [AffineElement((1, 0), S), AffineElement((0, 1), T)]
+    assert [conj_class_ball(z, affine_gens, r) for r in range(6)] == [1, 5, 16, 32, 60, 114]
+
+
 # -- invariant lattices ----------------------------------------------------
 
 def test_invariant_lattice_full_rank():

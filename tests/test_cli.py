@@ -117,6 +117,23 @@ def test_cocycle_obstruction(tmp_path):
     assert doc["integral"] is False
 
 
+def test_cocycle_obstruction_level_below_one(tmp_path):
+    # Level 0 once escaped run() as a ZeroDivisionError; -2 was accepted.
+    for level in ("0", "-2"):
+        code, out, err = run_cli(tmp_path, ["cocycle", "obstruction", "--level", level],
+                                 M_GAMMA12)
+        assert code == 3 and out == ""
+        assert err == "error: level must be >= 1\n"
+
+
+def test_cocycle_eval_huge_exponent(tmp_path):
+    spec = {"generators": [mat([[1, 1], [0, 1]])], "values": [["1", "0"]]}
+    doc = run_ok(tmp_path, ["cocycle", "eval"],
+                 {"spec": spec, "word": [{"gen": 0, "exp": "100000000"}]})
+    # c(T^k) = (k, 0) for c(T) = (1, 0).
+    assert doc["value"] == ["100000000", "0"]
+
+
 def test_cocycle_central(tmp_path):
     doc = run_ok(tmp_path, ["cocycle", "central"],
                  {"m": 1, "n": 0, "matrix": M_HYPERBOLIC})
@@ -285,14 +302,22 @@ def test_stdin_input(tmp_path, monkeypatch):
 
 
 def test_console_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+    import exactgroups
     path = tmp_path / "m.json"
     path.write_text(json.dumps(M_HYPERBOLIC))
+    # The child imports the same package as this process, also when it was
+    # found through pytest's `pythonpath` setting rather than PYTHONPATH.
+    package_root = str(Path(exactgroups.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "exactgroups.cli", "sl2", "classify",
          "--in", str(path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["class"] == "hyperbolic"

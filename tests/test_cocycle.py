@@ -62,6 +62,20 @@ def test_eval_inverse_rule():
     assert cocycle_eval(spec, ((0, 1), (0, -1))) == (0, 0)
 
 
+def test_eval_huge_exponents():
+    # Square-and-multiply makes |exp| = 10^8 cheap; the linear loop could not.
+    gens = (T_ALT, S_ALT, Matrix([[1, 1], [0, 1]]), Matrix([[1, 0], [3, 1]]))
+    xi = (5, -7)
+    spec = _coboundary_spec(gens, xi)
+    big = 10 ** 8
+    for word in (((2, big),), ((3, -big),), ((0, big + 1),), ((1, -big - 3),),
+                 ((2, big), (3, -big), (0, big - 1), (1, big + 1), (2, -big - 5))):
+        m = Matrix.identity(2)
+        for idx, exp in word:
+            m = m * gens[idx] ** exp
+        assert cocycle_eval(spec, word) == vec_sub(xi, m.apply(xi))
+
+
 def test_eval_bad_index():
     spec = CocycleSpec(generators=(T_ALT,), values=((0, 0),))
     with pytest.raises(PreconditionError):
@@ -188,6 +202,13 @@ def test_gamma1_obstruction_small():
     assert not gamma1_obstruction(2, Matrix([[0, -1], [1, 0]]))
     with pytest.raises(PreconditionError):
         gamma1_obstruction(2, Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def test_gamma1_obstruction_rejects_levels_below_one():
+    # Level 0 once divided by zero and negative levels were accepted.
+    for N in (0, -2):
+        with pytest.raises(PreconditionError, match="level must be >= 1"):
+            gamma1_obstruction(N, Matrix([[1, 0], [2, 1]]))
 
 
 # -- central values --------------------------------------------------------

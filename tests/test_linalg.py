@@ -55,6 +55,65 @@ def test_matrix_hashable_immutable():
         m.rows = 3
 
 
+def _gauss_jordan_inverse(M):
+    """Reference inverse by Fraction Gauss-Jordan, independent of Matrix."""
+    n = M.rows
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(M.data)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if m[i][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [a / m[col][col] for a in m[col]]
+        for i in range(n):
+            if i != col:
+                m[i] = [a - m[i][col] * b for a, b in zip(m[i], m[col])]
+    return [row[n:] for row in m]
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Integer matrices of det +-1 for n = 2, 3, 4: products of elementary
+    matrices E_ij(+-1), optionally times diag(-1, 1, ..., 1)."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    m = Matrix.identity(n)
+    steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([1, -1]))
+    for i, j, v in draw(st.lists(steps, max_size=16)):
+        if i != j:
+            e = [[int(r == c) for c in range(n)] for r in range(n)]
+            e[i][j] = v
+            m = m * Matrix(e)
+    if draw(st.booleans()):
+        m = m * Matrix.diagonal([-1] + [1] * (n - 1))
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(unimodular_matrices())
+def test_inverse_integer_unimodular(M):
+    inv = M.inverse()
+    assert all(type(x) is int for row in inv.data for x in row)
+    assert M * inv == Matrix.identity(M.rows)
+    assert [list(r) for r in inv.data] == _gauss_jordan_inverse(M)
+
+
+def test_inverse_non_unimodular_and_rational_pinned():
+    # det != +-1 and Fraction inputs keep the Gauss-Jordan results, types included.
+    half = Fraction(1, 2)
+    cases = [
+        (Matrix([[1, 1], [0, 2]]), [[1, -half], [0, half]]),
+        (Matrix([[2, 0, 0], [0, 1, 0], [1, 0, 1]]), [[half, 0, 0], [0, 1, 0], [-half, 0, 1]]),
+        (Matrix([[half, 0], [0, 2]]), [[2, 0], [0, half]]),
+        (Matrix([[1, half, 0], [0, 1, 0], [0, 0, 1]]), [[1, -half, 0], [0, 1, 0], [0, 0, 1]]),
+        (Matrix([[Fraction(2, 3), 1], [1, 3]]), [[3, -1], [-1, Fraction(2, 3)]]),
+    ]
+    for M, want in cases:
+        got = M.inverse()
+        assert [list(r) for r in got.data] == want
+        assert [[type(x) for x in r] for r in got.data] == \
+            [[int if Fraction(x).denominator == 1 else Fraction for x in r] for r in want]
+        assert M * got == Matrix.identity(M.rows)
+
+
 # -- HNF -------------------------------------------------------------------
 
 def test_hnf_pinned_example():
