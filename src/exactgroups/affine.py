@@ -7,10 +7,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from . import cocycle as _cocycle
 from .lattice import LatticeBasis, content, fixed_sublattice, hnf
-from .matrix import Matrix, PreconditionError, ShapeError, vec_add, vec_sub
+from .matrix import (Matrix, PreconditionError, ShapeError, vec_add, vec_norm,
+                     vec_sub)
 from .sl2 import classify_sl2, order_of
 
 
@@ -45,10 +47,6 @@ class AffineElement:
     def inverse(self):
         g_inv = self.linear.inverse()
         return AffineElement(tuple(-x for x in g_inv.apply(self.translation)), g_inv)
-
-    def conjugate(self, other):
-        """self * other * self^-1."""
-        return self * other * self.inverse()
 
 
 # -- ICC analysis ----------------------------------------------------------
@@ -85,39 +83,67 @@ def conj_class_ball(x, gens, radius):
     Breadth-first closure over the group generated by `gens` and inverses,
     with exact equality for deduplication.  Each frontier word carries its
     inverse, (g w)^-1 = w^-1 g^-1, so only the generators are inverted.
+
+    The loop runs on plain (translation, rows) tuple pairs, multiplied by
+    `_pair_mul2` (n = 2, entries written out) or `_pair_mul` (any n); no
+    AffineElement or Matrix is built inside it.  A pair is also its own set
+    key: plain tuples hash without a Python-level __hash__ call.
     """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
     alphabet = []
     for g in gens:
-        g_inv = g.inverse()
-        alphabet.append((g, g_inv))
-        alphabet.append((g_inv, g))
-    e = AffineElement.identity(len(x.translation))
-    # Sets hold (translation, entries) keys, equal iff the elements are equal;
-    # plain tuples hash without a Python-level __hash__ call.
-    seen_words = {(e.translation, e.linear.data)}
+        p, p_inv = _pair(g), _pair(g.inverse())
+        alphabet += [(p, p_inv), (p_inv, p)]
+    n = len(x.translation)
+    # A product across dimensions is an error, but radius 0 forms none.
+    if radius and any(len(p[0]) != n for p, _ in alphabet):
+        raise ShapeError("dimension mismatch")
+    times = _pair_mul2 if n == 2 else _pair_mul
+    e = _pair(AffineElement.identity(n))
+    xp = _pair(x)
+    seen_words = {e}
     frontier = [(e, e, None)]   # (w, w^-1, index of the letter that made w)
-    c = e * x * e
-    conjugates = {(c.translation, c.linear.data)}
+    conjugates = {xp}           # the identity word's conjugate is x
     for _ in range(radius):
         new_frontier = []
         for w, w_inv, last in frontier:
             for i, (g, g_inv) in enumerate(alphabet):
                 if i ^ 1 == last:
                     continue   # g undoes the letter that made w: g w was seen
-                nw = g * w
-                key = (nw.translation, nw.linear.data)
-                if key not in seen_words:
-                    seen_words.add(key)
-                    nw_inv = w_inv * g_inv
+                nw = times(g, w)
+                if nw not in seen_words:
+                    seen_words.add(nw)
+                    nw_inv = times(w_inv, g_inv)
                     new_frontier.append((nw, nw_inv, i))
-                    c = nw * x * nw_inv
-                    conjugates.add((c.translation, c.linear.data))
+                    conjugates.add(times(times(nw, xp), nw_inv))
         frontier = new_frontier
         if not frontier:
             break
     return len(conjugates)
+
+
+def _pair(el):
+    """(translation, rows) of an AffineElement, entries normalized."""
+    return vec_norm(el.translation), el.linear.data
+
+
+def _pair_mul2(p, q):
+    """(a, g)(b, h) = (a + g b, g h) on n = 2 pairs, each entry written out."""
+    (a0, a1), ((g00, g01), (g10, g11)) = p
+    (b0, b1), ((h00, h01), (h10, h11)) = q
+    return ((a0 + g00 * b0 + g01 * b1, a1 + g10 * b0 + g11 * b1),
+            ((g00 * h00 + g01 * h10, g00 * h01 + g01 * h11),
+             (g10 * h00 + g11 * h10, g10 * h01 + g11 * h11)))
+
+
+def _pair_mul(p, q):
+    """(a, g)(b, h) = (a + g b, g h) on pairs of any size n."""
+    a, g = p
+    b, h = q
+    cols = tuple(zip(*h))
+    return (tuple([x + sum(map(mul, row, b)) for x, row in zip(a, g)]),
+            tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in g))
 
 
 # -- invariant lattices ----------------------------------------------------

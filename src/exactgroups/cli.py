@@ -178,6 +178,8 @@ def _random_affine(rng, n):
 
 def _cmd_affine_classify(args):
     doc = _read_doc(args)
+    if not isinstance(doc, dict):
+        raise InputError("subgroup descriptor must be a JSON object")
     kind = doc.get("kind")
     if kind == "full_lattice":
         basis = lattice.hnf([parse_vector(r) for r in doc["lattice"]["rows"]],
@@ -270,6 +272,8 @@ def _cmd_lin_hnf(args):
 
 def _cmd_lin_snf(args):
     m = parse_matrix(_read_doc(args))
+    if not m.is_integral():
+        raise PreconditionError("Smith normal form needs an integer matrix")
     U, D, V = lattice.snf(m)
     return {"U": matrix_to_json(U), "D": matrix_to_json(D), "V": matrix_to_json(V)}
 

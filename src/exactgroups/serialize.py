@@ -3,6 +3,11 @@
 All numeric payloads are decimal strings ("-12"), rationals as "p/q", so no
 consumer can lose precision.  Matrices use the schema
 {"rows": n, "cols": m, "entries": [["...", ...], ...]}.
+
+On input a scalar is a decimal or "p/q" string, or a JSON integer (accepted
+because documents such as finf-extend windows are written with plain
+integers).  Every other JSON value -- a float, true/false, null, an array or
+an object -- is refused with InputError rather than coerced.
 """
 
 from __future__ import annotations
@@ -24,8 +29,12 @@ def scalar_to_str(x):
 
 
 def parse_scalar(s):
+    if type(s) is int:   # not bool, which is an int subclass
+        return s
+    if not isinstance(s, str):
+        raise InputError(f"bad scalar {s!r}: expected a string or an integer")
     try:
-        if isinstance(s, str) and "/" in s:
+        if "/" in s:
             num, den = s.split("/")
             return Fraction(int(num), int(den))
         return int(s)

@@ -9,9 +9,7 @@ They are related by s = S^-1 and t = S*T, so T = s*t.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .matrix import Matrix, PreconditionError
 from .prng import SplitMix64
@@ -113,15 +111,16 @@ def decompose_st(g):
 
     Continued-fraction style: while the lower-left entry is nonzero,
     left-multiply by S*T^(-q) with q the rounded quotient of the Euclidean
-    step; the residue is +-T^k.
+    step; the residue is +-T^k.  The loop runs on the four integer entries:
+    q = floor(a/c + 1/2) = (2a + c) // (2c), and S*T^(-q) sends the rows
+    (a, b), (c, d) to (-c, -d), (a - qc, b - qd).
     """
     _require_sl2(g)
-    m = g
+    (a, b), (c, d) = g.data
     quotients = []
-    while m[1, 0] != 0:
-        a, c = m[0, 0], m[1, 0]
-        q = math.floor(Fraction(a, c) + Fraction(1, 2))
-        m = S * ((T ** (-q)) * m)
+    while c != 0:
+        q = (2 * a + c) // (2 * c)
+        a, b, c, d = -c, -d, a - q * c, b - q * d
         quotients.append(q)
     tokens = []
     central = 0
@@ -130,10 +129,10 @@ def decompose_st(g):
             tokens.append(("T", q))
         tokens.append(("S", 1))
         central ^= 1
-    if m[0, 0] == 1:
-        tail = m[0, 1]
+    if a == 1:
+        tail = b
     else:  # residue [[-1, x], [0, -1]] = (-I) T^(-x)
-        tail = -m[0, 1]
+        tail = -b
         central ^= 1
     if tail != 0:
         tokens.append(("T", tail))

@@ -1,5 +1,7 @@
 """Unit tests for the affine semidirect products Z^n x| SL_n(Z)."""
 
+from fractions import Fraction
+
 import pytest
 
 from exactgroups.affine import (AffineElement, ClassificationReport,
@@ -27,7 +29,7 @@ def test_affine_group_laws():
         assert (x * y) * z == x * (y * z)
         assert x * e == x and e * x == x
         assert x * x.inverse() == e
-        assert x.conjugate(e) == e
+        assert x * e * x.inverse() == e
 
 
 def test_affine_multiplication_law_explicit():
@@ -95,6 +97,57 @@ def test_conj_class_ball_pinned_counts():
         assert [conj_class_ball(el, gens, r) for r in range(7)] == want
     affine_gens = [AffineElement((1, 0), S), AffineElement((0, 1), T)]
     assert [conj_class_ball(z, affine_gens, r) for r in range(6)] == [1, 5, 16, 32, 60, 114]
+
+
+def _reference_ball(x, gens, radius):
+    """conj_class_ball by plain AffineElement arithmetic: every word of
+    length <= radius, each conjugate formed with its own inverse."""
+    alphabet = list(gens) + [g.inverse() for g in gens]
+    e = AffineElement.identity(len(x.translation))
+    seen = {e}
+    frontier = [e]
+    conjugates = {x}
+    for _ in range(radius):
+        new = []
+        for w in frontier:
+            for g in alphabet:
+                nw = g * w
+                if nw not in seen:
+                    seen.add(nw)
+                    new.append(nw)
+                    conjugates.add(nw * x * nw.inverse())
+        frontier = new
+    return len(conjugates)
+
+
+def test_conj_class_ball_sl3_matches_reference():
+    # n = 3 takes the general tuple product, not the 2x2 closed form.
+    rng = seeded(31)
+    e12, e21 = SL3_ELEMENTARIES[0], SL3_ELEMENTARIES[2]
+    for _ in range(4):
+        gens = [AffineElement(tuple(rng.int_in(-2, 2) for _ in range(3)), g)
+                for g in (e12, e21, random_unimodular(rng, 3, length=3))]
+        x = AffineElement(tuple(rng.int_in(-2, 2) for _ in range(3)),
+                          random_unimodular(rng, 3, length=2))
+        for r in range(4):
+            assert conj_class_ball(x, gens, r) == _reference_ball(x, gens, r)
+
+
+def test_conj_class_ball_rational_translation():
+    half = Fraction(1, 2)
+    x = AffineElement((half, 0), Matrix.identity(2))
+    gens = [AffineElement((0, Fraction(-1, 3)), S), AffineElement((1, 0), T)]
+    for r in range(5):
+        assert conj_class_ball(x, gens, r) == _reference_ball(x, gens, r)
+
+
+def test_conj_class_ball_dimension_mismatch():
+    x = AffineElement((1, 0), Matrix.identity(2))
+    gens = [AffineElement((0, 0), S), AffineElement((0, 0, 0), SL3_ELEMENTARIES[0])]
+    assert conj_class_ball(x, gens, 0) == 1   # radius 0 forms no product
+    for r in (1, 3):
+        with pytest.raises(ShapeError):
+            conj_class_ball(x, gens, r)
 
 
 # -- invariant lattices ----------------------------------------------------

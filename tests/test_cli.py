@@ -295,6 +295,43 @@ def test_exit_code_3_precondition(tmp_path):
     assert code == 3
 
 
+def test_affine_classify_non_object_document(tmp_path):
+    # `[]` once escaped run() as an AttributeError from doc.get.
+    for doc in ([], "cyclic_linear", 3, None):
+        code, out, err = run_cli(tmp_path, ["affine", "classify"], doc)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_integer_json_scalars_refused(tmp_path):
+    # 1.7 was truncated to 1 (the identity classified) and true read as 1.
+    for argv, doc in (
+            (["sl2", "classify"], {"rows": 2, "cols": 2,
+                                   "entries": [[1.7, 0], [0, 1]]}),
+            (["sl2", "classify"], {"rows": 2, "cols": 2,
+                                   "entries": [[True, 0], [0, 1]]}),
+            (["lin", "hnf"], {"rows": [[1.5, 2], [3, 4.25]]}),
+            (["lin", "hnf"], {"rows": [[True, 0], [0, 1]]}),
+            (["lin", "hnf"], {"rows": [[None, 0], [0, 1]]})):
+        code, out, err = run_cli(tmp_path, argv, doc)
+        assert code == 2 and out == "", (argv, doc)
+        assert err.startswith("error: ")
+    # JSON integers stay accepted, as in finf-extend windows.
+    doc = run_ok(tmp_path, ["sl2", "classify"],
+                 {"rows": 2, "cols": 2, "entries": [[1, 1], [1, 2]]})
+    assert doc["class"] == "hyperbolic"
+    doc = run_ok(tmp_path, ["lin", "hnf"], {"rows": [[2, 0], ["1", 1]]})
+    assert doc["basis"] == [["1", "1"], ["0", "2"]]
+
+
+def test_lin_snf_rational_matrix_refused(tmp_path):
+    # SNF is defined over Z; a rational input once got 1/2 on the diagonal.
+    code, out, err = run_cli(tmp_path, ["lin", "snf"],
+                             mat([["1/2", 0], [0, 1]]))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_stdin_input(tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(M_HYPERBOLIC)))
     code, out, _ = run_cli(tmp_path, ["sl2", "classify", "--in", "-"])

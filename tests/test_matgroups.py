@@ -1,6 +1,11 @@
 """Unit tests for SL2(Z) classification, words, and congruence subgroups."""
 
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exactgroups.matrix import Matrix, PreconditionError
 from exactgroups.sl2 import (GENERATORS, MINUS_I, S, S_ALT, T, T_ALT,
@@ -100,6 +105,64 @@ def test_decompose_roundtrip_random():
         # no two adjacent tokens share a generator
         for (g1, _), (g2, _) in zip(v.tokens, v.tokens[1:]):
             assert g1 != g2
+
+
+def _reference_decompose(g):
+    """decompose_st by Fraction floors and Matrix products: each Euclid step
+    left-multiplies by S*T^(-q) with q = floor(a/c + 1/2)."""
+    m, tokens, central = g, [], 0
+    while m[1, 0] != 0:
+        q = math.floor(Fraction(m[0, 0], m[1, 0]) + Fraction(1, 2))
+        m = S * (T ** (-q) * m)
+        if q != 0:
+            tokens.append(("T", q))
+        tokens.append(("S", 1))
+        central ^= 1
+    tail = m[0, 1] if m[0, 0] == 1 else -m[0, 1]
+    central ^= m[0, 0] != 1
+    if tail != 0:
+        tokens.append(("T", tail))
+    return GenWord(tuple(tokens), central)
+
+
+BIG = 2 ** 70
+BIG_WORD = (("T", BIG), ("S", 1), ("T", -BIG), ("S", 1), ("T", BIG),
+            ("S", 1), ("T", 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("ST"), st.integers(-BIG, BIG)),
+                max_size=12),
+       st.booleans())
+@example(list(BIG_WORD), False)   # past 200 bits, lower-left < 0
+def test_decompose_roundtrip_hypothesis(tokens, central):
+    g = GenWord(tuple(tokens), int(central)).matrix()
+    w = decompose_st(g)
+    assert w.matrix() == g
+    assert w == _reference_decompose(g)
+
+
+def test_decompose_big_negative_example():
+    g = GenWord(BIG_WORD, 0).matrix()
+    assert max(abs(x) for row in g.data for x in row).bit_length() > 200
+    assert g[1, 0] < 0
+    assert decompose_st(g).matrix() == g
+
+
+def test_decompose_tie_quotients_pinned():
+    # a/c = k + 1/2 rounds up; words pinned from the Fraction-floor loop.
+    cases = {
+        ((1, 0), (2, 1)): ((("T", 1), ("S", 1), ("T", 2), ("S", 1), ("T", 1)), 0),
+        ((3, 1), (2, 1)): ((("T", 2), ("S", 1), ("T", 2), ("S", 1), ("T", 1)), 0),
+        ((-1, 0), (2, -1)): ((("S", 1), ("T", 2), ("S", 1)), 0),
+        ((1, 0), (-2, 1)): ((("S", 1), ("T", 2), ("S", 1)), 1),
+        ((-3, 1), (2, -1)): ((("T", -1), ("S", 1), ("T", 2), ("S", 1)), 0),
+        ((5, -2), (-2, 1)): ((("T", -2), ("S", 1), ("T", 2), ("S", 1)), 1),
+        ((7, 3), (2, 1)): ((("T", 4), ("S", 1), ("T", 2), ("S", 1), ("T", 1)), 0),
+        ((-7, -3), (-2, -1)): ((("T", 4), ("S", 1), ("T", 2), ("S", 1), ("T", 1)), 1),
+    }
+    for rows, (tokens, central) in cases.items():
+        assert decompose_st(Matrix(rows)) == GenWord(tokens, central)
 
 
 def test_to_st_word_rejects_unknown_generator():
