@@ -2,8 +2,8 @@
 the upper-triangular Borel subgroup.
 
 Cells are double cosets B p_sigma B indexed by Sym(3); the signed
-permutation representatives p_sigma all lie in SL3(Z).  Cell detection uses
-the rank profile of southwest submatrices; the factorization is a
+permutation representatives p_sigma all lie in SL3(Z).  The cell is read
+from three zero tests and one 2x2 minor; the factorization is a
 deterministic two-sided Gaussian elimination.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .matrix import Matrix, PreconditionError
 from .prng import SplitMix64
@@ -60,49 +59,21 @@ def _require_invertible(g):
         raise PreconditionError("matrix is singular")
 
 
-def _rank(rows):
-    # Fraction-free: scale each row to integers, then cross-multiplied
-    # elimination.  Exact, and much faster than Fraction arithmetic on the
-    # tiny submatrices seen here.
-    m = []
-    for r in rows:
-        den = 1
-        for x in r:
-            if isinstance(x, Fraction):
-                den = den // gcd(den, x.denominator) * x.denominator
-        m.append([int(x * den) for x in r])
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for i in range(rank + 1, len(m)):
-            if m[i][col]:
-                f = m[i][col]
-                m[i] = [a * pv - b * f for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 def cell_of(g):
     """The unique sigma with g in B p_sigma B.
 
-    Determined by the rank profile: sigma is the permutation with
-    rank(g[i..3, 1..j]) = #{k <= j : sigma(k) >= i} for all i, j.
+    sigma is the permutation with rank(g[i..3, 1..j]) = #{k <= j : sigma(k)
+    >= i} for all i, j.  For invertible g the ranks that differ between cells
+    are those of g[3, 1], g[3, 1..2], g[2..3, 1] and g[2..3, 1..2], so the
+    cell is read from three zero tests and the lower-left 2x2 minor.
     """
     _require_invertible(g)
-    profile = {}
-    for i in range(1, 4):
-        for j in range(1, 4):
-            profile[(i, j)] = _rank([row[:j] for row in g.data[i - 1:]])
-    for name, sigma in PERMUTATIONS.items():
-        if all(profile[(i, j)] == sum(1 for k in range(j) if sigma[k] >= i)
-               for i in range(1, 4) for j in range(1, 4)):
-            return name
-    raise AssertionError("rank profile matched no permutation")  # unreachable
+    _, (g21, g22, _), (g31, g32, _) = g.data
+    if g31:
+        return "(13)" if g21 * g32 != g22 * g31 else "(132)"
+    if g21:
+        return "(123)" if g32 else "(12)"
+    return "(23)" if g32 else "id"
 
 
 def bruhat_decompose(g):

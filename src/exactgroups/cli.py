@@ -19,8 +19,9 @@ from . import __version__, affine, bruhat, cocycle, lattice, sl2
 from .matrix import ExactError, Matrix, PreconditionError
 from .prng import SplitMix64
 from .serialize import (InputError, matrix_to_json, parse_cocycle_spec,
-                        parse_matrix, parse_scalar, parse_vector,
-                        scalar_to_str, vector_to_json, word_to_json)
+                        parse_index_word, parse_int, parse_matrix,
+                        parse_scalar, parse_vector, scalar_to_str,
+                        vector_to_json, word_to_json)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -42,17 +43,6 @@ def _read_doc(args):
 def _parse_affine(doc):
     return affine.AffineElement.of(parse_vector(doc["translation"]),
                                    parse_matrix(doc["matrix"]))
-
-
-def _affine_to_json(el):
-    return {"translation": vector_to_json(el.translation),
-            "matrix": matrix_to_json(el.linear)}
-
-
-def _congruence_kind(args):
-    if args.family == "full":
-        return "full"
-    return sl2.CongruenceKind(args.family, args.level)
 
 
 # -- handlers --------------------------------------------------------------
@@ -92,7 +82,7 @@ def _cmd_cocycle_solve_coboundary(args):
 def _cmd_cocycle_eval(args):
     doc = _read_doc(args)
     spec = parse_cocycle_spec(doc["spec"])
-    word = tuple((int(t["gen"]), int(t["exp"])) for t in doc["word"])
+    word = parse_index_word(doc["word"])
     return {"value": vector_to_json(cocycle.cocycle_eval(spec, word))}
 
 
@@ -108,7 +98,7 @@ def _cmd_cocycle_obstruction(args):
 
 def _cmd_cocycle_central(args):
     doc = _read_doc(args)
-    m, n = int(doc["m"]), int(doc["n"])
+    m, n = parse_int(doc["m"]), parse_int(doc["n"])
     g = parse_matrix(doc["matrix"])
     value = cocycle.central_cocycle(m, n, g)
     case = cocycle.parity_domain(m, n)
@@ -119,8 +109,8 @@ def _cmd_cocycle_central(args):
 
 def _cmd_cocycle_finf_extend(args):
     doc = _read_doc(args)
-    n = int(doc["n"])
-    values = {int(k): (parse_scalar(x), parse_scalar(y))
+    n = parse_int(doc["n"])
+    values = {parse_int(k): (parse_scalar(x), parse_scalar(y))
               for k, x, y in doc["window"]}
     u = cocycle.finf_extend(n, values, sorted(values))
     return {"u": None if u is None else vector_to_json(u)}
@@ -183,7 +173,7 @@ def _cmd_affine_classify(args):
     kind = doc.get("kind")
     if kind == "full_lattice":
         basis = lattice.hnf([parse_vector(r) for r in doc["lattice"]["rows"]],
-                            dim=int(doc["lattice"]["dim"]))
+                            dim=parse_int(doc["lattice"]["dim"]))
         d = affine.FullLatticeSemidirect(
             basis, tuple(parse_matrix(m) for m in doc["generators"]))
     elif kind == "graph":
@@ -262,7 +252,7 @@ def _cmd_bruhat_fact_check(args):
 def _cmd_lin_hnf(args):
     doc = _read_doc(args)
     rows = [parse_vector(r) for r in doc["rows"]]
-    basis = lattice.hnf(rows, dim=doc.get("dim"))
+    basis = lattice.hnf(rows, dim=parse_int(doc["dim"]) if "dim" in doc else None)
     index = basis.index()
     return {"basis": [vector_to_json(r) for r in basis.rows],
             "dim": basis.dim,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import solve_integer
-from .matrix import (Matrix, PreconditionError, vec_add, vec_is_integral,
-                     vec_norm, vec_sub)
+from .matrix import (Matrix, PreconditionError, _reduce, vec_add,
+                     vec_is_integral, vec_norm, vec_sub)
 from .sl2 import CongruenceKind, congruence_membership
 
 
@@ -157,32 +157,14 @@ def _witness_fits(spec, xi):
 
 
 def _solve_rational(rows, rhs):
-    """Gauss elimination on an overdetermined 2-column rational system."""
+    """Solve an overdetermined 2-column rational system by Gauss-Jordan."""
     aug = [row + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(2):
-        piv = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [a * inv for a in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][2] != 0:
-            return None  # inconsistent
-    if len(pivots) < 2:
+    rank = len(_reduce(aug, 2)[0])
+    if any(row[2] for row in aug[rank:]):
+        return None  # inconsistent
+    if rank < 2:
         raise UnderdeterminedWitness("joint system has a nontrivial kernel")
-    xi = [None, None]
-    for i, col in enumerate(pivots):
-        xi[col] = aug[i][2]
-    return tuple(xi)
+    return (aug[0][2], aug[1][2])
 
 
 # -- the Gamma_1(N) family -------------------------------------------------

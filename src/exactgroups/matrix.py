@@ -73,11 +73,6 @@ class Matrix:
                                      for i in range(n)))
 
     @staticmethod
-    def zero(rows, cols=None):
-        cols = rows if cols is None else cols
-        return Matrix([[0] * cols for _ in range(rows)])
-
-    @staticmethod
     def diagonal(entries):
         n = len(entries)
         return Matrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
@@ -168,52 +163,31 @@ class Matrix:
                 d[0][0] * (d[1][1] * d[2][2] - d[1][2] * d[2][1])
                 - d[0][1] * (d[1][0] * d[2][2] - d[1][2] * d[2][0])
                 + d[0][2] * (d[1][0] * d[2][1] - d[1][1] * d[2][0]))
-        # Fraction Gaussian elimination for larger sizes.
-        m = [[Fraction(x) for x in row] for row in d]
-        det = Fraction(1)
-        for col in range(n):
-            piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for i in range(col + 1, n):
-                f = m[i][col] * inv
-                if f:
-                    m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-        return _norm(det)
+        return _norm(_reduce([[Fraction(x) for x in row] for row in d], n)[1])
 
     def inverse(self):
         """Exact inverse; raises PreconditionError when singular.
 
-        An integer 2x2 or 3x3 matrix with determinant +-1 is inverted in
-        closed form as det * adj(M), so its inverse has int entries and no
-        Fraction is made.  Every other matrix (rational entries, another
-        determinant, or n >= 4) goes through Fraction Gauss-Jordan.
+        A 2x2 or 3x3 matrix is inverted in closed form as adj(M) * (1/det M).
+        When det M = +-1 the adjugate is multiplied by det M itself, so an
+        integer matrix of determinant +-1 gets int entries and no Fraction is
+        made.  Every entry is normalized, so an entry with denominator 1 is an
+        int whatever the input's types.  Other sizes go through Gauss-Jordan
+        elimination on [M | I].
         """
         if self.rows != self.cols:
             raise ShapeError("inverse of a non-square matrix")
-        if self.rows in (2, 3) and all(type(x) is int for row in self.data for x in row):
-            adj, det = _adjugate(self.data)
-            if det == 1 or det == -1:
-                return Matrix._trusted(tuple(tuple([det * x for x in r]) for r in adj))
         n = self.rows
+        if n in (2, 3):
+            adj, det = _adjugate(self.data)
+            if det == 0:
+                raise PreconditionError("matrix is singular")
+            s = det if det == 1 or det == -1 else Fraction(1, det)
+            return Matrix._trusted(tuple(tuple([_norm(s * x) for x in r]) for r in adj))
         m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
              for i, row in enumerate(self.data)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-            if piv is None:
-                raise PreconditionError("matrix is singular")
-            m[col], m[piv] = m[piv], m[col]
-            inv = 1 / m[col][col]
-            m[col] = [a * inv for a in m[col]]
-            for i in range(n):
-                if i != col and m[i][col]:
-                    f = m[i][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+        if _reduce(m, n)[1] == 0:
+            raise PreconditionError("matrix is singular")
         return Matrix([row[n:] for row in m])
 
     def is_integral(self):
@@ -228,6 +202,38 @@ class Matrix:
             raise TypeError("expected a Matrix")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("shape mismatch")
+
+
+def _reduce(m, ncols):
+    """Gauss-Jordan elimination over Q, in place, on the first `ncols` columns.
+
+    `m` is a list of row lists of Fractions.  On return its rows are in
+    reduced row echelon form over those columns -- pivot rows first, each
+    pivot 1 and alone in its column -- and any further (augmented) columns
+    have undergone the same row operations.  Returns (pivot_cols, det): the
+    pivot columns in order, and the determinant of the first `ncols` columns
+    when `m` has `ncols` rows (0 when some column has no pivot).
+    """
+    pivots = []
+    det = Fraction(1)
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            det = 0
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = -det
+        det *= m[r][col]
+        inv = 1 / m[r][col]
+        m[r] = [a * inv for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return pivots, det
 
 
 def _adjugate(d):

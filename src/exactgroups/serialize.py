@@ -4,10 +4,12 @@ All numeric payloads are decimal strings ("-12"), rationals as "p/q", so no
 consumer can lose precision.  Matrices use the schema
 {"rows": n, "cols": m, "entries": [["...", ...], ...]}.
 
-On input a scalar is a decimal or "p/q" string, or a JSON integer (accepted
-because documents such as finf-extend windows are written with plain
-integers).  Every other JSON value -- a float, true/false, null, an array or
-an object -- is refused with InputError rather than coerced.
+On input an integer field is a JSON integer (accepted because documents such
+as finf-extend windows are written with plain integers) or a string of an
+optional "-" followed by one or more ASCII digits.  A scalar is an integer or
+a "p/q" string of two such integers.  Every other JSON value -- a float,
+true/false, null, an array, an object, or a string with spaces, underscores
+or a "+" sign -- is refused with InputError rather than coerced.
 """
 
 from __future__ import annotations
@@ -28,18 +30,29 @@ def scalar_to_str(x):
     return str(int(x))
 
 
+def parse_int(x):
+    """An integer field: a non-bool JSON integer, or an optional "-" followed
+    by ASCII digits.  Anything else raises InputError."""
+    if type(x) is int:   # not bool, which is an int subclass
+        return x
+    if isinstance(x, str):
+        digits = x[1:] if x[:1] == "-" else x
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(x)
+            except ValueError as exc:   # past the int/str digit limit
+                raise InputError(f"bad integer: {exc}") from exc
+    raise InputError(f"bad integer {x!r}: expected a JSON integer or a decimal string")
+
+
 def parse_scalar(s):
-    if type(s) is int:   # not bool, which is an int subclass
-        return s
-    if not isinstance(s, str):
-        raise InputError(f"bad scalar {s!r}: expected a string or an integer")
-    try:
-        if "/" in s:
-            num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return int(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad scalar {s!r}") from exc
+    if isinstance(s, str) and "/" in s:
+        num, _, den = s.partition("/")
+        den = parse_int(den)
+        if den == 0:
+            raise InputError(f"bad scalar {s!r}: zero denominator")
+        return Fraction(parse_int(num), den)
+    return parse_int(s)
 
 
 def vector_to_json(v):
@@ -82,8 +95,8 @@ def parse_index_word(doc):
     out = []
     for tok in doc:
         try:
-            out.append((int(tok["gen"]), int(tok["exp"])))
-        except (KeyError, TypeError, ValueError) as exc:
+            out.append((parse_int(tok["gen"]), parse_int(tok["exp"])))
+        except (KeyError, TypeError) as exc:
             raise InputError(f"bad word token {tok!r}") from exc
     return tuple(out)
 

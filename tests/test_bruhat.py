@@ -35,6 +35,66 @@ def test_cell_of_representatives():
     assert cell_of(Matrix([[1, 2, 3], [4, 5, 7], [2, 2, 3]])) == "(13)"
 
 
+def _rank(rows):
+    """Rank over Q by Fraction elimination."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / m[rank][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _cell_by_rank_profile(g, ranks=None):
+    """The sigma with rank(g[i..3, 1..j]) = #{k <= j : sigma(k) >= i}.
+
+    `ranks` optionally caches the rank of each submatrix seen, by its rows.
+    """
+    ranks = {} if ranks is None else ranks
+    profile = {}
+    for i in range(1, 4):
+        for j in range(1, 4):
+            sub = tuple(row[:j] for row in g.data[i - 1:])
+            if sub not in ranks:
+                ranks[sub] = _rank(sub)
+            profile[(i, j)] = ranks[sub]
+    names = [name for name, sigma in PERMUTATIONS.items()
+             if all(profile[(i, j)] == sum(1 for k in range(j) if sigma[k] >= i)
+                    for i in range(1, 4) for j in range(1, 4))]
+    assert len(names) == 1
+    return names[0]
+
+
+def test_cell_of_matches_rank_profile():
+    # Every invertible matrix with entries in {-1, 0, 1}: all zero patterns of
+    # the southwest corner, and lower-left 2x2 minors that vanish or not.
+    seen, ranks = set(), {}
+    for code in range(3 ** 9):
+        entries = [(code // 3 ** k) % 3 - 1 for k in range(9)]
+        g = Matrix([entries[0:3], entries[3:6], entries[6:9]])
+        if g.det() == 0:
+            continue
+        want = _cell_by_rank_profile(g, ranks)
+        assert cell_of(g) == want, g
+        seen.add(want)
+    assert seen == set(PERMUTATIONS)
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    for rows in ([[1, 0, 0], [half, 1, 1], [third, Fraction(-2, 3), 5]],  # minor 0
+                 [[1, 2, 3], [half, 1, 0], [third, 1, 5]],
+                 [[half, 1, 0], [third, 0, 0], [0, 0, 2]],
+                 [[half, 1, 0], [0, third, 1], [0, 0, half]],
+                 [[0, half, 1], [third, 0, 0], [0, half, 2]],
+                 [[half, 0, 0], [0, third, 0], [0, Fraction(5, 7), 1]]):
+        g = Matrix(rows)
+        assert cell_of(g) == _cell_by_rank_profile(g), g
+
+
 def test_cell_of_errors():
     with pytest.raises(PreconditionError):
         cell_of(Matrix([[1, 0], [0, 1]]))
@@ -77,7 +137,7 @@ def test_decompose_errors():
     with pytest.raises(PreconditionError):
         bruhat_decompose(Matrix([[1, 1], [0, 1]]))
     with pytest.raises(PreconditionError):
-        bruhat_decompose(Matrix.zero(3))
+        bruhat_decompose(Matrix([[0] * 3] * 3))
 
 
 # -- explicit facts --------------------------------------------------------

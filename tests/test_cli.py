@@ -324,6 +324,52 @@ def test_non_integer_json_scalars_refused(tmp_path):
     assert doc["basis"] == [["1", "1"], ["0", "2"]]
 
 
+def test_integer_fields_strict(tmp_path):
+    # Once "m": 2.9 answered as m = 2, "1_0" and " 1" read as 10 and 1,
+    # "dim": "x" exited 3, and 1e400 escaped run() as an OverflowError.
+    spec = {"generators": [M_HYPERBOLIC], "values": [["3", "4"]]}
+    lattice = {"dim": 2, "rows": [["2", "0"], ["0", "2"]]}
+    full = {"kind": "full_lattice", "generators": [mat([[0, -1], [1, 0]])]}
+    window = [[k, 4 * k, 8 * k * k] for k in range(-2, 3)]
+    for argv, doc in (
+            (["cocycle", "central"], {"m": 2.9, "n": 0, "matrix": M_HYPERBOLIC}),
+            (["cocycle", "central"], {"m": "2", "n": True, "matrix": M_HYPERBOLIC}),
+            (["cocycle", "central"],
+             '{"m": 1e400, "n": 0, "matrix": %s}' % json.dumps(M_HYPERBOLIC)),
+            (["cocycle", "eval"],
+             '{"spec": %s, "word": [{"gen": 0, "exp": 1e400}]}' % json.dumps(spec)),
+            (["cocycle", "eval"], {"spec": spec, "word": [{"gen": 0, "exp": 2.0}]}),
+            (["cocycle", "eval"], {"spec": spec, "word": [{"gen": "0 ", "exp": 2}]}),
+            (["cocycle", "finf-extend"], {"n": 1.5, "window": window}),
+            (["cocycle", "finf-extend"],
+             {"n": 1, "window": [[float(k), x, y] for k, x, y in window]}),
+            (["lin", "snf"], mat([["1_0", " 1"], ["1", "2"]])),
+            (["lin", "snf"], mat([["+1", "0"], ["0", "1/ 2"]])),
+            (["lin", "hnf"], {"rows": [["1", "2"]], "dim": "x"}),
+            (["lin", "hnf"], {"rows": [["1", "2"]], "dim": 2.0}),
+            (["affine", "classify"], {**full, "lattice": {**lattice, "dim": "x"}}),
+            (["affine", "classify"], {**full, "lattice": {**lattice, "dim": 2.5}})):
+        if isinstance(doc, str):
+            path = tmp_path / "raw.json"
+            path.write_text(doc)
+            code, out, err = run_cli(tmp_path, argv + ["--in", str(path)])
+        else:
+            code, out, err = run_cli(tmp_path, argv, doc)
+        assert code == 2 and out == "", (argv, doc, code, err)
+        assert err.startswith("error: ") and err.count("\n") == 1
+    # Decimal strings and JSON integers stay accepted in every integer field.
+    doc = run_ok(tmp_path, ["cocycle", "central"],
+                 {"m": "2", "n": "-0", "matrix": M_HYPERBOLIC})
+    assert doc["case"] == 1 and doc["value"] == ["0", "-1"]
+    doc = run_ok(tmp_path, ["cocycle", "eval"],
+                 {"spec": spec, "word": [{"gen": "0", "exp": "2"}]})
+    assert doc["value"] == ["10", "15"]
+    doc = run_ok(tmp_path, ["lin", "hnf"], {"rows": [["2", "0"], ["1", "1"]], "dim": "2"})
+    assert doc["basis"] == [["1", "1"], ["0", "2"]]
+    doc = run_ok(tmp_path, ["affine", "classify"], {**full, "lattice": {**lattice, "dim": "2"}})
+    assert doc["case"] == "case1"
+
+
 def test_lin_snf_rational_matrix_refused(tmp_path):
     # SNF is defined over Z; a rational input once got 1/2 on the diagonal.
     code, out, err = run_cli(tmp_path, ["lin", "snf"],

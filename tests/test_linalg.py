@@ -1,6 +1,7 @@
 """Unit tests for exact matrices, HNF/SNF, and integer solving."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -70,13 +71,21 @@ def _gauss_jordan_inverse(M):
     return [row[n:] for row in m]
 
 
+SMALL_RATIONALS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+
+
 @st.composite
-def unimodular_matrices(draw):
-    """Integer matrices of det +-1 for n = 2, 3, 4: products of elementary
-    matrices E_ij(+-1), optionally times diag(-1, 1, ..., 1)."""
-    n = draw(st.sampled_from([2, 3, 4]))
+def invertible_matrices(draw):
+    """Invertible matrices for n = 2..5: products of elementary matrices
+    E_ij(v), optionally times diag(-1, 1, ..., 1).  With v = +-1 they are
+    integer matrices of det +-1; otherwise v and a left diagonal factor are
+    drawn from small nonzero rationals, so entries may be Fractions and the
+    determinant need not be +-1."""
+    n = draw(st.sampled_from([2, 3, 4, 5]))
+    rational = draw(st.booleans())
+    values = st.sampled_from(SMALL_RATIONALS if rational else (1, -1))
     m = Matrix.identity(n)
-    steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([1, -1]))
+    steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), values)
     for i, j, v in draw(st.lists(steps, max_size=16)):
         if i != j:
             e = [[int(r == c) for c in range(n)] for r in range(n)]
@@ -84,16 +93,22 @@ def unimodular_matrices(draw):
             m = m * Matrix(e)
     if draw(st.booleans()):
         m = m * Matrix.diagonal([-1] + [1] * (n - 1))
+    if rational:
+        m = Matrix.diagonal(draw(st.lists(values, min_size=n, max_size=n))) * m
     return m
 
 
-@settings(max_examples=150, deadline=None)
-@given(unimodular_matrices())
+@settings(max_examples=250, deadline=None)
+@given(invertible_matrices())
 def test_inverse_integer_unimodular(M):
     inv = M.inverse()
-    assert all(type(x) is int for row in inv.data for x in row)
+    want = _gauss_jordan_inverse(M)
+    assert [list(r) for r in inv.data] == want
+    # An entry is an int exactly when its value is an integer; so an integer
+    # matrix of det +-1 has an all-int inverse.
+    assert [[type(x) for x in r] for r in inv.data] == \
+        [[int if x.denominator == 1 else Fraction for x in r] for r in want]
     assert M * inv == Matrix.identity(M.rows)
-    assert [list(r) for r in inv.data] == _gauss_jordan_inverse(M)
 
 
 def test_inverse_non_unimodular_and_rational_pinned():
@@ -112,6 +127,45 @@ def test_inverse_non_unimodular_and_rational_pinned():
         assert [[type(x) for x in r] for r in got.data] == \
             [[int if Fraction(x).denominator == 1 else Fraction for x in r] for r in want]
         assert M * got == Matrix.identity(M.rows)
+
+
+def _det_by_permutations(M):
+    """Leibniz expansion: sum over permutations p of sign(p) prod M[i, p(i)]."""
+    n = M.rows
+    total = 0
+    for p in permutations(range(n)):
+        term = (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        for i in range(n):
+            term *= M[i, p[i]]
+        total += term
+    return total
+
+
+def test_det_large_against_permutation_expansion():
+    rng = seeded(17)
+    vals = (0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4))
+    # The identity with its first two rows swapped: det -1 through one swap.
+    cases = [Matrix([[int(j == (1, 0, 2, 3, 4)[i]) for j in range(n)] for i in range(n)])
+             for n in (4, 5)]
+    cases.append(Matrix([[1, 2, 3, 4], [0, 0, 1, 1], [0, 1, 0, 1], [2, 4, 6, 8]]))
+    for n in (4, 5):
+        cases += [Matrix([[vals[rng.below(len(vals))] for _ in range(n)] for _ in range(n)])
+                  for _ in range(60)]
+    for M in cases:
+        want = _det_by_permutations(M)
+        got = M.det()
+        assert got == want
+        assert type(got) is (int if Fraction(want).denominator == 1 else Fraction)
+
+
+def test_inverse_singular_large():
+    # Third row is the sum of the first two; the last column repeats the first.
+    for M in (Matrix([[1, 2, 0, 1], [0, 1, 3, 0], [1, 3, 3, 1], [2, 0, 1, 1]]),
+              Matrix([[1, 2, 0, 1], [0, 1, 3, 0], [2, 0, 1, 2], [1, 1, 1, 1]]),
+              Matrix([[Fraction(1, 2), 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 1, 0, 0],
+                      [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])):
+        with pytest.raises(PreconditionError):
+            M.inverse()
 
 
 # -- HNF -------------------------------------------------------------------
