@@ -179,8 +179,10 @@ def _cmd_affine_classify(args):
     elif kind == "graph":
         d = affine.GraphSubgroup(parse_cocycle_spec(doc["spec"]))
     elif kind == "cyclic_linear":
-        d = affine.CyclicLinear(parse_matrix(doc["matrix"]),
-                                bool(doc.get("with_minus_identity", True)))
+        flag = doc.get("with_minus_identity", True)
+        if type(flag) is not bool:
+            raise InputError("with_minus_identity must be true or false")
+        d = affine.CyclicLinear(parse_matrix(doc["matrix"]), flag)
     else:
         raise InputError(f"unknown descriptor kind {kind!r}")
     report = affine.classify_subgroup(d)

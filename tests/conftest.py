@@ -4,6 +4,8 @@ Everything here is seeded through the package's own SplitMix64 so test runs
 are bit-for-bit reproducible.
 """
 
+from fractions import Fraction
+
 from exactgroups.matrix import Matrix
 from exactgroups.prng import SplitMix64
 from exactgroups.sl2 import GENERATORS
@@ -68,6 +70,22 @@ def random_unimodular(rng, n, length=8):
         flip = Matrix.diagonal([-1] + [1] * (n - 1))
         m = m * flip
     return m
+
+
+def rational_rank(rows):
+    """Rank over Q by Fraction elimination, independent of the library."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / m[rank][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
 
 def seeded(seed):

@@ -9,7 +9,7 @@ from exactgroups.bruhat import (H_GENERATORS, PERM_MATRICES, PERMUTATIONS,
                                 case4_witness, cell_of,
                                 fact3_display_factorization, fact_check)
 from exactgroups.matrix import Matrix, PreconditionError
-from tests.conftest import random_sl3, seeded
+from tests.conftest import random_sl3, rational_rank, seeded
 
 
 # -- representatives -------------------------------------------------------
@@ -35,22 +35,6 @@ def test_cell_of_representatives():
     assert cell_of(Matrix([[1, 2, 3], [4, 5, 7], [2, 2, 3]])) == "(13)"
 
 
-def _rank(rows):
-    """Rank over Q by Fraction elimination."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    for col in range(len(m[0])):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for i in range(rank + 1, len(m)):
-            f = m[i][col] / m[rank][col]
-            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 def _cell_by_rank_profile(g, ranks=None):
     """The sigma with rank(g[i..3, 1..j]) = #{k <= j : sigma(k) >= i}.
 
@@ -62,7 +46,7 @@ def _cell_by_rank_profile(g, ranks=None):
         for j in range(1, 4):
             sub = tuple(row[:j] for row in g.data[i - 1:])
             if sub not in ranks:
-                ranks[sub] = _rank(sub)
+                ranks[sub] = rational_rank(sub)
             profile[(i, j)] = ranks[sub]
     names = [name for name, sigma in PERMUTATIONS.items()
              if all(profile[(i, j)] == sum(1 for k in range(j) if sigma[k] >= i)

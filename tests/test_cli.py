@@ -252,6 +252,56 @@ def test_lin_solve(tmp_path):
     assert doc["solution"] is None
 
 
+SNF_REGRESSION = [[5, -2, -5, -4, -5, -2], [-3, 8, 5, -2, 7, -5], [-7, -9, -6, 3, 7, 4],
+                  [-7, 3, -7, -4, -4, 2], [-6, 3, 3, -8, -9, -3], [-3, -7, 3, -4, 4, -8]]
+
+
+def test_lin_snf_and_solve_regression_6x6(tmp_path):
+    # The former elimination ran for more than a second on this input.
+    from exactgroups.matrix import Matrix
+    doc = run_ok(tmp_path, ["lin", "snf"], mat(SNF_REGRESSION))
+    U, D, V = (Matrix([[int(x) for x in row] for row in doc[k]["entries"]])
+               for k in ("U", "D", "V"))
+    assert [D[i, i] for i in range(6)] == [1, 1, 1, 1, 1, 261246]
+    assert U * Matrix(SNF_REGRESSION) * V == D
+    assert abs(U.det()) == 1 and abs(V.det()) == 1
+    b = Matrix(SNF_REGRESSION).apply((1, -2, 3, 0, 2, -1))
+    doc = run_ok(tmp_path, ["lin", "solve"],
+                 {"matrix": mat(SNF_REGRESSION), "b": [str(v) for v in b]})
+    assert doc["solution"] == ["1", "-2", "3", "0", "2", "-1"]
+    doc = run_ok(tmp_path, ["lin", "solve"],
+                 {"matrix": mat(SNF_REGRESSION), "b": [str(b[0] + 1)] + [str(v) for v in b[1:]]})
+    assert doc["solution"] is None
+
+
+def test_negative_lattice_dimension_refused(tmp_path):
+    # {"rows": [], "dim": -1} once answered "dim": -1 with exit 0.
+    full = {"kind": "full_lattice", "lattice": {"dim": -1, "rows": []},
+            "generators": [mat([[0, -1], [1, 0]])]}
+    for argv, doc in ((["lin", "hnf"], {"rows": [], "dim": -1}),
+                      (["lin", "hnf"], {"rows": [], "dim": "-3"}),
+                      (["affine", "classify"], full)):
+        code, out, err = run_cli(tmp_path, argv, doc)
+        assert code == 3 and out == "", (argv, doc, code)
+        assert err.startswith("error: ") and err.count("\n") == 1
+    doc = run_ok(tmp_path, ["lin", "hnf"], {"rows": [], "dim": 0})
+    assert doc["basis"] == [] and doc["dim"] == 0
+
+
+def test_affine_classify_with_minus_identity_strict(tmp_path):
+    # bool(...) once read "false" as true and accepted "no" and 0.
+    base = {"kind": "cyclic_linear", "matrix": M_HYPERBOLIC}
+    for flag in ("false", "true", "no", 0, 1, None, [], {}):
+        code, out, err = run_cli(tmp_path, ["affine", "classify"],
+                                 {**base, "with_minus_identity": flag})
+        assert code == 2 and out == "", (flag, code)
+        assert err.startswith("error: ") and err.count("\n") == 1
+    absent = run_ok(tmp_path, ["affine", "classify"], base)
+    for flag in (True, False):
+        doc = run_ok(tmp_path, ["affine", "classify"], {**base, "with_minus_identity": flag})
+        assert doc == absent
+
+
 # -- contract: determinism and exit codes ----------------------------------
 
 def test_byte_identical_determinism(tmp_path):

@@ -1,7 +1,9 @@
 """Unit tests for exact matrices, HNF/SNF, and integer solving."""
 
+import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from exactgroups.lattice import (LatticeBasis, content, fixed_sublattice, hnf,
                                  kernel_basis, snf, solve_integer)
 from exactgroups.matrix import Matrix, PreconditionError, ShapeError
-from tests.conftest import random_unimodular, seeded
+from tests.conftest import random_unimodular, rational_rank, seeded
 
 
 # -- Matrix basics ---------------------------------------------------------
@@ -176,6 +178,12 @@ def test_hnf_pinned_example():
     assert basis.index() == 2
 
 
+def test_hnf_negative_dimension_refused():
+    # An empty row list with dim -1 was once the "lattice" of dimension -1.
+    with pytest.raises(ShapeError):
+        hnf([], dim=-1)
+
+
 def test_hnf_zero_and_empty():
     assert hnf([], dim=3).rows == ()
     assert hnf([(0, 0, 0)]).rows == ()
@@ -247,7 +255,10 @@ def test_lattice_basis_accessors():
 # -- SNF -------------------------------------------------------------------
 
 def _check_snf(M):
-    U, D, V = snf(M)
+    return _check_smith(M, *snf(M))
+
+
+def _check_smith(M, U, D, V):
     assert abs(U.det()) == 1 and abs(V.det()) == 1
     assert U.is_integral() and V.is_integral()
     assert U * M * V == D
@@ -265,6 +276,13 @@ def test_snf_pinned_example():
     assert diag == [2, 0]
 
 
+def test_snf_rational_input_normalized():
+    # gcd(3/2, 2) = 1/2 leaves lcm 6 as Fraction(6, 1) unless normalized.
+    U, D, V = snf(Matrix([[Fraction(3, 2), 0], [0, 2]]))
+    assert D == Matrix.diagonal([Fraction(1, 2), 6]) and type(D[1, 1]) is int
+    assert U * Matrix([[Fraction(3, 2), 0], [0, 2]]) * V == D
+
+
 def test_snf_random_shapes():
     rng = seeded(21)
     for _ in range(120):
@@ -278,6 +296,98 @@ def test_snf_random_shapes():
                 min_size=2, max_size=4))
 def test_snf_hypothesis(rows):
     _check_snf(Matrix(rows))
+
+
+# The bound the SNF sweep holds U and V to; Kannan-Bachem passes stay under
+# 70 bits on these inputs, while the elimination they replaced grew U and V
+# past 30,000 bits on some 6x6 inputs.
+SNF_BIT_BOUND = 256
+
+
+def _bits(X):
+    return max(abs(x).bit_length() for row in X.data for x in row)
+
+
+def _sweep_inputs(rng, n):
+    """Entries in [-9, 9]: n x n, n x (n+1), n x (n-1), and n x n of rank <= n-2."""
+    def rows(r, c):
+        return [[rng.int_in(-9, 9) for _ in range(c)] for _ in range(r)]
+    yield rows(n, n)
+    yield rows(n, n + 1)
+    yield rows(n, n - 1)
+    low = rows(n - 2, n)
+    for _ in range(2):
+        a, b = low[rng.below(n - 2)], low[rng.below(n - 2)]
+        low.insert(rng.below(len(low) + 1), [x - 2 * y for x, y in zip(a, b)])
+    yield low
+
+
+def test_snf_seeded_sweep_polynomial():
+    rng = seeded(2024)
+    for n in range(4, 11):
+        for _ in range(2):
+            for rows in _sweep_inputs(rng, n):
+                M = Matrix(rows)
+                t0 = time.process_time()
+                U, D, V = snf(M)
+                assert time.process_time() - t0 < 1.0, rows
+                assert _bits(U) <= SNF_BIT_BOUND and _bits(V) <= SNF_BIT_BOUND, rows
+                _check_smith(M, U, D, V)
+
+
+def _determinantal_divisors(M):
+    """d_k = gcd of all k x k minors, k = 1..min(m, n)."""
+    out = []
+    for k in range(1, min(M.rows, M.cols) + 1):
+        g = 0
+        for I in combinations(range(M.rows), k):
+            for J in combinations(range(M.cols), k):
+                g = gcd(g, _det_by_permutations(Matrix([[M[i, j] for j in J] for i in I])))
+        out.append(g)
+    return out
+
+
+def test_snf_against_determinantal_divisors():
+    # D[k-1][k-1] = d_k / d_(k-1): an oracle that does not use snf.  The
+    # diagonal inputs, bare and hidden by unimodular factors, make the
+    # (gcd, lcm) repair of the divisibility chain run.
+    rng = seeded(58)
+    chain = (0, 1, 2, 3, 4, 6, 9, 10, 12, 15)
+    cases = []
+    for _ in range(40):
+        r, c = 1 + rng.below(4), 1 + rng.below(4)
+        cases.append(Matrix([[rng.int_in(-9, 9) for _ in range(c)] for _ in range(r)]))
+    for _ in range(40):
+        n = 2 + rng.below(3)
+        diag = Matrix.diagonal([chain[rng.below(len(chain))] for _ in range(n)])
+        cases.append(diag)
+        cases.append(random_unimodular(rng, n) * diag * random_unimodular(rng, n))
+    for M in cases:
+        got = _check_snf(M)
+        want, prev = [], 1
+        for d in _determinantal_divisors(M):
+            want.append(d // prev if d else 0)
+            prev = d or prev
+        assert got == want, M
+
+
+SNF_REGRESSION = [[5, -2, -5, -4, -5, -2], [-3, 8, 5, -2, 7, -5], [-7, -9, -6, 3, 7, 4],
+                  [-7, 3, -7, -4, -4, 2], [-6, 3, 3, -8, -9, -3], [-3, -7, 3, -4, 4, -8]]
+
+
+def test_snf_regression_6x6():
+    # Seeded normal-forms input on which the former elimination ran for
+    # more than a second (U and V past 30,000 bits).
+    M = Matrix(SNF_REGRESSION)
+    t0 = time.process_time()
+    U, D, V = snf(M)
+    assert time.process_time() - t0 < 1.0
+    assert _check_smith(M, U, D, V) == [1, 1, 1, 1, 1, 261246]
+    assert _bits(U) <= SNF_BIT_BOUND and _bits(V) <= SNF_BIT_BOUND
+    x0 = (1, -2, 3, 0, 2, -1)
+    assert solve_integer(M, M.apply(x0)) == x0      # det M != 0: unique
+    b = tuple(v + (i == 0) for i, v in enumerate(M.apply(x0)))
+    assert solve_integer(M, b) is None
 
 
 # -- integer solving -------------------------------------------------------
@@ -316,6 +426,41 @@ def test_kernel_basis():
         for y in range(-5, 6):
             if M2.apply((x, y)) == (0, 0):
                 assert ker2.contains((x, y))
+
+
+def test_kernel_basis_and_solve_integer_n7_n8():
+    rng = seeded(78)
+    for n in (7, 8):
+        for _ in range(3):
+            rows = [[rng.int_in(-9, 9) for _ in range(n)] for _ in range(n - 2)]
+            for _ in range(2):
+                a, b = rows[rng.below(n - 2)], rows[rng.below(n - 2)]
+                rows.insert(rng.below(len(rows) + 1), [x + 3 * y for x, y in zip(a, b)])
+            M = Matrix(rows)
+            ker = kernel_basis(M)
+            assert ker.rank == n - rational_rank(rows)
+            for row in ker.rows:
+                assert M.apply(row) == (0,) * n
+            # The whole integer kernel, not a sublattice of it: the basis
+            # is primitive, so its maximal minors have gcd 1.
+            k = ker.rank
+            g = 0
+            for J in combinations(range(n), k):
+                g = gcd(g, Matrix([[row[j] for j in J] for row in ker.rows]).det())
+            assert g == 1
+            x0 = tuple(rng.int_in(-5, 5) for _ in range(n))
+            x = solve_integer(M, M.apply(x0))
+            assert x is not None and M.apply(x) == M.apply(x0)
+        M = Matrix([[rng.int_in(-9, 9) for _ in range(n)] for _ in range(n)])
+        assert M.det() != 0
+        for _ in range(4):
+            b = tuple(rng.int_in(-9, 9) for _ in range(n))
+            x = solve_integer(M, b)
+            exact = M.inverse().apply(b)
+            if x is None:
+                assert any(type(v) is Fraction for v in exact)
+            else:
+                assert x == exact
 
 
 def test_fixed_sublattice():
