@@ -280,7 +280,7 @@ def classify_subgroup(descriptor):
             checks.extend(_cyclic_checks(descriptor.linear_gens[0]))
         else:
             checks.append(Check("amenable-linear-part", *_finite_closure_check(
-                descriptor.linear_gens)))
+                descriptor.linear_gens, basis.dim)))
         return ClassificationReport("case1", tuple(checks))
 
     if isinstance(descriptor, CyclicLinear):
@@ -333,9 +333,10 @@ def _cyclic_checks(g):
     return checks
 
 
-def _finite_closure_check(gens, cap=24):
-    """("pass", evidence) when the generated linear group closes finitely."""
-    seen = {Matrix.identity(gens[0].rows)}
+def _finite_closure_check(gens, dim, cap=24):
+    """("pass", evidence) when the group generated by the dim x dim matrices
+    `gens` closes finitely; no generators give the trivial group."""
+    seen = {Matrix.identity(dim)}
     frontier = list(seen)
     alphabet = [g for g in gens] + [g.inverse() for g in gens]
     while frontier:

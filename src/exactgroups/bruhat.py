@@ -151,6 +151,16 @@ def fact3_display_factorization(x, y, a, b, c):
     return A_inv, B
 
 
+def grid_rationals(bound, nonzero=False):
+    """The sorted rationals p/q with |p| <= bound and 1 <= q <= bound, without
+    0 when `nonzero`: the entry grid on which facts 3 and 4 are checked."""
+    vals = {Fraction(p, q) for p in range(-bound, bound + 1)
+            for q in range(1, bound + 1)}
+    if nonzero:
+        vals.discard(Fraction(0))
+    return sorted(vals)
+
+
 def fact_check(which, g=None, seed=0, count=50, length=8):
     """Machine verification of the four explicit facts.
 

@@ -1,9 +1,16 @@
 """Deterministic command-line interface with JSON input and output.
 
-Every invocation reads one JSON document (--in FILE, or "-" for stdin;
-some subcommands need no input), writes exactly one JSON document to
-stdout and diagnostics to stderr.  Identical argv + input produce
-byte-identical output.
+Every invocation reads at most one JSON document (--in FILE, or "-" for
+stdin), writes exactly one JSON document to stdout and diagnostics to
+stderr.  Identical argv + input produce byte-identical output.
+
+One table, COMMANDS, maps each (group, command) to its handler, whether it
+reads a document, and its flags as argparse specs.  The argparse parser is
+built from the table once, on the first call of run(); run() reads the
+document only for commands that take one and calls the handler as a pure
+function handler(doc, opts) -> dict, where opts maps each flag to its value.
+Integer flags follow the integer rule of the input documents
+(serialize.parse_int).
 
 Exit codes: 0 success (boolean-false predicate results are data, not
 errors); 2 malformed input; 3 precondition violation.
@@ -12,6 +19,7 @@ errors); 2 malformed input; 3 precondition violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -28,16 +36,25 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
 
-def _read_doc(args):
-    if args.infile is None:
+def _read_doc(infile):
+    if infile is None:
         raise InputError("this subcommand requires --in")
     try:
-        if args.infile == "-":
+        if infile == "-":
             return json.load(sys.stdin)
-        with open(args.infile, "r", encoding="utf-8") as fh:
+        with open(infile, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read input document: {exc}") from exc
+
+
+def _int_flag(text):
+    """argparse type of the integer flags: parse_int, refusing as argparse
+    refused int() (a usage error, exit 2)."""
+    try:
+        return parse_int(text)
+    except InputError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _parse_affine(doc):
@@ -47,8 +64,8 @@ def _parse_affine(doc):
 
 # -- handlers --------------------------------------------------------------
 
-def _cmd_sl2_classify(args):
-    g = parse_matrix(_read_doc(args))
+def _cmd_sl2_classify(doc, opts):
+    g = parse_matrix(doc)
     cls = sl2.classify_sl2(g)
     return {"class": cls.kind,
             "order": None if cls.order is None else str(cls.order),
@@ -56,22 +73,21 @@ def _cmd_sl2_classify(args):
             "trace": scalar_to_str(g.trace())}
 
 
-def _cmd_sl2_decompose(args):
-    g = parse_matrix(_read_doc(args))
+def _cmd_sl2_decompose(doc, opts):
+    g = parse_matrix(doc)
     word = sl2.decompose_st(g)
-    if args.alphabet == "st":
+    if opts["alphabet"] == "st":
         word = sl2.to_st_word(word)
     return word_to_json(word)
 
 
-def _cmd_sl2_congruence(args):
-    g = parse_matrix(_read_doc(args))
-    kind = sl2.CongruenceKind(args.family, args.level)
+def _cmd_sl2_congruence(doc, opts):
+    g = parse_matrix(doc)
+    kind = sl2.CongruenceKind(opts["family"], opts["level"])
     return {"member": sl2.congruence_membership(kind, g)}
 
 
-def _cmd_cocycle_solve_coboundary(args):
-    doc = _read_doc(args)
+def _cmd_cocycle_solve_coboundary(doc, opts):
     c_t = parse_vector(doc["c_t"])
     c_s, witness = cocycle.solve_full_coboundary(c_t)
     return {"c_s": vector_to_json(c_s),
@@ -79,25 +95,23 @@ def _cmd_cocycle_solve_coboundary(args):
             "integral": witness.integral}
 
 
-def _cmd_cocycle_eval(args):
-    doc = _read_doc(args)
+def _cmd_cocycle_eval(doc, opts):
     spec = parse_cocycle_spec(doc["spec"])
     word = parse_index_word(doc["word"])
     return {"value": vector_to_json(cocycle.cocycle_eval(spec, word))}
 
 
-def _cmd_cocycle_gamma1(args):
-    g = parse_matrix(_read_doc(args))
-    return {"value": vector_to_json(cocycle.gamma1_cocycle(args.level, g))}
+def _cmd_cocycle_gamma1(doc, opts):
+    g = parse_matrix(doc)
+    return {"value": vector_to_json(cocycle.gamma1_cocycle(opts["level"], g))}
 
 
-def _cmd_cocycle_obstruction(args):
-    g = parse_matrix(_read_doc(args))
-    return {"integral": cocycle.gamma1_obstruction(args.level, g)}
+def _cmd_cocycle_obstruction(doc, opts):
+    g = parse_matrix(doc)
+    return {"integral": cocycle.gamma1_obstruction(opts["level"], g)}
 
 
-def _cmd_cocycle_central(args):
-    doc = _read_doc(args)
+def _cmd_cocycle_central(doc, opts):
     m, n = parse_int(doc["m"]), parse_int(doc["n"])
     g = parse_matrix(doc["matrix"])
     value = cocycle.central_cocycle(m, n, g)
@@ -107,8 +121,7 @@ def _cmd_cocycle_central(args):
             "accepted": case.accepts(g)}
 
 
-def _cmd_cocycle_finf_extend(args):
-    doc = _read_doc(args)
+def _cmd_cocycle_finf_extend(doc, opts):
     n = parse_int(doc["n"])
     values = {parse_int(k): (parse_scalar(x), parse_scalar(y))
               for k, x, y in doc["window"]}
@@ -116,20 +129,18 @@ def _cmd_cocycle_finf_extend(args):
     return {"u": None if u is None else vector_to_json(u)}
 
 
-def _cmd_affine_icc(args):
-    g = parse_matrix(_read_doc(args))
+def _cmd_affine_icc(doc, opts):
+    g = parse_matrix(doc)
     return {"icc": affine.icc_affine_cyclic(g), "trace": scalar_to_str(g.trace())}
 
 
-def _cmd_affine_ball(args):
-    doc = _read_doc(args)
+def _cmd_affine_ball(doc, opts):
     x = _parse_affine(doc["element"])
     gens = [_parse_affine(g) for g in doc["generators"]]
-    return {"count": str(affine.conj_class_ball(x, gens, args.radius))}
+    return {"count": str(affine.conj_class_ball(x, gens, opts["radius"]))}
 
 
-def _cmd_affine_lattice(args):
-    doc = _read_doc(args)
+def _cmd_affine_lattice(doc, opts):
     gens = [parse_matrix(m) for m in doc["generators"]]
     seeds = [parse_vector(v) for v in doc["seeds"]]
     basis, index = affine.invariant_lattice(gens, seeds)
@@ -138,15 +149,14 @@ def _cmd_affine_lattice(args):
             "index": None if index is None else str(index)}
 
 
-def _cmd_affine_aut_check(args):
-    doc = _read_doc(args)
+def _cmd_affine_aut_check(doc, opts):
     L = parse_matrix(doc["L"])
     xi = parse_vector(doc["xi"])
     phi = affine.affine_automorphism(L, xi)
-    rng = SplitMix64(args.seed)
+    rng = SplitMix64(opts["seed"])
     n = L.rows
     checked = 0
-    for _ in range(args.count):
+    for _ in range(opts["count"]):
         x = _random_affine(rng, n)
         y = _random_affine(rng, n)
         if phi(x * y) != phi(x) * phi(y):
@@ -166,8 +176,7 @@ def _random_affine(rng, n):
     return affine.AffineElement(a, g)
 
 
-def _cmd_affine_classify(args):
-    doc = _read_doc(args)
+def _cmd_affine_classify(doc, opts):
     if not isinstance(doc, dict):
         raise InputError("subgroup descriptor must be a JSON object")
     kind = doc.get("kind")
@@ -204,8 +213,8 @@ def _json_safe(obj):
     return scalar_to_str(obj)
 
 
-def _cmd_bruhat_decompose(args):
-    g = parse_matrix(_read_doc(args))
+def _cmd_bruhat_decompose(doc, opts):
+    g = parse_matrix(doc)
     fac = bruhat.bruhat_decompose(g)
     da, db = fac.det_pair()
     return {"sigma": fac.sigma,
@@ -215,26 +224,18 @@ def _cmd_bruhat_decompose(args):
             "det_b": scalar_to_str(db)}
 
 
-def _cmd_bruhat_cell(args):
-    g = parse_matrix(_read_doc(args))
+def _cmd_bruhat_cell(doc, opts):
+    g = parse_matrix(doc)
     return {"sigma": bruhat.cell_of(g)}
 
 
-def _grid_rationals(bound, nonzero=False):
-    from fractions import Fraction
-    vals = {Fraction(p, q) for p in range(-bound, bound + 1)
-            for q in range(1, bound + 1)}
-    if nonzero:
-        vals.discard(Fraction(0))
-    return sorted(vals)
-
-
-def _cmd_bruhat_fact_check(args):
-    if args.fact in (1, 2):
-        holds = bruhat.fact_check(args.fact, seed=args.seed, count=args.count)
-        return {"fact": args.fact, "holds": holds, "cases": args.count}
-    diag = _grid_rationals(args.grid, nonzero=True)
-    off = _grid_rationals(args.grid)
+def _cmd_bruhat_fact_check(doc, opts):
+    fact = opts["fact"]
+    if fact in (1, 2):
+        holds = bruhat.fact_check(fact, seed=opts["seed"], count=opts["count"])
+        return {"fact": fact, "holds": holds, "cases": opts["count"]}
+    diag = bruhat.grid_rationals(opts["grid"], nonzero=True)
+    off = bruhat.grid_rationals(opts["grid"])
     cases = 0
     for d1 in diag:
         for d2 in diag:
@@ -243,16 +244,15 @@ def _cmd_bruhat_fact_check(args):
                     for u13 in off:
                         for u23 in off:
                             g = Matrix([[d1, u12, u13], [0, d2, u23], [0, 0, d3]])
-                            if not bruhat.fact_check(args.fact, g):
-                                return {"fact": args.fact, "holds": False,
+                            if not bruhat.fact_check(fact, g):
+                                return {"fact": fact, "holds": False,
                                         "cases": cases,
                                         "counterexample": matrix_to_json(g)}
                             cases += 1
-    return {"fact": args.fact, "holds": True, "cases": cases}
+    return {"fact": fact, "holds": True, "cases": cases}
 
 
-def _cmd_lin_hnf(args):
-    doc = _read_doc(args)
+def _cmd_lin_hnf(doc, opts):
     rows = [parse_vector(r) for r in doc["rows"]]
     basis = lattice.hnf(rows, dim=parse_int(doc["dim"]) if "dim" in doc else None)
     index = basis.index()
@@ -262,16 +262,15 @@ def _cmd_lin_hnf(args):
             "index": None if index is None else str(index)}
 
 
-def _cmd_lin_snf(args):
-    m = parse_matrix(_read_doc(args))
+def _cmd_lin_snf(doc, opts):
+    m = parse_matrix(doc)
     if not m.is_integral():
         raise PreconditionError("Smith normal form needs an integer matrix")
     U, D, V = lattice.snf(m)
     return {"U": matrix_to_json(U), "D": matrix_to_json(D), "V": matrix_to_json(V)}
 
 
-def _cmd_lin_solve(args):
-    doc = _read_doc(args)
+def _cmd_lin_solve(doc, opts):
     m = parse_matrix(doc["matrix"])
     b = parse_vector(doc["b"])
     x = lattice.solve_integer(m, b)
@@ -280,91 +279,80 @@ def _cmd_lin_solve(args):
 
 # -- wiring ----------------------------------------------------------------
 
-def _build_parser():
+_LEVEL = {"--level": dict(type=_int_flag, required=True)}
+
+# (group, command) -> (handler, reads a document, {flag: argparse spec}).
+# Every command also takes --in; the order here is the order of --help.
+COMMANDS = {
+    ("sl2", "classify"): (_cmd_sl2_classify, True, {}),
+    ("sl2", "decompose"): (_cmd_sl2_decompose, True,
+                           {"--alphabet": dict(choices=["ST", "st"], default="ST")}),
+    ("sl2", "congruence"): (_cmd_sl2_congruence, True, {
+        "--family": dict(choices=["gamma", "gamma0", "gamma1"], required=True),
+        **_LEVEL}),
+    ("cocycle", "solve-coboundary"): (_cmd_cocycle_solve_coboundary, True, {}),
+    ("cocycle", "eval"): (_cmd_cocycle_eval, True, {}),
+    ("cocycle", "gamma1"): (_cmd_cocycle_gamma1, True, _LEVEL),
+    ("cocycle", "obstruction"): (_cmd_cocycle_obstruction, True, _LEVEL),
+    ("cocycle", "central"): (_cmd_cocycle_central, True, {}),
+    ("cocycle", "finf-extend"): (_cmd_cocycle_finf_extend, True, {}),
+    ("affine", "icc"): (_cmd_affine_icc, True, {}),
+    ("affine", "ball"): (_cmd_affine_ball, True,
+                         {"--radius": dict(type=_int_flag, default=5)}),
+    ("affine", "lattice"): (_cmd_affine_lattice, True, {}),
+    ("affine", "aut-check"): (_cmd_affine_aut_check, True, {
+        "--seed": dict(type=_int_flag, required=True),
+        "--count": dict(type=_int_flag, default=100)}),
+    ("affine", "classify"): (_cmd_affine_classify, True, {}),
+    ("bruhat", "decompose"): (_cmd_bruhat_decompose, True, {}),
+    ("bruhat", "cell"): (_cmd_bruhat_cell, True, {}),
+    ("bruhat", "fact-check"): (_cmd_bruhat_fact_check, False, {
+        "--fact": dict(type=_int_flag, choices=[1, 2, 3, 4], required=True),
+        "--grid": dict(type=_int_flag, default=1),
+        "--seed": dict(type=_int_flag, default=0),
+        "--count": dict(type=_int_flag, default=50)}),
+    ("lin", "hnf"): (_cmd_lin_hnf, True, {}),
+    ("lin", "snf"): (_cmd_lin_snf, True, {}),
+    ("lin", "solve"): (_cmd_lin_solve, True, {}),
+}
+
+
+@functools.cache
+def _parser():
     parser = argparse.ArgumentParser(prog="exactgroups")
     top = parser.add_subparsers(dest="group", required=True)
-
-    def sub(group, name, func, **flags):
-        p = group.add_parser(name)
+    groups = {}
+    for (group, command), (_, _, flags) in COMMANDS.items():
+        if group not in groups:
+            groups[group] = top.add_parser(group).add_subparsers(dest="command",
+                                                                  required=True)
+        p = groups[group].add_parser(command)
         p.add_argument("--in", dest="infile", default=None,
                        help="input JSON document (file path or - for stdin)")
         for flag, spec in flags.items():
             p.add_argument(flag, **spec)
-        p.set_defaults(func=func)
-        return p
-
-    g_sl2 = parser_group(top, "sl2")
-    sub(g_sl2, "classify", _cmd_sl2_classify)
-    sub(g_sl2, "decompose", _cmd_sl2_decompose,
-        **{"--alphabet": dict(choices=["ST", "st"], default="ST")})
-    sub(g_sl2, "congruence", _cmd_sl2_congruence,
-        **{"--family": dict(choices=["gamma", "gamma0", "gamma1"], required=True),
-           "--level": dict(type=int, required=True)})
-
-    g_co = parser_group(top, "cocycle")
-    sub(g_co, "solve-coboundary", _cmd_cocycle_solve_coboundary)
-    sub(g_co, "eval", _cmd_cocycle_eval)
-    sub(g_co, "gamma1", _cmd_cocycle_gamma1,
-        **{"--level": dict(type=int, required=True)})
-    sub(g_co, "obstruction", _cmd_cocycle_obstruction,
-        **{"--level": dict(type=int, required=True)})
-    sub(g_co, "central", _cmd_cocycle_central)
-    sub(g_co, "finf-extend", _cmd_cocycle_finf_extend)
-
-    g_af = parser_group(top, "affine")
-    sub(g_af, "icc", _cmd_affine_icc)
-    sub(g_af, "ball", _cmd_affine_ball,
-        **{"--radius": dict(type=int, default=5)})
-    sub(g_af, "lattice", _cmd_affine_lattice)
-    sub(g_af, "aut-check", _cmd_affine_aut_check,
-        **{"--seed": dict(type=int, required=True),
-           "--count": dict(type=int, default=100)})
-    sub(g_af, "classify", _cmd_affine_classify)
-
-    g_br = parser_group(top, "bruhat")
-    sub(g_br, "decompose", _cmd_bruhat_decompose)
-    sub(g_br, "cell", _cmd_bruhat_cell)
-    sub(g_br, "fact-check", _cmd_bruhat_fact_check,
-        **{"--fact": dict(type=int, choices=[1, 2, 3, 4], required=True),
-           "--grid": dict(type=int, default=1),
-           "--seed": dict(type=int, default=0),
-           "--count": dict(type=int, default=50)})
-
-    g_lin = parser_group(top, "lin")
-    sub(g_lin, "hnf", _cmd_lin_hnf)
-    sub(g_lin, "snf", _cmd_lin_snf)
-    sub(g_lin, "solve", _cmd_lin_solve)
     return parser
 
 
-def parser_group(top, name):
-    p = top.add_parser(name)
-    grp = p.add_subparsers(dest="command", required=True)
-    return grp
-
-
 def run(argv):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        opts = vars(_parser().parse_args(argv))
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    command = (opts["group"], opts["command"])
+    handler, reads_doc, _ = COMMANDS[command]
     try:
-        result = args.func(args)
+        result = handler(_read_doc(opts["infile"]) if reads_doc else None, opts)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: malformed input ({exc})", file=sys.stderr)
         return EXIT_INPUT
     except ExactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    doc = {"version": __version__,
-           "command": f"{args.group}.{args.command}" if args.command else args.group}
+    doc = {"version": __version__, "command": ".".join(command)}
     doc.update(result)
     sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     sys.stdout.write("\n")

@@ -99,12 +99,13 @@ def verify_relations(spec):
     """
     ident = Matrix.identity(2)
     for word in spec.relators:
+        value = cocycle_eval(spec, word)   # refuses an unknown generator index
         m = ident
         for idx, exp in word:
             m = m * (spec.generators[idx] ** exp)
         if m != ident:
             raise RelatorNotIdentity(f"relator {word} evaluates to {m!r}")
-        if cocycle_eval(spec, word) != (0, 0):
+        if value != (0, 0):
             return False
     return True
 

@@ -16,7 +16,7 @@ from exactgroups.affine import (AffineElement, affine_automorphism,
                                 icc_affine_cyclic, invariant_lattice)
 from exactgroups.bruhat import (PERM_MATRICES, bruhat_decompose, case4_witness,
                                 cell_of, fact3_display_factorization,
-                                fact_check)
+                                fact_check, grid_rationals)
 from exactgroups.cocycle import (B_GEN, CocycleSpec, central_cocycle,
                                  cocycle_eval, finf_extend, finf_generator,
                                  gamma1_cocycle, gamma1_obstruction,
@@ -166,11 +166,6 @@ def _random_borel(rng):
         [0, 0, diag[rng.below(5)]]])
 
 
-def _grid_rationals(nonzero):
-    vals = sorted({Fraction(p, q) for p in range(-3, 4) for q in range(1, 4)})
-    return [v for v in vals if v != 0] if nonzero else vals
-
-
 @criterion(5, "Bruhat roundtrip, Borel invariance, Facts 1-4, golden display")
 def test_criterion_5_bruhat():
     rng = SplitMix64(31337)
@@ -238,7 +233,7 @@ def _fact34_exhaustive_grid():
     through cell_of/fact_check on slices and samples in
     _fact34_through_library to tie this reduction to the shipped code.
     """
-    vals = _grid_rationals(nonzero=False)
+    vals = grid_rationals(3, nonzero=False)
     num = np.array([v.numerator for v in vals], dtype=np.int64)
     den = np.array([v.denominator for v in vals], dtype=np.int64)
     nz = num != 0
@@ -270,8 +265,8 @@ def _fact34_exhaustive_grid():
 
 def _fact34_through_library(rng):
     """Tie the vectorized reduction back to the shipped cell machinery."""
-    vals = _grid_rationals(nonzero=False)
-    nonzero = _grid_rationals(nonzero=True)
+    vals = grid_rationals(3, nonzero=False)
+    nonzero = grid_rationals(3, nonzero=True)
     # full (y, z, b) slices at two settings of the irrelevant parameters
     for x, a, c in ((1, 1, 1), (Fraction(-2, 3), Fraction(1, 2), -3)):
         for y in vals:
@@ -296,7 +291,7 @@ def _fact3_golden_display(rng):
     assert b_mat == Matrix([[1, 1, 0], [0, 1, -1], [0, 0, -1]])
     # and as an identity across nonzero grid parameters
     p13, p123 = PERM_MATRICES["(13)"], PERM_MATRICES["(123)"]
-    nonzero = _grid_rationals(nonzero=True)
+    nonzero = grid_rationals(3, nonzero=True)
     for _ in range(500):
         x, y, a, b, c = (nonzero[rng.below(14)] for _ in range(5))
         g = Matrix([[x, y, 0], [0, a, b], [0, 0, c]])
@@ -305,8 +300,8 @@ def _fact3_golden_display(rng):
 
 
 def _case4_grid():
-    nonzero = _grid_rationals(nonzero=True)
-    c_vals = _grid_rationals(nonzero=False)
+    nonzero = grid_rationals(3, nonzero=True)
+    c_vals = grid_rationals(3, nonzero=False)
     for b in nonzero:
         for e in nonzero:
             x_ref = case4_witness(b, e)

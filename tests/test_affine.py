@@ -218,6 +218,14 @@ def test_classify_full_lattice_case1():
     assert report.verdict("missing-check") is None
 
 
+def test_classify_full_lattice_no_generators():
+    # gens[0] of an empty generator list once raised IndexError.
+    report = classify_subgroup(FullLatticeSemidirect(hnf([(1, 0)], dim=2), ()))
+    assert report.case == "case1"
+    assert report.verdict("amenable-linear-part") == "pass"
+    assert report.checks[-1].evidence == {"order": 1}
+
+
 def test_classify_full_lattice_not_invariant():
     basis = hnf([(2, 1), (0, 3)])  # not SL2(Z)-invariant
     with pytest.raises(PreconditionError):

@@ -353,6 +353,48 @@ def test_affine_classify_non_object_document(tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+BAD_DOCUMENTS = ("[]", "null", "{}", '"x"', "3", '{"entries": 5}', "[[1]]", "{not json")
+
+
+def _required_flags(flags):
+    """A valid value for each required flag of a COMMANDS entry."""
+    argv = []
+    for flag, spec in flags.items():
+        if spec.get("required"):
+            argv += [flag, str(spec["choices"][0]) if "choices" in spec else "2"]
+    return argv
+
+
+def test_every_command_refuses_malformed_documents(tmp_path):
+    path = tmp_path / "bad.json"
+    for (group, command), (_, reads_doc, flags) in cli.COMMANDS.items():
+        if not reads_doc:
+            continue
+        argv = [group, command] + _required_flags(flags)
+        for text in BAD_DOCUMENTS:
+            path.write_text(text)
+            code, out, err = run_cli(tmp_path, argv + ["--in", str(path)])
+            assert code in (2, 3) and out == "", (argv, text, code)
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, text, err)
+        code, out, err = run_cli(tmp_path, argv)
+        assert (code, out, err) == (2, "", "error: this subcommand requires --in\n")
+
+
+def test_parser_built_once_never_at_import():
+    import subprocess
+    import sys
+    script = ("import io, sys\n"
+              "from exactgroups import cli\n"
+              "assert cli._parser.cache_info().currsize == 0\n"
+              "sys.stdout = io.StringIO()\n"
+              "for _ in range(3):\n"
+              "    cli.run(['bruhat', 'fact-check', '--fact', '1', '--count', '1'])\n"
+              "assert cli._parser.cache_info().misses == 1\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_non_integer_json_scalars_refused(tmp_path):
     # 1.7 was truncated to 1 (the identity classified) and true read as 1.
     for argv, doc in (
@@ -420,6 +462,67 @@ def test_integer_fields_strict(tmp_path):
     assert doc["case"] == "case1"
 
 
+BALL_DOC = {"element": {"translation": ["1", "0"], "matrix": mat([[1, 0], [0, 1]])},
+            "generators": [{"translation": ["0", "0"], "matrix": M_HYPERBOLIC}]}
+AUT_DOC = {"L": mat([[1, 1], [0, 1]]), "xi": ["1", "-2"]}
+
+# (argv before the flag, integer flag, input document)
+INT_FLAGS = (
+    (["sl2", "congruence", "--family", "gamma"], "--level", M_GAMMA12),
+    (["cocycle", "gamma1"], "--level", M_GAMMA12),
+    (["cocycle", "obstruction"], "--level", M_GAMMA12),
+    (["affine", "ball"], "--radius", BALL_DOC),
+    (["affine", "aut-check", "--count", "2"], "--seed", AUT_DOC),
+    (["affine", "aut-check", "--seed", "1"], "--count", AUT_DOC),
+    (["bruhat", "fact-check"], "--fact", None),
+    (["bruhat", "fact-check", "--fact", "3"], "--grid", None),
+    (["bruhat", "fact-check", "--fact", "1"], "--seed", None),
+    (["bruhat", "fact-check", "--fact", "1"], "--count", None),
+)
+
+
+def test_integer_flags_strict(tmp_path):
+    # int() once read "--level 1_0" as level 10 and accepted " 2 ", "+2" and
+    # an Arabic-Indic digit, all with exit 0.
+    for prefix, flag, doc in INT_FLAGS:
+        for value in ("1_0", " 2 ", "+2", "\u0662", "2.0", "x"):
+            for argv in (prefix + [flag, value], prefix + [f"{flag}={value}"]):
+                code, out, err = run_cli(tmp_path, argv, doc)
+                assert code == 2 and out == "", (argv, code)
+                assert f"argument {flag}: invalid int value: {value!r}\n" in err
+                assert "Traceback" not in err
+    # Decimal strings stay accepted, negative ones included.
+    code, out, err = run_cli(tmp_path, ["cocycle", "obstruction", "--level=-3"], M_GAMMA12)
+    assert code == 3 and out == "" and err == "error: level must be >= 1\n"
+    doc = run_ok(tmp_path, ["affine", "aut-check", "--seed", "-3", "--count", "02"], AUT_DOC)
+    assert doc["samples"] == 2
+    doc = run_ok(tmp_path, ["bruhat", "fact-check", "--fact=02", "--count=-0"])
+    assert (doc["fact"], doc["holds"], doc["cases"]) == (2, True, 0)
+
+
+def test_affine_classify_relator_bad_index(tmp_path):
+    # Index 3 once escaped run() as an IndexError; -1 wrapped to the last
+    # generator and was reported as a relator that is not the identity.
+    spec = {"generators": [mat([[1, 1], [0, 1]]), mat([[1, 0], [2, 1]])],
+            "values": [["0", "0"], ["0", "-1"]]}
+    for gen in (3, -1):
+        doc = {"kind": "graph",
+               "spec": {**spec, "relators": [[{"gen": gen, "exp": 1}]]}}
+        code, out, err = run_cli(tmp_path, ["affine", "classify"], doc)
+        assert code == 3 and out == "", (gen, code)
+        assert err == f"error: unknown generator index {gen}\n"
+
+
+def test_affine_classify_full_lattice_no_generators(tmp_path):
+    # An empty generator list once escaped run() as an IndexError.
+    doc = run_ok(tmp_path, ["affine", "classify"],
+                 {"kind": "full_lattice", "lattice": {"rows": [["1", "0"]], "dim": 2},
+                  "generators": []})
+    assert doc["case"] == "case1"
+    assert doc["checks"][-1] == {"name": "amenable-linear-part", "verdict": "pass",
+                                 "evidence": {"order": "1"}}
+
+
 def test_lin_snf_rational_matrix_refused(tmp_path):
     # SNF is defined over Z; a rational input once got 1/2 on the diagonal.
     code, out, err = run_cli(tmp_path, ["lin", "snf"],
@@ -434,23 +537,28 @@ def test_stdin_input(tmp_path, monkeypatch):
     assert code == 0 and json.loads(out)["class"] == "hyperbolic"
 
 
-def test_console_entry_point(tmp_path):
+def _child_env():
+    """Environment for a child that imports the same package as this process,
+    also when it was found through pytest's `pythonpath` setting rather than
+    PYTHONPATH."""
     import os
-    import subprocess
-    import sys
     from pathlib import Path
     import exactgroups
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps(M_HYPERBOLIC))
-    # The child imports the same package as this process, also when it was
-    # found through pytest's `pythonpath` setting rather than PYTHONPATH.
     package_root = str(Path(exactgroups.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_console_entry_point(tmp_path):
+    import subprocess
+    import sys
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(M_HYPERBOLIC))
     proc = subprocess.run(
         [sys.executable, "-m", "exactgroups.cli", "sl2", "classify",
          "--in", str(path)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["class"] == "hyperbolic"

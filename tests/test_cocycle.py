@@ -108,6 +108,17 @@ def test_verify_relations():
         verify_relations(broken)
 
 
+def test_verify_relations_bad_index():
+    # Index 2 once escaped as an IndexError and -1 wrapped to the last
+    # generator (T_ALT^6 = I), both before cocycle_eval checked the index.
+    spec = _coboundary_spec((S_ALT, T_ALT), (1, 2))
+    for word in (((2, 1),), ((-1, 6),), ((0, 4), (5, 1))):
+        bad = CocycleSpec(spec.generators, spec.values, relators=(word,))
+        with pytest.raises(PreconditionError, match="unknown generator index") as info:
+            verify_relations(bad)
+        assert not isinstance(info.value, RelatorNotIdentity)
+
+
 # -- full-group solver -----------------------------------------------------
 
 def test_solve_full_coboundary_golden():
