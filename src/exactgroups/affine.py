@@ -6,7 +6,7 @@ and a classification report for canonical subgroup descriptors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from . import cocycle as _cocycle
@@ -153,7 +153,10 @@ def invariant_lattice(gens, seeds):
     generators and their inverses.
 
     Worklist closure interleaved with HNF reduction; returns (basis, index)
-    where index is None when the closure is not of full rank.
+    where index is None when the closure is not of full rank.  Raises
+    PreconditionError when some generator has det != +-1 on the span of the
+    closure: then the closure is not finitely generated (diag(2, 1) on the
+    seed e1 gives Z[1/2] e1), and otherwise the loop ends.
     """
     if not gens:
         raise PreconditionError("at least one generator required")
@@ -161,14 +164,22 @@ def invariant_lattice(gens, seeds):
     for g in gens:
         if (g.rows, g.cols) != (n, n) or not g.is_integral():
             raise PreconditionError("generators must be square integer matrices of one size")
-    mats = []
-    for g in gens:
-        mats.append(g)
-        mats.append(g.inverse())
+    mats = [h for g in gens for h in (g, g.inverse())]
     basis = hnf([tuple(s) for s in seeds], dim=n)
+    span_checked = False
     while True:
         images = [g.apply(row) for g in mats for row in basis.rows]
         new_basis = hnf(list(basis.rows) + images, dim=n)
+        if new_basis.rank == basis.rank and not span_checked:
+            # The span V of the basis B is invariant now, and g(B) spans it
+            # with the same pivot columns P: |det(g|V)| = |det(g(B)[:, P]) /
+            # det(B[:, P])|, and HNF makes each |det(X[:, P])| a pivot product.
+            volume = prod(basis.pivots())
+            for g in gens:
+                if prod(hnf([g.apply(r) for r in basis.rows], dim=n).pivots()) != volume:
+                    raise PreconditionError("no invariant lattice: a generator has "
+                                            "det != +-1 on the span of the closure")
+            span_checked = True
         if new_basis == basis:
             return basis, basis.index()
         basis = new_basis

@@ -26,17 +26,9 @@ PERM_MATRICES = {
     "(132)": Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
 }
 
-# sigma as the map column -> row, 1-based triples.
-PERMUTATIONS = {
-    "id": (1, 2, 3),
-    "(12)": (2, 1, 3),
-    "(13)": (3, 2, 1),
-    "(23)": (1, 3, 2),
-    "(123)": (2, 3, 1),
-    "(132)": (3, 1, 2),
-}
-
-SIGMA_NAMES = tuple(PERMUTATIONS)
+# sigma as the map column -> row, 1-based triples, read off PERM_MATRICES.
+PERMUTATIONS = {name: tuple(1 + next(i for i in range(3) if p[i, j]) for j in range(3))
+                for name, p in PERM_MATRICES.items()}
 
 
 @dataclass(frozen=True)
@@ -52,13 +44,6 @@ class BruhatFactorization:
         return (self.A.det(), self.B.det())
 
 
-def _require_invertible(g):
-    if (g.rows, g.cols) != (3, 3):
-        raise PreconditionError("expected a 3x3 matrix")
-    if g.det() == 0:
-        raise PreconditionError("matrix is singular")
-
-
 def cell_of(g):
     """The unique sigma with g in B p_sigma B.
 
@@ -67,7 +52,10 @@ def cell_of(g):
     are those of g[3, 1], g[3, 1..2], g[2..3, 1] and g[2..3, 1..2], so the
     cell is read from three zero tests and the lower-left 2x2 minor.
     """
-    _require_invertible(g)
+    if (g.rows, g.cols) != (3, 3):
+        raise PreconditionError("expected a 3x3 matrix")
+    if g.det() == 0:
+        raise PreconditionError("matrix is singular")
     _, (g21, g22, _), (g31, g32, _) = g.data
     if g31:
         return "(13)" if g21 * g32 != g22 * g31 else "(132)"
@@ -80,45 +68,47 @@ def bruhat_decompose(g):
     """Deterministic factorization g = A p_sigma B with A, B upper triangular.
 
     Columns are processed left to right; within a column the lowest row
-    without a pivot is the pivot row.  Row operations only add lower rows to
-    upper ones and column operations only add earlier columns to later ones,
-    so both accumulated transforms stay upper triangular.  When det(g) = 1
-    the factors satisfy det A = det B = 1.
+    without a pivot is the pivot row, and a column without one means g is
+    singular.  Row operations only add lower rows to upper ones and column
+    operations only add earlier columns to later ones, so R g C = p_sigma D
+    with R, C unit upper triangular.  A = R^-1 and Ci = C^-1 are built during
+    the pass (undoing an elementary operation negates its factor), and
+    B = D Ci.  When det(g) = 1 the factors satisfy det A = det B = 1.
     """
-    _require_invertible(g)
-    n = 3
+    if (g.rows, g.cols) != (3, 3):
+        raise PreconditionError("expected a 3x3 matrix")
     m = [[Fraction(x) for x in row] for row in g.data]
-    R = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    C = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    pivot_row_of_col = {}
-    assigned_rows = {}  # row -> its pivot column
-    for col in range(n):
-        # Clear this column in rows already holding a pivot (column ops).
-        for row, pcol in sorted(assigned_rows.items()):
+    A = [[int(i == j) for j in range(3)] for i in range(3)]
+    Ci = [[int(i == j) for j in range(3)] for i in range(3)]
+    pivots = []  # pivots[col] is the pivot row of column col
+    for col in range(3):
+        # Clear this column in rows already holding a pivot (column ops).  A
+        # finished column is zero off its pivot row, so col -= f * pcol
+        # changes only the entry in that row, and the order does not matter.
+        for pcol, row in enumerate(pivots):
             if m[row][col] != 0:
                 f = m[row][col] / m[row][pcol]
-                for i in range(n):
-                    m[i][col] -= f * m[i][pcol]
-                for i in range(n):
-                    C[i][col] -= f * C[i][pcol]
-        # Pivot: lowest unassigned row with a nonzero entry.
-        piv = max(i for i in range(n) if i not in assigned_rows and m[i][col] != 0)
-        # Clear unassigned rows above the pivot (row ops, lower into upper).
-        for i in range(piv):
-            if i not in assigned_rows and m[i][col] != 0:
-                f = m[i][col] / m[piv][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[piv])]
-                R[i] = [a - f * b for a, b in zip(R[i], R[piv])]
-        pivot_row_of_col[col] = piv
-        assigned_rows[piv] = col
-    sigma = tuple(pivot_row_of_col[j] + 1 for j in range(n))
+                m[row][col] = 0
+                # Undo on C^-1: row pcol += f * row col.
+                Ci[pcol] = [a + f * b for a, b in zip(Ci[pcol], Ci[col])]
+        # Pivot: lowest row without a pivot with a nonzero entry.
+        free = [i for i in range(3) if i not in pivots and m[i][col] != 0]
+        if not free:
+            raise PreconditionError("matrix is singular")
+        piv = free[-1]
+        # Clear free rows above the pivot (row ops, lower into upper).
+        for i in free[:-1]:
+            f = m[i][col] / m[piv][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[piv])]
+            for r in range(3):  # undo on R^-1: column piv += f * column i
+                A[r][piv] += f * A[r][i]
+        pivots.append(piv)
+    sigma = tuple(piv + 1 for piv in pivots)
     name = next(nm for nm, s in PERMUTATIONS.items() if s == sigma)
-    # R g C = p_sigma D  =>  g = R^-1 p_sigma (D C^-1).
     p = PERM_MATRICES[name]
-    d = [m[sigma[j] - 1][j] / p[sigma[j] - 1, j] for j in range(n)]
-    A = Matrix(R).inverse()
-    B = Matrix.diagonal(d) * Matrix(C).inverse()
-    return BruhatFactorization(A=A, sigma=name, B=B)
+    d = [m[piv][j] / p[piv, j] for j, piv in enumerate(pivots)]
+    B = [[dj * x for x in row] for dj, row in zip(d, Ci)]
+    return BruhatFactorization(A=Matrix(A), sigma=name, B=Matrix(B))
 
 
 # -- the explicit facts ----------------------------------------------------
@@ -172,15 +162,13 @@ def fact_check(which, g=None, seed=0, count=50, length=8):
     """
     if which in (1, 2):
         p = PERM_MATRICES["(12)" if which == 1 else "(23)"]
-        gens = H_GENERATORS + (p,)
+        letters = [x for h in H_GENERATORS + (p,) for x in (h, h.inverse())]
         rng = SplitMix64(seed)
         zero_at = ((2, 0), (2, 1)) if which == 1 else ((1, 0), (2, 0))
         for _ in range(count):
             m = Matrix.identity(3)
             for _ in range(length):
-                r = rng.below(2 * len(gens))
-                h = gens[r // 2]
-                m = m * (h.inverse() if r % 2 else h)
+                m = m * letters[rng.below(len(letters))]
             if any(m[i, j] != 0 for i, j in zero_at):
                 return False
         return True

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -152,6 +153,8 @@ def _cmd_affine_lattice(doc, opts):
 def _cmd_affine_aut_check(doc, opts):
     L = parse_matrix(doc["L"])
     xi = parse_vector(doc["xi"])
+    if opts["count"] < 0:
+        raise PreconditionError("count must be >= 0")
     phi = affine.affine_automorphism(L, xi)
     rng = SplitMix64(opts["seed"])
     n = L.rows
@@ -230,6 +233,9 @@ def _cmd_bruhat_cell(doc, opts):
 
 
 def _cmd_bruhat_fact_check(doc, opts):
+    for flag in ("count", "grid"):
+        if opts[flag] < 0:
+            raise PreconditionError(f"{flag} must be >= 0")
     fact = opts["fact"]
     if fact in (1, 2):
         holds = bruhat.fact_check(fact, seed=opts["seed"], count=opts["count"])
@@ -237,18 +243,12 @@ def _cmd_bruhat_fact_check(doc, opts):
     diag = bruhat.grid_rationals(opts["grid"], nonzero=True)
     off = bruhat.grid_rationals(opts["grid"])
     cases = 0
-    for d1 in diag:
-        for d2 in diag:
-            for d3 in diag:
-                for u12 in off:
-                    for u13 in off:
-                        for u23 in off:
-                            g = Matrix([[d1, u12, u13], [0, d2, u23], [0, 0, d3]])
-                            if not bruhat.fact_check(fact, g):
-                                return {"fact": fact, "holds": False,
-                                        "cases": cases,
-                                        "counterexample": matrix_to_json(g)}
-                            cases += 1
+    for d1, d2, d3, u12, u13, u23 in itertools.product(diag, diag, diag, off, off, off):
+        g = Matrix([[d1, u12, u13], [0, d2, u23], [0, 0, d3]])
+        if not bruhat.fact_check(fact, g):
+            return {"fact": fact, "holds": False, "cases": cases,
+                    "counterexample": matrix_to_json(g)}
+        cases += 1
     return {"fact": fact, "holds": True, "cases": cases}
 
 

@@ -266,16 +266,15 @@ def finf_extend(n, values, window):
     for k in window:
         if k not in values:
             raise PreconditionError(f"window index {k} missing from values")
-    bn = B_GEN ** n
-    ident = Matrix.identity(2)
     rows, rhs = [], []
     for k in window:
-        if k + n not in values or k + n not in window:
+        j = k + n
+        if j not in window:
             continue
-        m = ident - finf_generator(k + n)
-        target = vec_sub(values[k + n], bn.apply(values[k]))
-        rows.extend([[m[i, 0], m[i, 1]] for i in range(2)])
-        rhs.extend(target)
+        # I - g_j = [[4j, -2], [8j^2, -4j]] and b^n (x, y) = (x, 2nx + y).
+        (x, y), (xj, yj) = values[k], values[j]
+        rows += [(4 * j, -2), (8 * j * j, -4 * j)]
+        rhs += [xj - x, yj - 2 * n * x - y]
     if not rows:
         raise PreconditionError("window instantiates no relation")
     sol = solve_integer(Matrix(rows), tuple(rhs))

@@ -1,5 +1,6 @@
 """Unit tests for the 3x3 Bruhat decomposition and the explicit cell facts."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from exactgroups.bruhat import (H_GENERATORS, PERM_MATRICES, PERMUTATIONS,
                                 bruhat_decompose, case3_normalize,
                                 case4_witness, cell_of,
-                                fact3_display_factorization, fact_check)
+                                fact3_display_factorization, fact_check,
+                                grid_rationals)
 from exactgroups.matrix import Matrix, PreconditionError
 from tests.conftest import random_sl3, rational_rank, seeded
 
@@ -122,6 +124,42 @@ def test_decompose_errors():
         bruhat_decompose(Matrix([[1, 1], [0, 1]]))
     with pytest.raises(PreconditionError):
         bruhat_decompose(Matrix([[0] * 3] * 3))
+    with pytest.raises(PreconditionError, match="expected a 3x3 matrix"):
+        bruhat_decompose(Matrix([[1, 0, 0], [0, 1, 0]]))
+    # The first, second and third column in turn is left without a pivot.
+    for rows in ([[0, 1, 2], [0, 3, 4], [0, 5, 7]],
+                 [[1, 2, 0], [Fraction(1, 2), 1, 1], [3, 6, 5]],
+                 [[1, 2, 3], [0, 1, 1], [1, 3, 4]]):
+        with pytest.raises(PreconditionError, match="matrix is singular"):
+            bruhat_decompose(Matrix(rows))
+
+
+def _factor_digest(count, seed):
+    """sha256 over (sigma, A, B, det_pair) of the six representatives and
+    `count` seeded invertible matrices on the +-3/<=3 rational grid, a third
+    of their entries zero, so every cell occurs."""
+    grid = grid_rationals(3)
+    rng = seeded(seed)
+    inputs = list(PERM_MATRICES.values())
+    while len(inputs) < len(PERM_MATRICES) + count:
+        g = Matrix([[grid[rng.below(len(grid))] if rng.below(3) else 0
+                     for _ in range(3)] for _ in range(3)])
+        if g.det() != 0:
+            inputs.append(g)
+    h = hashlib.sha256()
+    cells = set()
+    for g in inputs:
+        fac = bruhat_decompose(g)
+        cells.add(fac.sigma)
+        h.update(repr((fac.sigma, fac.A.data, fac.B.data, fac.det_pair())).encode())
+    assert cells == set(PERMUTATIONS)
+    return h.hexdigest()
+
+
+def test_decompose_factors_golden():
+    # A and B are `bruhat decompose` output, so they are pinned exactly.
+    assert _factor_digest(2000, 11) == (
+        "7e7f2d873a0e4ed3f14e3c768b48c07cbea1b3519cd6aef3ea6a524fe40b2e2d")
 
 
 # -- explicit facts --------------------------------------------------------

@@ -176,6 +176,30 @@ def test_affine_lattice(tmp_path):
     assert doc["index"] == "4" and doc["dim"] == 2
 
 
+def test_affine_lattice_non_unimodular_on_span(tmp_path):
+    # diag(2, 1) on the seed e1: the closure under g and g^-1 is Z[1/2] e1,
+    # and this request once never returned.  A child process with a timeout
+    # keeps a regression from hanging the suite.
+    import subprocess
+    import sys
+    diag = mat([[2, 0], [0, 1]])
+    for doc in ({"generators": [diag], "seeds": [["1", "0"]]},
+                # det 2 on the plane spanned by e1, e2
+                {"generators": [mat([[2, 0, 0], [0, 1, 0], [0, 0, 1]])],
+                 "seeds": [["1", "1", "0"]]}):
+        proc = subprocess.run(
+            [sys.executable, "-m", "exactgroups.cli", "affine", "lattice", "--in", "-"],
+            input=json.dumps(doc), capture_output=True, text=True, env=_child_env(),
+            timeout=20)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("error: no invariant lattice")
+        assert proc.stderr.count("\n") == 1
+    # det +-1 on the span: the closure is a lattice, as before.
+    for g, seed in (([[2, 0], [0, 1]], ["0", "1"]), ([[3, 0], [0, -1]], ["0", "2"])):
+        doc = run_ok(tmp_path, ["affine", "lattice"], {"generators": [mat(g)], "seeds": [seed]})
+        assert (doc["basis"], doc["index"]) == ([seed], None)
+
+
 def test_affine_aut_check(tmp_path):
     doc = run_ok(tmp_path, ["affine", "aut-check", "--seed", "7",
                             "--count", "25"],
@@ -229,6 +253,19 @@ def test_bruhat_fact_check(tmp_path):
     doc = run_ok(tmp_path, ["bruhat", "fact-check", "--fact", "4",
                             "--grid", "1"])
     assert doc["holds"] is True and doc["cases"] == 216
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["bruhat", "fact-check", "--fact", "1", "--count", "-5"], None),
+    (["bruhat", "fact-check", "--fact", "3", "--grid", "-2"], None),
+    (["affine", "aut-check", "--seed", "1", "--count", "-5"],
+     {"L": mat([[1, 1], [0, 1]]), "xi": ["1", "-2"]}),
+], ids=["fact-check-count", "fact-check-grid", "aut-check-count"])
+def test_negative_counts_refused(tmp_path, argv, doc):
+    # Each once answered a vacuous check with exit 0 ("cases": -5).
+    code, out, err = run_cli(tmp_path, argv, doc)
+    assert (code, out) == (3, "")
+    assert err == f"error: {argv[-2][2:]} must be >= 0\n"
 
 
 def test_lin_hnf(tmp_path):
@@ -570,3 +607,22 @@ def test_version_in_envelope(tmp_path):
     doc = run_ok(tmp_path, ["lin", "snf"], mat([[1]]))
     assert doc["version"] == exactgroups.__version__
     assert doc["command"] == "lin.snf"
+
+
+def test_readme_examples(monkeypatch):
+    # Every `$ echo '...' | exactgroups ...` example of README.md, with the
+    # line after it as the expected stdout.
+    import re
+    import shlex
+    from pathlib import Path
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = re.findall(r"^\$ (.*)\n(.*)$", text.replace("\\\n", ""), re.M)
+    assert len(examples) >= 4
+    for command, expected in examples:
+        found = re.fullmatch(r"echo '([^']*)'\s*\|\s*exactgroups (.*)", command)
+        assert found, command
+        monkeypatch.setattr("sys.stdin", io.StringIO(found.group(1) + "\n"))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.run(shlex.split(found.group(2))) == 0, command
+        assert out.getvalue() == expected + "\n"
