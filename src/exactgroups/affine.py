@@ -13,7 +13,7 @@ from . import cocycle as _cocycle
 from .lattice import LatticeBasis, content, fixed_sublattice, hnf
 from .matrix import (Matrix, PreconditionError, ShapeError, vec_add, vec_norm,
                      vec_sub)
-from .sl2 import classify_sl2, order_of
+from .sl2 import _require_unimodular, classify_sl2, order_of
 
 
 @dataclass(frozen=True)
@@ -190,11 +190,10 @@ def invariant_lattice(gens, seeds):
 def affine_automorphism(L, xi):
     """The automorphism (a, s) -> (L a + xi - (L s L^-1) xi, L s L^-1).
 
-    L must be unimodular; xi is an integer vector.  The returned map is a
-    bijective homomorphism (property-tested in the suite).
+    L must be an integer matrix with det +-1; xi is an integer vector.  The
+    returned map is a bijective homomorphism (property-tested in the suite).
     """
-    if L.det() not in (1, -1):
-        raise PreconditionError("L must have determinant +-1")
+    _require_unimodular(L)
     L_inv = L.inverse()
     xi = tuple(xi)
 
@@ -225,7 +224,12 @@ class GraphSubgroup:
 
 @dataclass(frozen=True)
 class CyclicLinear:
-    """H = Z^2 x| <g> (optionally with -I adjoined)."""
+    """H = Z^2 x| <g>, or Z^2 x| <g, -I> when `with_minus_identity`.
+
+    Every check reads the same for both groups.  For g of infinite order,
+    (v, e) has a finite conjugacy class under <g> and under <g, -I> exactly
+    when g v = +-v, and both linear parts are virtually cyclic.
+    """
 
     g: Matrix
     with_minus_identity: bool = True
@@ -314,9 +318,11 @@ def classify_subgroup(descriptor):
                                 "pass" if obstructed else "fail",
                                 {"level": level,
                                  "xi": None if witness is None else witness.xi}))
-        elif _is_finf_family(spec):
+        elif (values := _finf_values(spec)) is not None:
+            # A shift that instantiates no relation is not an obstruction.
             absent = all(
-                _finf_window_extension(spec, n) is None
+                any(k + n in values for k in values)
+                and _cocycle.finf_extend(n, values, sorted(values)) is None
                 for n in (1, -1, 2, -2))
             checks.append(Check("finf-obstruction",
                                 "pass" if absent else "fail",
@@ -364,24 +370,14 @@ def _finite_closure_check(gens, dim, cap=24):
     return "pass", {"order": len(seen)}
 
 
-def _is_finf_family(spec):
-    ks = []
-    for g in spec.generators:
-        if g[0, 1] != 2:
-            return False
-        k, rem = divmod(1 - g[0, 0], 4)
-        if rem != 0 or g != _cocycle.finf_generator(k):
-            return False
-        ks.append(k)
-    return bool(ks) and 0 in ks
-
-
-def _finf_window_extension(spec, n):
+def _finf_values(spec):
+    """{k: c(g_k)} when every generator is a free-family generator
+    g_k = b^k a b^-k and g_0 is among them, else None.  A repeated k keeps
+    its last value."""
     values = {}
     for g, v in zip(spec.generators, spec.values):
-        k = (1 - g[0, 0]) // 4
+        k, rem = divmod(1 - g[0, 0], 4)
+        if rem or g != _cocycle.finf_generator(k):
+            return None
         values[k] = tuple(v)
-    window = sorted(values)
-    if not any(k + n in values for k in values):
-        return (0, 0)  # no relation instantiable: nothing obstructs
-    return _cocycle.finf_extend(n, values, window)
+    return values if 0 in values else None

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .lattice import solve_integer
 from .matrix import (Matrix, PreconditionError, _reduce, vec_add,
                      vec_is_integral, vec_norm, vec_sub)
-from .sl2 import CongruenceKind, congruence_membership
+from .sl2 import CongruenceKind, _require_sl2, congruence_membership
 
 
 class RelatorNotIdentity(PreconditionError):
@@ -45,8 +45,7 @@ class CocycleSpec:
         if len(self.generators) != len(self.values):
             raise PreconditionError("generator and value lists differ in length")
         for g in self.generators:
-            if (g.rows, g.cols) != (2, 2) or not g.is_integral() or g.det() != 1:
-                raise PreconditionError("generators must lie in SL2(Z)")
+            _require_sl2(g)
 
 
 @dataclass(frozen=True)
@@ -69,6 +68,12 @@ def cocycle_eval(spec, word):
     through c(g^-1) = -g^-1 c(g).  Powers are taken by square-and-multiply,
     so a token costs O(log|e|) matrix products, not |e|.
     """
+    return _evaluate(spec, word)[0]
+
+
+def _evaluate(spec, word):
+    """(c(w), w): the product of the tokens (c(g), g)^e of a word, as
+    described in cocycle_eval; w is the matrix of the word."""
     m = Matrix.identity(2)
     v = (0, 0)
     for idx, exp in word:
@@ -78,7 +83,7 @@ def cocycle_eval(spec, word):
         cg = spec.values[idx]
         if exp < 0:
             g_inv = g.inverse()
-            g, cg = g_inv, vec_norm(tuple(-x for x in g_inv.apply(cg)))
+            g, cg = g_inv, tuple(-x for x in g_inv.apply(cg))
             exp = -exp
         # (cg, g) runs through the powers (c(g^(2^i)), g^(2^i)); they commute,
         # so multiplying them into (v, m) bit by bit gives (cg, g)^exp.
@@ -88,7 +93,7 @@ def cocycle_eval(spec, word):
             exp >>= 1
             if exp:
                 cg, g = vec_add(cg, g.apply(cg)), g * g
-    return v
+    return v, m
 
 
 def verify_relations(spec):
@@ -99,10 +104,7 @@ def verify_relations(spec):
     """
     ident = Matrix.identity(2)
     for word in spec.relators:
-        value = cocycle_eval(spec, word)   # refuses an unknown generator index
-        m = ident
-        for idx, exp in word:
-            m = m * (spec.generators[idx] ** exp)
+        value, m = _evaluate(spec, word)   # refuses an unknown generator index
         if m != ident:
             raise RelatorNotIdentity(f"relator {word} evaluates to {m!r}")
         if value != (0, 0):
@@ -125,20 +127,11 @@ def solve_full_coboundary(c_t):
 def coboundary_witness(spec):
     """Solve xi - g xi = c(g) over Q for all generators jointly.
 
-    Prefers a single generator g with det(I - g) != 0 (unique xi); otherwise
-    falls back to the stacked linear system from all generators.  Returns
-    None when the system is inconsistent; raises UnderdeterminedWitness when
+    The blocks I - g of all generators are stacked into one linear system.
+    Returns None when it is inconsistent; raises UnderdeterminedWitness when
     the joint kernel is nontrivial.
     """
     ident = Matrix.identity(2)
-    for g, cg in zip(spec.generators, spec.values):
-        m = ident - g
-        if m.det() != 0:
-            xi = m.inverse().apply(cg)
-            if _witness_fits(spec, xi):
-                return CoboundaryWitness.of(xi)
-            return None
-    # Stacked system over all generators.
     rows, rhs = [], []
     for g, cg in zip(spec.generators, spec.values):
         m = ident - g
@@ -148,13 +141,6 @@ def coboundary_witness(spec):
     if xi is None:
         return None
     return CoboundaryWitness.of(xi)
-
-
-def _witness_fits(spec, xi):
-    for g, cg in zip(spec.generators, spec.values):
-        if vec_norm(vec_sub(xi, g.apply(xi))) != vec_norm(cg):
-            return False
-    return True
 
 
 def _solve_rational(rows, rhs):
@@ -186,8 +172,7 @@ def gamma1_obstruction(N, s):
     """
     if N < 1:
         raise PreconditionError("level must be >= 1")
-    if (s.rows, s.cols) != (2, 2) or not s.is_integral() or s.det() != 1:
-        raise PreconditionError("expected an element of SL2(Z)")
+    _require_sl2(s)
     xi = (Fraction(1, N), Fraction(0))
     return vec_is_integral(vec_sub(xi, s.apply(xi)))
 
@@ -200,8 +185,7 @@ def central_cocycle(m, n, g):
     This is the unique candidate value at g for a cocycle taking (m, n)
     at the central element -I.
     """
-    if (g.rows, g.cols) != (2, 2) or not g.is_integral() or g.det() != 1:
-        raise PreconditionError("expected an element of SL2(Z)")
+    _require_sl2(g)
     w = (Matrix.identity(2) - g).apply((m, n))
     if w[0] % 2 or w[1] % 2:
         return None

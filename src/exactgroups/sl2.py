@@ -34,6 +34,11 @@ def _require_sl2(g):
         raise PreconditionError("expected an integer 2x2 matrix of determinant 1")
 
 
+def _require_unimodular(g):
+    if g.rows != g.cols or not g.is_integral() or g.det() not in (1, -1):
+        raise PreconditionError("expected a square integer matrix with det +-1")
+
+
 # -- words -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -90,8 +95,7 @@ def order_of(g, cap=None):
     The cap defaults to 12, which is sharp for 2x2.  For larger sizes a
     cap miss raises OrderCapExceeded rather than claiming infinite order.
     """
-    if g.rows != g.cols or not g.is_integral() or g.det() not in (1, -1):
-        raise PreconditionError("expected a square integer matrix with det +-1")
+    _require_unimodular(g)
     cap = SL2_TORSION_CAP if cap is None else cap
     ident = Matrix.identity(g.rows)
     p = g

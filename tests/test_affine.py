@@ -207,6 +207,16 @@ def test_affine_automorphism_rejects_non_unimodular():
         affine_automorphism(Matrix([[2, 0], [0, 1]]), (0, 0))
 
 
+def test_affine_automorphism_rejects_rational_L():
+    # det diag(2, 1/2) = 1, but phi((0, 1) T) would be the translation
+    # (0, 1/2), outside Z^2 x| GL2(Z).
+    L = Matrix([[2, 0], [0, Fraction(1, 2)]])
+    with pytest.raises(PreconditionError, match="square integer matrix"):
+        affine_automorphism(L, (1, 0))
+    with pytest.raises(PreconditionError, match="square integer matrix"):
+        affine_automorphism(Matrix([[1, 0, 0], [0, 1, 0]]), (0, 0))
+
+
 # -- classification reports ------------------------------------------------
 
 def test_classify_full_lattice_case1():

@@ -196,6 +196,19 @@ def test_fact4_iff_cases():
     assert fact_check(4, Matrix([[2, 0, 3], [0, 1, 0], [0, 0, 5]]))
 
 
+def test_fact3_fact4_take_no_determinant(monkeypatch):
+    # The diagonal decides invertibility of an upper-triangular g, and its
+    # conjugate's cell is read without a second singularity test.
+    def no_det(self):
+        raise AssertionError("det called")
+    monkeypatch.setattr(Matrix, "det", no_det)
+    g = Matrix([[2, Fraction(1, 3), 0], [0, -1, 4], [0, 0, Fraction(1, 2)]])
+    assert fact_check(3, g) and fact_check(4, g)
+    for which in (3, 4):
+        with pytest.raises(PreconditionError, match="invertible upper-triangular"):
+            fact_check(which, Matrix([[1, 2, 3], [0, 0, 1], [0, 0, 1]]))
+
+
 def test_fact3_display_factorization_golden():
     a_inv, b = fact3_display_factorization(1, 1, 1, 1, 1)
     assert a_inv == Matrix([[-1, -1, 1], [0, 1, 0], [0, 0, 1]])

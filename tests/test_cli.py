@@ -207,6 +207,15 @@ def test_affine_aut_check(tmp_path):
     assert doc["homomorphism"] is True and doc["samples"] == 25
 
 
+def test_affine_aut_check_refuses_non_integer_L(tmp_path):
+    # diag(2, 1/2) has det 1 and once passed as an automorphism of Z^2 x| SL2(Z).
+    for L in ([[2, 0], [0, "1/2"]], [[2, 0], [0, 1]], [[1, 1, 0], [0, 1, 0]]):
+        code, out, err = run_cli(tmp_path, ["affine", "aut-check", "--seed", "1"],
+                                 {"L": mat(L), "xi": ["1", "0"]})
+        assert (code, out) == (3, ""), L
+        assert err == "error: expected a square integer matrix with det +-1\n"
+
+
 def test_affine_classify(tmp_path):
     doc = run_ok(tmp_path, ["affine", "classify"],
                  {"kind": "cyclic_linear", "matrix": M_HYPERBOLIC})
@@ -548,6 +557,64 @@ def test_affine_classify_relator_bad_index(tmp_path):
         code, out, err = run_cli(tmp_path, ["affine", "classify"], doc)
         assert code == 3 and out == "", (gen, code)
         assert err == f"error: unknown generator index {gen}\n"
+
+
+def _finf_graph(window):
+    """Graph descriptor of the (k, value) pairs of `window` on the free-family
+    generators b^k a b^-k = [[1-4k, 2], [-8k^2, 1+4k]]."""
+    return {"kind": "graph",
+            "spec": {"generators": [mat([[1 - 4 * k, 2], [-8 * k * k, 1 + 4 * k]])
+                                    for k, _ in window],
+                     "values": [[str(x), str(y)] for _, (x, y) in window]}}
+
+
+def _finf_coboundary(k, xi):
+    """xi - g_k xi for the free-family generator g_k."""
+    x, y = xi
+    return 4 * k * x - 2 * y, 8 * k * k * x - 4 * k * y
+
+
+FINF_SHIFTS = {"shifts_checked": ["1", "-1", "2", "-2"]}
+FINF_COB = [(k, _finf_coboundary(k, (2, -1))) for k in range(-3, 4) if k]
+FINF_COB0, FINF_PERT0 = _finf_coboundary(0, (2, -1)), (3, 2)
+
+# (descriptor, last check as (name, verdict, evidence)): the reports of the
+# Gamma_1(N) and free-family branches, pinned exactly.
+GRAPH_REPORTS = [
+    # Gamma_1(3): xi = (1/3, 0) is forced and not integral.
+    ({"kind": "graph", "spec": {"generators": [mat([[1, 1], [0, 1]]), mat([[1, 0], [3, 1]])],
+                                "values": [["0", "0"], ["0", "-1"]]}},
+     ("gamma1-obstruction", "pass", {"level": "3", "xi": ["1/3", "0"]})),
+    # Values (1, 1) off k = 0: no shift of +-1, +-2 extends.
+    (_finf_graph([(k, (0, 0) if k == 0 else (1, 1)) for k in range(-3, 4)]),
+     ("finf-obstruction", "pass", FINF_SHIFTS)),
+    # A coboundary extends along every shift.
+    (_finf_graph([(0, FINF_COB0)] + FINF_COB), ("finf-obstruction", "fail", FINF_SHIFTS)),
+    # Shifts +-1 are obstructed, but +-2 instantiate no relation in {0, 1},
+    # which counts as an extension.
+    (_finf_graph([(0, (0, 0)), (1, (1, 1))]), ("finf-obstruction", "fail", FINF_SHIFTS)),
+    # Without k = 0 the family is not recognized.
+    (_finf_graph([(k, (1, 1)) for k in (1, 2, 3)]), ("known-obstruction", "unknown", {})),
+    # A repeated k takes its last value.
+    (_finf_graph([(0, FINF_COB0)] + FINF_COB + [(0, FINF_PERT0)]),
+     ("finf-obstruction", "pass", FINF_SHIFTS)),
+    (_finf_graph([(0, FINF_PERT0)] + FINF_COB + [(0, FINF_COB0)]),
+     ("finf-obstruction", "fail", FINF_SHIFTS)),
+]
+
+
+def test_affine_classify_graph_reports_pinned(tmp_path):
+    for descriptor, (name, verdict, evidence) in GRAPH_REPORTS:
+        doc = run_ok(tmp_path, ["affine", "classify"], descriptor)
+        assert doc["case"] == "case2"
+        assert doc["checks"] == [
+            {"name": "relators", "verdict": "unknown", "evidence": {"count": "0"}},
+            {"name": name, "verdict": verdict, "evidence": evidence}], descriptor
+    # Gamma_1(2) on [[1, 0], [2, 1]] alone: xi is not pinned down.
+    code, out, err = run_cli(tmp_path, ["affine", "classify"],
+                             {"kind": "graph", "spec": {"generators": [mat([[1, 0], [2, 1]])],
+                                                        "values": [["0", "-1"]]}})
+    assert (code, out, err) == (3, "", "error: joint system has a nontrivial kernel\n")
 
 
 def test_affine_classify_full_lattice_no_generators(tmp_path):

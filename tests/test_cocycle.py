@@ -1,5 +1,6 @@
 """Unit tests for Z^2-valued 1-cocycles and their obstruction machinery."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,8 @@ from exactgroups.cocycle import (A_GEN, B_GEN, CoboundaryWitness, CocycleSpec,
                                  parity_domain, solve_full_coboundary,
                                  verify_relations)
 from exactgroups.matrix import Matrix, PreconditionError, vec_add, vec_sub
-from exactgroups.sl2 import MINUS_I, S_ALT, T_ALT
-from tests.conftest import det1_matrices, seeded
+from exactgroups.sl2 import MINUS_I, S_ALT, T, T_ALT
+from tests.conftest import det1_matrices, random_sl2, seeded
 
 
 def _coboundary_spec(gens, xi):
@@ -177,6 +178,60 @@ def test_coboundary_witness_stacked_two_parabolics():
     spec = _coboundary_spec(gens, xi)
     w = coboundary_witness(spec)
     assert w.xi == xi
+
+
+def _witness_specs(count, seed):
+    """`count` seeded specs of one to three generators.  Even-numbered specs
+    draw products of S and T powers, so most have some block I - g
+    invertible; odd-numbered ones draw conjugates h T^e h^-1 (e = 0 gives I),
+    every block singular, often with one fixed line.  Values are xi - g xi
+    for a rational xi, one entry perturbed in every third spec."""
+    rng = seeded(seed)
+    specs = []
+    for i in range(count):
+        h = random_sl2(rng, length=3, max_exp=2)
+        gens = []
+        for _ in range(1 + rng.below(3)):
+            if i % 2 == 0:
+                gens.append(random_sl2(rng, length=1 + rng.below(4), max_exp=2))
+                continue
+            if rng.below(2):
+                h = random_sl2(rng, length=3, max_exp=2)
+            gens.append(h * T ** rng.int_in(-2, 2) * h.inverse())
+        xi = (Fraction(rng.int_in(-6, 6), rng.int_in(1, 3)),
+              Fraction(rng.int_in(-6, 6), rng.int_in(1, 3)))
+        values = [vec_sub(xi, g.apply(xi)) for g in gens]
+        if i % 3 == 0:
+            j, c = rng.below(len(values)), rng.below(2)
+            values[j] = tuple(x + (k == c) for k, x in enumerate(values[j]))
+        specs.append(CocycleSpec(tuple(gens), tuple(values)))
+    return specs
+
+
+def _witness_outcome(spec):
+    try:
+        w = coboundary_witness(spec)
+    except UnderdeterminedWitness:
+        return "underdetermined"
+    return None if w is None else (w.xi, w.integral)
+
+
+def test_coboundary_witness_golden():
+    # xi, integrality, None or underdetermined, pinned exactly over specs
+    # with and without an invertible block I - g.
+    h = hashlib.sha256()
+    seen = set()
+    for spec in _witness_specs(1000, 12):
+        outcome = _witness_outcome(spec)
+        invertible = any((Matrix.identity(2) - g).det() for g in spec.generators)
+        seen.add((invertible, outcome if outcome in (None, "underdetermined")
+                  else outcome[1]))
+        h.update(repr(outcome).encode())
+    assert seen == {(True, True), (True, False), (True, None),
+                    (False, True), (False, False), (False, None),
+                    (False, "underdetermined")}
+    assert h.hexdigest() == (
+        "88e640eb720b79beeb526804926f12165f0b181947b1149b9846af25885be9b1")
 
 
 def test_coboundary_witness_of():
