@@ -10,9 +10,9 @@ from math import gcd, prod
 from operator import mul
 
 from . import cocycle as _cocycle
-from .lattice import LatticeBasis, content, fixed_sublattice, hnf
-from .matrix import (Matrix, PreconditionError, ShapeError, vec_add, vec_norm,
-                     vec_sub)
+from .lattice import LatticeBasis, fixed_sublattice, hnf
+from .matrix import (Matrix, PreconditionError, ShapeError, vec_add,
+                     vec_is_integral, vec_norm, vec_sub)
 from .sl2 import _require_unimodular, classify_sl2, order_of
 
 
@@ -55,13 +55,12 @@ def fc_witness(g):
     """A primitive v with g v = sign * v, or None when no +-1 eigenvector exists.
 
     Such a v generates a finite conjugacy class of (v, e) in Z^2 x| <g, -I>.
+    It is the first HNF row of the saturated lattice ker(g - sign I).
     """
     for sign in (1, -1):
         basis = fixed_sublattice(g, sign)
         if not basis.is_zero:
-            v = basis.rows[0]
-            d = content(v)
-            return tuple(x // d for x in v), sign
+            return basis.rows[0], sign
     return None
 
 
@@ -194,6 +193,8 @@ def affine_automorphism(L, xi):
     returned map is a bijective homomorphism (property-tested in the suite).
     """
     _require_unimodular(L)
+    if not vec_is_integral(xi):
+        raise PreconditionError("xi must be an integer vector")
     L_inv = L.inverse()
     xi = tuple(xi)
 
@@ -254,10 +255,6 @@ class ClassificationReport:
         return None
 
 
-def _lattice_invariant(basis, g):
-    return all(basis.contains(g.apply(row)) for row in basis.rows)
-
-
 def _detect_gamma1_level(spec):
     """Largest N >= 2 such that the spec is the Gamma_1(N) family cocycle."""
     N = 0
@@ -284,7 +281,7 @@ def classify_subgroup(descriptor):
     if isinstance(descriptor, FullLatticeSemidirect):
         basis = descriptor.lattice
         bad = [i for i, g in enumerate(descriptor.linear_gens)
-               if not _lattice_invariant(basis, g)]
+               if not all(basis.contains(g.apply(row)) for row in basis.rows)]
         checks.append(Check("lattice-invariance",
                             "fail" if bad else "pass",
                             {"violating_generators": bad,
@@ -312,12 +309,11 @@ def classify_subgroup(descriptor):
             checks.append(Check("relators", "unknown", {"count": 0}))
         level = _detect_gamma1_level(spec)
         if level is not None:
+            # xi = (1/N, 0) solves the stacked system, so a witness exists.
             witness = _cocycle.coboundary_witness(spec)
-            obstructed = witness is not None and not witness.integral
             checks.append(Check("gamma1-obstruction",
-                                "pass" if obstructed else "fail",
-                                {"level": level,
-                                 "xi": None if witness is None else witness.xi}))
+                                "fail" if witness.integral else "pass",
+                                {"level": level, "xi": witness.xi}))
         elif (values := _finf_values(spec)) is not None:
             # A shift that instantiates no relation is not an obstruction.
             absent = all(

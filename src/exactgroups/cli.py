@@ -13,7 +13,7 @@ Integer flags follow the integer rule of the input documents
 (serialize.parse_int).
 
 Exit codes: 0 success (boolean-false predicate results are data, not
-errors); 2 malformed input; 3 precondition violation.
+errors); 2 malformed input; 3 precondition violation or internal error.
 """
 
 from __future__ import annotations
@@ -351,6 +351,9 @@ def run(argv):
         return EXIT_INPUT
     except ExactError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except Exception as exc:   # a defect: still one line, never a traceback
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     doc = {"version": __version__, "command": ".".join(command)}
     doc.update(result)

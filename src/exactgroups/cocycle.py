@@ -261,5 +261,4 @@ def finf_extend(n, values, window):
         rhs += [xj - x, yj - 2 * n * x - y]
     if not rows:
         raise PreconditionError("window instantiates no relation")
-    sol = solve_integer(Matrix(rows), tuple(rhs))
-    return None if sol is None else tuple(sol)
+    return solve_integer(Matrix(rows), rhs)

@@ -13,7 +13,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .matrix import Matrix, PreconditionError, ShapeError
 
@@ -43,25 +43,27 @@ class LatticeBasis:
 
     def index(self):
         """Index in Z^dim (product of pivots); None unless full rank."""
-        if self.rank != self.dim:
-            return None
-        result = 1
-        for p in self.pivots():
-            result *= p
-        return result
+        return prod(self.pivots()) if self.rank == self.dim else None
 
     def contains(self, v):
         """Membership by back-substitution against the echelon basis."""
         if len(v) != self.dim:
             raise ShapeError("vector dimension mismatch")
-        r = list(v)
-        for row in self.rows:
-            j = next(k for k, x in enumerate(row) if x != 0)
-            if r[j] % row[j] != 0:
-                return False
-            q = r[j] // row[j]
-            r = [a - q * b for a, b in zip(r, row)]
-        return all(x == 0 for x in r)
+        return _combination(self.rows, v) is not None
+
+
+def _combination(rows, v):
+    """The integers y with sum(y[i] * rows[i]) = v for echelon `rows`, or None."""
+    r = list(v)
+    y = []
+    for row in rows:
+        j = next(k for k, x in enumerate(row) if x)
+        q, rem = divmod(r[j], row[j])
+        if rem:
+            return None
+        y.append(q)
+        r = [a - q * b for a, b in zip(r, row)]
+    return None if any(r) else y
 
 
 def _extgcd(a, b):
@@ -209,49 +211,45 @@ def snf(M):
     D = [[0] * n for _ in range(m)]
     for i, x in enumerate(d):
         D[i][i] = x
-    # A rational M (solve_integer accepts one) can leave a Fraction of
-    # denominator 1 in D, which Matrix normalizes.  Row n-1-j of V is
-    # column j of the stored Vt.
+    # A rational M can leave a Fraction of denominator 1 in D, which Matrix
+    # normalizes.  Row n-1-j of V is column j of the stored Vt.
     return (Matrix._trusted(tuple(map(tuple, U))),
             Matrix._trusted(tuple(map(tuple, D))) if all(type(x) is int for x in d)
             else Matrix(D),
             Matrix._trusted(tuple(zip(*Vt))[::-1]))
 
 
+def _hermite_transform(M):
+    """Rows (h, t) of the Hermite form of [M^T | I], h = M t (Cohen, GTM 138,
+    2.4): first those with h != 0, whose h are the Hermite form of the columns
+    of M, then those with h = 0, whose t are the HNF of the integer kernel of
+    M (see _echelon)."""
+    m, n = M.rows, M.cols
+    W = [list(col) + [0] * j + [1] + [0] * (n - 1 - j)
+         for j, col in enumerate(zip(*M.data))]
+    _echelon(W)
+    return [(w[:m], w[m:]) for w in W]
+
+
 def solve_integer(M, b):
     """Some integer solution x of M x = b, or None when none exists.
 
-    Solvability is decided through the Smith normal form; absence is a
-    value, not an error.
+    b is written over the Hermite basis h = M t of the column lattice, and x
+    is the same combination of the t; absence is a value, not an error.
     """
     if len(b) != M.rows:
         raise ShapeError("right-hand side length mismatch")
-    U, D, V = snf(M)
-    c = U.apply(tuple(b))
-    m, n = M.rows, M.cols
-    y = [0] * n
-    for i in range(m):
-        d = D[i, i] if i < min(m, n) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    return V.apply(tuple(y))
+    image = [(h, t) for h, t in _hermite_transform(M) if any(h)]
+    y = _combination([h for h, _ in image], b)
+    if y is None:
+        return None
+    return tuple(sum(c * t[j] for c, (_, t) in zip(y, image)) for j in range(M.cols))
 
 
 def kernel_basis(M):
     """HNF basis of the integer kernel {x in Z^n : M x = 0}."""
-    U, D, V = snf(M)
-    m, n = M.rows, M.cols
-    gens = []
-    for j in range(n):
-        d = D[j, j] if j < min(m, n) else 0
-        if d == 0:
-            gens.append(tuple(V[i, j] for i in range(n)))
-    return hnf(gens, dim=n)
+    return LatticeBasis(dim=M.cols, rows=tuple(
+        tuple(t) for h, t in _hermite_transform(M) if not any(h)))
 
 
 def fixed_sublattice(g, sign):

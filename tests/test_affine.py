@@ -9,12 +9,13 @@ from exactgroups.affine import (AffineElement, ClassificationReport,
                                 GraphSubgroup, affine_automorphism,
                                 classify_subgroup, conj_class_ball, fc_witness,
                                 icc_affine_cyclic, invariant_lattice)
-from exactgroups.cocycle import CocycleSpec, finf_generator, gamma1_cocycle
+from exactgroups.cocycle import (CocycleSpec, UnderdeterminedWitness,
+                                 finf_generator, gamma1_cocycle)
 from exactgroups.lattice import hnf
 from exactgroups.matrix import Matrix, PreconditionError, ShapeError
-from exactgroups.sl2 import S, T
-from tests.conftest import (SL3_ELEMENTARIES, random_sl2, random_unimodular,
-                            seeded)
+from exactgroups.sl2 import CongruenceKind, S, T, congruence_membership
+from tests.conftest import (SL3_ELEMENTARIES, det1_matrices, random_sl2,
+                            random_unimodular, seeded)
 
 
 # -- group arithmetic ------------------------------------------------------
@@ -217,6 +218,12 @@ def test_affine_automorphism_rejects_rational_L():
         affine_automorphism(Matrix([[1, 0, 0], [0, 1, 0]]), (0, 0))
 
 
+def test_affine_automorphism_rejects_rational_xi():
+    # phi would send (0, [[1, 0], [1, 1]]) to the translation (-1/2, -1/2).
+    with pytest.raises(PreconditionError, match="xi must be an integer vector"):
+        affine_automorphism(Matrix([[1, 1], [0, 1]]), (Fraction(1, 2), 0))
+
+
 # -- classification reports ------------------------------------------------
 
 def test_classify_full_lattice_case1():
@@ -260,6 +267,24 @@ def test_classify_graph_gamma1():
     report = classify_subgroup(GraphSubgroup(CocycleSpec(gens, values)))
     assert report.case == "case2"
     assert report.verdict("gamma1-obstruction") == "pass"
+
+
+def test_classify_gamma1_census_never_fails():
+    # A detected level N makes xi0 = (1/N, 0) solve the stacked system, so
+    # the witness exists: the verdict is "pass" unless xi is underdetermined.
+    mats = det1_matrices(3)
+    verdicts = {}
+    for N in range(2, 7):
+        members = [g for g in mats if congruence_membership(CongruenceKind("gamma1", N), g)]
+        for gens in [(g,) for g in members] + [(g, h) for g in members for h in members]:
+            spec = CocycleSpec(gens, tuple(gamma1_cocycle(N, g) for g in gens))
+            try:
+                verdict = classify_subgroup(GraphSubgroup(spec)).verdict("gamma1-obstruction")
+            except UnderdeterminedWitness:
+                verdict = "underdetermined"
+            verdicts[verdict] = verdicts.get(verdict, 0) + 1
+    assert "fail" not in verdicts
+    assert verdicts["pass"] > 100 and verdicts["underdetermined"] > 10
 
 
 def test_classify_graph_finf():

@@ -14,7 +14,8 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from exactgroups import cli
+from exactgroups import cli, cocycle, lattice
+from exactgroups.matrix import Matrix
 
 
 def _load_schemas():
@@ -214,6 +215,14 @@ def test_affine_aut_check_refuses_non_integer_L(tmp_path):
                                  {"L": mat(L), "xi": ["1", "0"]})
         assert (code, out) == (3, ""), L
         assert err == "error: expected a square integer matrix with det +-1\n"
+
+
+def test_affine_aut_check_refuses_rational_xi(tmp_path):
+    # phi would send (0, [[1, 0], [1, 1]]) to the translation (-1/2, -1/2).
+    code, out, err = run_cli(tmp_path, ["affine", "aut-check", "--seed", "1"],
+                             {"L": mat([[1, 1], [0, 1]]), "xi": ["1/2", "0"]})
+    assert (code, out) == (3, "")
+    assert err == "error: xi must be an integer vector\n"
 
 
 def test_affine_classify(tmp_path):
@@ -693,3 +702,30 @@ def test_readme_examples(monkeypatch):
         with redirect_stdout(out):
             assert cli.run(shlex.split(found.group(2))) == 0, command
         assert out.getvalue() == expected + "\n"
+
+
+def test_solve_and_kernels_never_call_snf(tmp_path, monkeypatch):
+    # Integer solving and kernels come from one Hermite pass; Smith normal
+    # form serves `lin snf` only.
+    def refuse(M):
+        raise AssertionError("snf called")
+    monkeypatch.setattr(lattice, "snf", refuse)
+    M = Matrix([[4, -2], [8, -4]])
+    assert M.apply(lattice.solve_integer(M, (2, 4))) == (2, 4)
+    assert lattice.kernel_basis(M).rows == ((1, 2),)
+    assert lattice.fixed_sublattice(Matrix([[1, 1], [0, 1]]), 1).rows == ((1, 0),)
+    values = {-2: (-8, 32), -1: (-4, 8), 0: (0, 0), 1: (4, 8), 2: (8, 32)}
+    assert cocycle.finf_extend(1, values, sorted(values)) == (0, -2)
+    assert run_ok(tmp_path, ["affine", "icc"], M_HYPERBOLIC)["icc"] is True
+    assert run_ok(tmp_path, ["affine", "icc"], mat([[1, 1], [0, 1]]))["icc"] is False
+
+
+def test_internal_error_is_one_line_exit_3(tmp_path, monkeypatch):
+    # The last-resort handler: an exception no other clause expects ends
+    # the call with one diagnostic line, not a traceback.
+    def broken(doc, opts):
+        return 1 // 0
+    monkeypatch.setitem(cli.COMMANDS, ("lin", "hnf"), (broken, True, {}))
+    code, out, err = run_cli(tmp_path, ["lin", "hnf"], {"rows": [["1"]]})
+    assert (code, out) == (3, "")
+    assert err == "error: internal ZeroDivisionError: integer division or modulo by zero\n"

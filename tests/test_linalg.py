@@ -1,5 +1,6 @@
 """Unit tests for exact matrices, HNF/SNF, and integer solving."""
 
+import hashlib
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from exactgroups.lattice import (LatticeBasis, content, fixed_sublattice, hnf,
                                  kernel_basis, snf, solve_integer)
-from exactgroups.matrix import Matrix, PreconditionError, ShapeError
+from exactgroups.cocycle import B_GEN, finf_extend, finf_generator
+from exactgroups.matrix import Matrix, PreconditionError, ShapeError, vec_sub
 from tests.conftest import random_unimodular, rational_rank, seeded
 
 
@@ -461,6 +463,107 @@ def test_kernel_basis_and_solve_integer_n7_n8():
                 assert any(type(v) is Fraction for v in exact)
             else:
                 assert x == exact
+
+
+# -- solve and kernel pins -------------------------------------------------
+
+def _lattice_cases(count=1000):
+    """`count` seeded integer matrices with n <= 8 rows: n x n, n x (n+1)
+    and n x (n-1) with entries in [-9, 9], and a product of n x k and
+    k x m factors with entries in [-3, 3], k < min(n, m), so of rank <= k."""
+    rng = seeded(1013)
+    cases = []
+    for i in range(count):
+        n = 1 + i % 8
+        shape = i // 8 % 4
+        if shape < 3:
+            cols = max(1, n + (0, 1, -1)[shape])
+            cases.append([[rng.int_in(-9, 9) for _ in range(cols)] for _ in range(n)])
+            continue
+        cols = max(1, n + rng.int_in(-1, 1))
+        k = rng.below(min(n, cols))
+        left = [[rng.int_in(-3, 3) for _ in range(k)] for _ in range(n)]
+        right = [[rng.int_in(-3, 3) for _ in range(cols)] for _ in range(k)]
+        cases.append([[sum(left[i][t] * right[t][j] for t in range(k))
+                       for j in range(cols)] for i in range(n)])
+    return cases
+
+
+def _digest(values):
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def test_kernel_and_fixed_sublattice_golden():
+    # Kernels and +-1-eigenvector lattices are canonical HNF: pinned exactly.
+    out = []
+    for rows in _lattice_cases():
+        M = Matrix(rows)
+        out.append(kernel_basis(M).rows)
+        if M.rows == M.cols:
+            out += [fixed_sublattice(M, 1).rows, fixed_sublattice(M, -1).rows]
+    assert _digest(out) == (
+        "f44732e0c62c57ee815c4d3e5b4a6be86fa75980c884157dc8049ac80b0067b7")
+
+
+def test_solve_integer_golden():
+    # Solvability is pinned on every input and the answer wherever it is
+    # unique (full column rank); every other answer must solve M x = b.
+    rng = seeded(1014)
+    solvable, unique = [], []
+    for i, rows in enumerate(_lattice_cases()):
+        M = Matrix(rows)
+        if i % 2:
+            b = M.apply(tuple(rng.int_in(-5, 5) for _ in range(M.cols)))
+        else:
+            b = tuple(rng.int_in(-9, 9) for _ in range(M.rows))
+        x = solve_integer(M, b)
+        solvable.append(x is not None)
+        if x is not None:
+            assert all(type(v) is int for v in x) and M.apply(x) == b, rows
+        if rational_rank(rows) == M.cols:
+            unique.append(x)
+    assert sum(solvable) > 500 and len(unique) > 300
+    assert _digest(solvable) == (
+        "f823c43a803ecc7a00b62a1b44fa7b31456fd3d64030da826a649a3456c5c8a1")
+    assert _digest(unique) == (
+        "a3ab1c28d50d558cee0eeecf555c2221d58ae2728fa1caa7f7042cbd7b904f04")
+
+
+def test_finf_extend_golden():
+    # Windows of coboundary values, a third perturbed.  Two or more
+    # relations make u unique, so it is pinned; one relation leaves a line
+    # of answers, each checked against every relation.
+    rng = seeded(1015)
+    out = []
+    for i in range(600):
+        xi = (rng.int_in(-9, 9), rng.int_in(-9, 9))
+        r = rng.int_in(1, 4)
+        values = {k: vec_sub(xi, finf_generator(k).apply(xi)) for k in range(-r, r + 1)}
+        if i % 3 == 0:
+            k = rng.int_in(-r, r)
+            values[k] = (values[k][0] + rng.int_in(1, 3), values[k][1])
+        n = rng.int_in(1, r) * (1 if rng.below(2) else -1)
+        window = sorted(values) if i % 4 else [0, n]
+        u = finf_extend(n, values, window)
+        relations = [k for k in window if k + n in window]
+        if len(relations) > 1:
+            out.append(u)
+        elif u is not None:
+            g = finf_generator(n)
+            bn = B_GEN ** n
+            assert vec_sub(values[n], bn.apply(values[0])) == \
+                (Matrix.identity(2) - g).apply(u)
+    assert len(out) > 400 and out.count(None) > 100
+    assert _digest(out) == (
+        "975b7240fc5c1b2a78b222a7690ad8d48a1d985bf23bc08f14a76ab0954dab63")
+
+
+def test_solve_and_kernel_rational_matrix():
+    M = Matrix([[Fraction(1, 2), Fraction(1, 3)]])
+    x = solve_integer(M, (Fraction(1, 6),))
+    assert all(type(v) is int for v in x) and M.apply(x) == (Fraction(1, 6),)
+    assert solve_integer(M, (Fraction(1, 12),)) is None
+    assert kernel_basis(M).rows == ((2, -3),)
 
 
 def test_fixed_sublattice():
