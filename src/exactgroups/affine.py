@@ -5,30 +5,29 @@ and a classification report for canonical subgroup descriptors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 from operator import mul
 
 from . import cocycle as _cocycle
-from .lattice import LatticeBasis, fixed_sublattice, hnf
-from .matrix import (Matrix, PreconditionError, ShapeError, vec_add,
+from .lattice import fixed_sublattice, hnf
+from .matrix import (Matrix, PreconditionError, Record, ShapeError, vec_add,
                      vec_is_integral, vec_norm, vec_sub)
 from .sl2 import _require_unimodular, classify_sl2, order_of
 
 
-@dataclass(frozen=True)
-class AffineElement:
+class AffineElement(Record):
     """Pair (a, g): translation a in Z^n and linear part g in SL_n(Z).
 
     Multiplication law: (a, g)(b, h) = (a + g b, g h).
     """
 
-    translation: tuple
-    linear: Matrix
+    __slots__ = ("translation", "linear")
 
-    def __post_init__(self):
-        if len(self.translation) != self.linear.rows or self.linear.rows != self.linear.cols:
+    def __init__(self, translation, linear):
+        if len(translation) != linear.rows or linear.rows != linear.cols:
             raise ShapeError("translation and linear part dimensions disagree")
+        object.__setattr__(self, "translation", translation)
+        object.__setattr__(self, "linear", linear)
 
     @staticmethod
     def identity(n):
@@ -208,23 +207,26 @@ def affine_automorphism(L, xi):
 
 # -- subgroup descriptors and classification -------------------------------
 
-@dataclass(frozen=True)
-class FullLatticeSemidirect:
+class FullLatticeSemidirect(Record):
     """H = B x| <gens>: a sublattice B of Z^n with linear generators."""
 
-    lattice: LatticeBasis
-    linear_gens: tuple
+    __slots__ = ("lattice", "linear_gens")
+
+    def __init__(self, lattice, linear_gens):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "linear_gens", linear_gens)
 
 
-@dataclass(frozen=True)
-class GraphSubgroup:
+class GraphSubgroup(Record):
     """H = {(c(g), g)}: the graph of a cocycle given by a CocycleSpec."""
 
-    spec: object
+    __slots__ = ("spec",)
+
+    def __init__(self, spec):
+        object.__setattr__(self, "spec", spec)
 
 
-@dataclass(frozen=True)
-class CyclicLinear:
+class CyclicLinear(Record):
     """H = Z^2 x| <g>, or Z^2 x| <g, -I> when `with_minus_identity`.
 
     Every check reads the same for both groups.  For g of infinite order,
@@ -232,21 +234,28 @@ class CyclicLinear:
     when g v = +-v, and both linear parts are virtually cyclic.
     """
 
-    g: Matrix
-    with_minus_identity: bool = True
+    __slots__ = ("g", "with_minus_identity")
+
+    def __init__(self, g, with_minus_identity=True):
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "with_minus_identity", with_minus_identity)
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    verdict: str   # "pass" | "fail" | "unknown"
-    evidence: dict
+class Check(Record):
+    __slots__ = ("name", "verdict", "evidence")
+
+    def __init__(self, name, verdict, evidence):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "verdict", verdict)   # "pass" | "fail" | "unknown"
+        object.__setattr__(self, "evidence", evidence)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    case: str      # "case1" | "case2" | "unknown"
-    checks: tuple
+class ClassificationReport(Record):
+    __slots__ = ("case", "checks")
+
+    def __init__(self, case, checks):
+        object.__setattr__(self, "case", case)         # "case1" | "case2" | "unknown"
+        object.__setattr__(self, "checks", checks)
 
     def verdict(self, name):
         for c in self.checks:

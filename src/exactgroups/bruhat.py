@@ -9,10 +9,9 @@ deterministic two-sided Gaussian elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import Matrix, PreconditionError
+from .matrix import Matrix, PreconditionError, Record
 from .prng import SplitMix64
 
 # Signed permutation representatives; p_sigma has its column-j entry in
@@ -31,11 +30,13 @@ PERMUTATIONS = {name: tuple(1 + next(i for i in range(3) if p[i, j]) for j in ra
                 for name, p in PERM_MATRICES.items()}
 
 
-@dataclass(frozen=True)
-class BruhatFactorization:
-    A: Matrix       # upper triangular, invertible
-    sigma: str
-    B: Matrix       # upper triangular, invertible
+class BruhatFactorization(Record):
+    __slots__ = ("A", "sigma", "B")
+
+    def __init__(self, A, sigma, B):
+        object.__setattr__(self, "A", A)   # upper triangular, invertible
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "B", B)   # upper triangular, invertible
 
     def product(self):
         return self.A * PERM_MATRICES[self.sigma] * self.B

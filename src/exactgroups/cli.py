@@ -36,6 +36,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
+# Most reduced words an `affine ball` may enumerate: radius <= 10 for two
+# generators, about a second of work.
+BALL_WORD_CAP = 120_000
+
 
 def _read_doc(infile):
     if infile is None:
@@ -138,7 +142,25 @@ def _cmd_affine_icc(doc, opts):
 def _cmd_affine_ball(doc, opts):
     x = _parse_affine(doc["element"])
     gens = [_parse_affine(g) for g in doc["generators"]]
+    if _reduced_words(len(gens), opts["radius"]) > BALL_WORD_CAP:
+        raise PreconditionError(f"radius too large: more than {BALL_WORD_CAP} "
+                                f"reduced words over {len(gens)} generators")
     return {"count": str(affine.conj_class_ball(x, gens, opts["radius"]))}
+
+
+def _reduced_words(k, radius):
+    """Reduced words of length <= radius over k generators and their
+    inverses, 1 + 2k((2k-1)^r - 1)/(2k-2); counted layer by layer and
+    stopped once past BALL_WORD_CAP, so a huge radius costs nothing."""
+    if k <= 1:
+        return 1 + 2 * k * radius
+    words, layer = 1, 2 * k
+    for _ in range(radius):
+        words += layer
+        if words > BALL_WORD_CAP:
+            break
+        layer *= 2 * k - 1
+    return words
 
 
 def _cmd_affine_lattice(doc, opts):
@@ -147,7 +169,7 @@ def _cmd_affine_lattice(doc, opts):
     basis, index = affine.invariant_lattice(gens, seeds)
     return {"basis": [vector_to_json(r) for r in basis.rows],
             "dim": basis.dim,
-            "index": None if index is None else str(index)}
+            "index": None if index is None else scalar_to_str(index)}
 
 
 def _cmd_affine_aut_check(doc, opts):
@@ -259,7 +281,7 @@ def _cmd_lin_hnf(doc, opts):
     return {"basis": [vector_to_json(r) for r in basis.rows],
             "dim": basis.dim,
             "rank": basis.rank,
-            "index": None if index is None else str(index)}
+            "index": None if index is None else scalar_to_str(index)}
 
 
 def _cmd_lin_snf(doc, opts):

@@ -12,11 +12,10 @@ singular extension system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import solve_integer
-from .matrix import (Matrix, PreconditionError, _reduce, vec_add,
+from .matrix import (Matrix, PreconditionError, Record, _reduce, vec_add,
                      vec_is_integral, vec_norm, vec_sub)
 from .sl2 import CongruenceKind, _require_sl2, congruence_membership
 
@@ -29,29 +28,31 @@ class UnderdeterminedWitness(PreconditionError):
     """The joint coboundary system does not pin xi down uniquely."""
 
 
-@dataclass(frozen=True)
-class CocycleSpec:
+class CocycleSpec(Record):
     """A cocycle presented by generator matrices and their Z^2 values.
 
     Relators (optional) are words that must evaluate to the identity matrix;
     words are tuples of (generator index, integer exponent).
     """
 
-    generators: tuple
-    values: tuple
-    relators: tuple = ()
+    __slots__ = ("generators", "values", "relators")
 
-    def __post_init__(self):
-        if len(self.generators) != len(self.values):
+    def __init__(self, generators, values, relators=()):
+        if len(generators) != len(values):
             raise PreconditionError("generator and value lists differ in length")
-        for g in self.generators:
+        for g in generators:
             _require_sl2(g)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "relators", relators)
 
 
-@dataclass(frozen=True)
-class CoboundaryWitness:
-    xi: tuple          # rational vector
-    integral: bool     # xi in Z^2
+class CoboundaryWitness(Record):
+    __slots__ = ("xi", "integral")
+
+    def __init__(self, xi, integral):
+        object.__setattr__(self, "xi", xi)               # rational vector
+        object.__setattr__(self, "integral", integral)   # xi in Z^2
 
     @staticmethod
     def of(xi):
@@ -192,12 +193,14 @@ def central_cocycle(m, n, g):
     return (w[0] // 2, w[1] // 2)
 
 
-@dataclass(frozen=True)
-class ParityCase:
+class ParityCase(Record):
     """One of the four parity classes of the central value (m, n)."""
 
-    case_id: int
-    description: str
+    __slots__ = ("case_id", "description")
+
+    def __init__(self, case_id, description):
+        object.__setattr__(self, "case_id", case_id)
+        object.__setattr__(self, "description", description)
 
     def accepts(self, g):
         if self.case_id == 1:

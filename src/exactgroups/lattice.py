@@ -12,18 +12,19 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 
-from .matrix import Matrix, PreconditionError, ShapeError
+from .matrix import Matrix, PreconditionError, Record, ShapeError
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(Record):
     """A sublattice of Z^dim given by its row Hermite normal form."""
 
-    dim: int
-    rows: tuple  # tuple of integer tuples, in HNF
+    __slots__ = ("dim", "rows")
+
+    def __init__(self, dim, rows):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rows", rows)   # tuple of integer tuples, in HNF
 
     @property
     def rank(self):

@@ -14,10 +14,11 @@ or a "+" sign -- is refused with InputError rather than coerced.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .cocycle import CocycleSpec
-from .matrix import Matrix
+from .matrix import Matrix, PreconditionError
 
 
 class InputError(Exception):
@@ -25,9 +26,16 @@ class InputError(Exception):
 
 
 def scalar_to_str(x):
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{x.numerator}/{x.denominator}"
-    return str(int(x))
+    """Decimal text of an exact scalar.  An answer past the interpreter's
+    int/str digit limit raises PreconditionError; the limit is not lifted."""
+    try:
+        if isinstance(x, Fraction) and x.denominator != 1:
+            return f"{x.numerator}/{x.denominator}"
+        return str(int(x))
+    except ValueError:
+        raise PreconditionError(
+            f"answer too large: an integer in it has more than "
+            f"{sys.get_int_max_str_digits()} decimal digits") from None
 
 
 def parse_int(x):

@@ -9,9 +9,7 @@ They are related by s = S^-1 and t = S*T, so T = s*t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .matrix import Matrix, PreconditionError
+from .matrix import Matrix, PreconditionError, Record
 from .prng import SplitMix64
 
 S = Matrix([[0, -1], [1, 0]])
@@ -41,15 +39,17 @@ def _require_unimodular(g):
 
 # -- words -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GenWord:
+class GenWord(Record):
     """Word over the generator alphabets, with a separate central (-I) factor.
 
     tokens: tuple of (generator name, integer exponent); central in {0, 1}.
     """
 
-    tokens: tuple
-    central: int = 0
+    __slots__ = ("tokens", "central")
+
+    def __init__(self, tokens, central=0):
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "central", central)
 
     def matrix(self):
         m = Matrix.identity(2)
@@ -65,11 +65,13 @@ class GenWord:
 
 # -- classification --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sl2Class:
-    kind: str            # "elliptic" | "parabolic" | "hyperbolic"
-    order: int = None    # set for elliptic
-    sign: int = None     # set for parabolic: trace / 2
+class Sl2Class(Record):
+    __slots__ = ("kind", "order", "sign")
+
+    def __init__(self, kind, order=None, sign=None):
+        object.__setattr__(self, "kind", kind)     # "elliptic" | "parabolic" | "hyperbolic"
+        object.__setattr__(self, "order", order)   # set for elliptic
+        object.__setattr__(self, "sign", sign)     # set for parabolic: trace / 2
 
 
 def classify_sl2(g):
@@ -179,16 +181,16 @@ def to_st_word(word):
 
 # -- congruence subgroups --------------------------------------------------
 
-@dataclass(frozen=True)
-class CongruenceKind:
-    family: str  # "gamma" | "gamma0" | "gamma1"
-    level: int
+class CongruenceKind(Record):
+    __slots__ = ("family", "level")
 
-    def __post_init__(self):
-        if self.family not in ("gamma", "gamma0", "gamma1"):
-            raise PreconditionError(f"unknown congruence family {self.family!r}")
-        if self.level < 1:
+    def __init__(self, family, level):
+        if family not in ("gamma", "gamma0", "gamma1"):
+            raise PreconditionError(f"unknown congruence family {family!r}")
+        if level < 1:
             raise PreconditionError("level must be >= 1")
+        object.__setattr__(self, "family", family)   # "gamma" | "gamma0" | "gamma1"
+        object.__setattr__(self, "level", level)
 
 
 def congruence_membership(kind, g):

@@ -135,6 +135,29 @@ def test_cocycle_eval_huge_exponent(tmp_path):
     assert doc["value"] == ["100000000", "0"]
 
 
+def test_answer_past_int_str_digit_limit_exits_3(tmp_path):
+    # c(g^20000) for g = [[2, 1], [1, 1]] has entries of about 8400 digits,
+    # past the interpreter's int/str limit.  This once exited 2 as
+    # "malformed input" through the ValueError of str(int).
+    spec = {"generators": [mat([[2, 1], [1, 1]])], "values": [["1", "0"]]}
+    code, out, err = run_cli(tmp_path, ["cocycle", "eval"],
+                             {"spec": spec, "word": [{"gen": 0, "exp": 20000}]})
+    assert (code, out) == (3, "")
+    assert err.startswith("error: answer too large: ") and err.count("\n") == 1
+    # Just under the limit the answer is still written.
+    doc = run_ok(tmp_path, ["cocycle", "eval"],
+                 {"spec": spec, "word": [{"gen": 0, "exp": 5000}]})
+    assert len(doc["value"][0]) > 2000
+    # An index of two 4000-digit pivots has 8000 digits.
+    big = "9" * 4000
+    for argv, doc in ((["lin", "hnf"], {"rows": [[big, "0"], ["0", big]]}),
+                      (["affine", "lattice"], {"generators": [mat([[1, 0], [0, 1]])],
+                                               "seeds": [[big, "0"], ["0", big]]})):
+        code, out, err = run_cli(tmp_path, argv, doc)
+        assert (code, out) == (3, ""), (argv, err)
+        assert err.startswith("error: answer too large: ") and err.count("\n") == 1
+
+
 def test_cocycle_central(tmp_path):
     doc = run_ok(tmp_path, ["cocycle", "central"],
                  {"m": 1, "n": 0, "matrix": M_HYPERBOLIC})
@@ -167,6 +190,34 @@ def test_affine_ball(tmp_path):
                   "generators": [{"translation": ["0", "0"],
                                   "matrix": M_HYPERBOLIC}]})
     assert int(doc["count"]) > 1
+
+
+BALL_TWO_HYPERBOLIC = {
+    "element": {"translation": ["1", "0"], "matrix": mat([[1, 0], [0, 1]])},
+    "generators": [{"translation": ["0", "0"], "matrix": mat([[2, 1], [1, 1]])},
+                   {"translation": ["0", "0"], "matrix": mat([[1, 2], [2, 5]])}]}
+
+
+def test_affine_ball_radius_cap(tmp_path):
+    # At most cli.BALL_WORD_CAP reduced words: 1 + 2k((2k-1)^r - 1)/(2k-2)
+    # over k generators, 1 + 2r for k = 1.  Two generators reach radius 10
+    # (118097 words); radius 14 once ran for minutes.
+    assert cli._reduced_words(2, 4) == 161
+    assert cli._reduced_words(2, 10) == 118097 <= cli.BALL_WORD_CAP
+    assert cli._reduced_words(3, 3) == 1 + 6 * (5 ** 3 - 1) // 4
+    assert cli._reduced_words(1, 7) == 15 and cli._reduced_words(0, 10 ** 100) == 1
+    assert cli._reduced_words(2, 10 ** 100) > cli.BALL_WORD_CAP
+    doc = run_ok(tmp_path, ["affine", "ball", "--radius", "4"], BALL_TWO_HYPERBOLIC)
+    assert doc["count"] == "161"
+    one = dict(BALL_TWO_HYPERBOLIC, generators=BALL_TWO_HYPERBOLIC["generators"][:1])
+    for argv, doc in ((["--radius", "11"], BALL_TWO_HYPERBOLIC),
+                      (["--radius", "1" + "0" * 4000], BALL_TWO_HYPERBOLIC),
+                      (["--radius", "60000"], one)):
+        code, out, err = run_cli(tmp_path, ["affine", "ball"] + argv, doc)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: radius too large: ") and err.count("\n") == 1
+    code, _, err = run_cli(tmp_path, ["affine", "ball", "--radius", "-4"], BALL_TWO_HYPERBOLIC)
+    assert (code, err) == (3, "error: radius must be >= 0\n")
 
 
 def test_affine_lattice(tmp_path):
@@ -448,6 +499,22 @@ def test_parser_built_once_never_at_import():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_no_dataclasses():
+    # The value classes are slotted matrix.Record subclasses, so a cold call
+    # does not import dataclasses and the inspect/ast chain behind it.  Some
+    # interpreters load these at start-up (site hooks); only what the import
+    # adds counts.
+    import subprocess
+    import sys
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import exactgroups.cli\n"
+              "print(sorted({'dataclasses', 'inspect', 'ast'} & (set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_child_env())
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_non_integer_json_scalars_refused(tmp_path):
