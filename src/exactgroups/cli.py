@@ -39,6 +39,11 @@ EXIT_PRECONDITION = 3
 # Most reduced words an `affine ball` may enumerate: radius <= 10 for two
 # generators, about a second of work.
 BALL_WORD_CAP = 120_000
+# Most letters `sl2 decompose --alphabet st` may expand T^e into (2|e| each).
+ST_WORD_CAP = 1_000_000
+# Most cases `bruhat fact-check` may check: --count for facts 1 and 2, and
+# |diag|^3 |off|^3 grid matrices for facts 3 and 4 (--grid 2: 74,088).
+FACT_CASE_CAP = 100_000
 
 
 def _read_doc(infile):
@@ -82,6 +87,10 @@ def _cmd_sl2_decompose(doc, opts):
     g = parse_matrix(doc)
     word = sl2.decompose_st(g)
     if opts["alphabet"] == "st":
+        letters = 2 * sum(abs(e) for gen, e in word.tokens if gen == "T")
+        if letters > ST_WORD_CAP:
+            raise PreconditionError(f"st word too long: {letters} letters, "
+                                    f"more than {ST_WORD_CAP}")
         word = sl2.to_st_word(word)
     return word_to_json(word)
 
@@ -258,12 +267,21 @@ def _cmd_bruhat_fact_check(doc, opts):
     for flag in ("count", "grid"):
         if opts[flag] < 0:
             raise PreconditionError(f"{flag} must be >= 0")
-    fact = opts["fact"]
+    fact, b = opts["fact"], opts["grid"]
     if fact in (1, 2):
+        if opts["count"] > FACT_CASE_CAP:
+            raise PreconditionError(f"count too large: more than {FACT_CASE_CAP} cases")
         holds = bruhat.fact_check(fact, seed=opts["seed"], count=opts["count"])
         return {"fact": fact, "holds": holds, "cases": opts["count"]}
-    diag = bruhat.grid_rationals(opts["grid"], nonzero=True)
-    off = bruhat.grid_rationals(opts["grid"])
+    # The grid holds the integers -b..b, so a large b is refused before the
+    # O(b^2) grid is built; then the case count is exact.
+    too_many = PreconditionError(f"grid too large: more than {FACT_CASE_CAP} cases")
+    if (2 * b) ** 3 * (2 * b + 1) ** 3 > FACT_CASE_CAP:
+        raise too_many
+    diag = bruhat.grid_rationals(b, nonzero=True)
+    off = bruhat.grid_rationals(b)
+    if len(diag) ** 3 * len(off) ** 3 > FACT_CASE_CAP:
+        raise too_many
     cases = 0
     for d1, d2, d3, u12, u13, u23 in itertools.product(diag, diag, diag, off, off, off):
         g = Matrix([[d1, u12, u13], [0, d2, u23], [0, 0, d3]])

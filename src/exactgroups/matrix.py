@@ -105,6 +105,10 @@ class Matrix:
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _trusted, not by setting slots.
+        return Matrix._trusted, (self.data,)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod

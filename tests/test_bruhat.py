@@ -263,3 +263,171 @@ def test_case4_witness():
         case4_witness(0, 1)
     with pytest.raises(PreconditionError):
         case4_witness(1, 0)
+
+
+# -- the Fraction elimination, as a reference ------------------------------
+# bruhat_decompose, case3_normalize, cell_of and fact_check run on integers;
+# these are the rational versions they replaced, compared entry by entry
+# (type included, through repr) on seeded rational inputs.
+
+def _reference_decompose(g):
+    """(sigma, A, B) by two-sided Gaussian elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in g.data]
+    A = [[int(i == j) for j in range(3)] for i in range(3)]
+    Ci = [[int(i == j) for j in range(3)] for i in range(3)]
+    pivots = []
+    for col in range(3):
+        for pcol, row in enumerate(pivots):
+            if m[row][col] != 0:
+                f = m[row][col] / m[row][pcol]
+                m[row][col] = 0
+                Ci[pcol] = [a + f * b for a, b in zip(Ci[pcol], Ci[col])]
+        free = [i for i in range(3) if i not in pivots and m[i][col] != 0]
+        if not free:
+            raise PreconditionError("matrix is singular")
+        piv = free[-1]
+        for i in free[:-1]:
+            f = m[i][col] / m[piv][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[piv])]
+            for r in range(3):
+                A[r][piv] += f * A[r][i]
+        pivots.append(piv)
+    sigma = tuple(piv + 1 for piv in pivots)
+    name = next(nm for nm, s in PERMUTATIONS.items() if s == sigma)
+    p = PERM_MATRICES[name]
+    d = [m[piv][j] / p[piv, j] for j, piv in enumerate(pivots)]
+    return name, Matrix(A), Matrix([[dj * x for x in row] for dj, row in zip(d, Ci)])
+
+
+def _reference_cell(g):
+    """The cell from three zero tests and the lower-left 2x2 minor."""
+    _, (g21, g22, _), (g31, g32, _) = g.data
+    if g31:
+        return "(13)" if g21 * g32 != g22 * g31 else "(132)"
+    if g21:
+        return "(123)" if g32 else "(12)"
+    return "(23)" if g32 else "id"
+
+
+def _reference_fact(which, g):
+    if (not g.is_upper_triangular() or g[0, 0] * g[1, 1] * g[2, 2] == 0):
+        raise PreconditionError("expected an invertible upper-triangular 3x3 matrix")
+    p = PERM_MATRICES["(13)" if which == 3 else "(132)"]
+    c = _reference_cell(p * g * p)
+    if which == 3:
+        return (c == "(123)") == (g[0, 1] * g[1, 2] != 0 and g[0, 2] == 0)
+    return ((c == "(123)") == (g[0, 2] == 0)) and ((c == "(13)") == (g[0, 2] != 0))
+
+
+def _factors(g):
+    fac = bruhat_decompose(g)
+    return fac.sigma, fac.A, fac.B
+
+
+def _outcome(fn, *args):
+    """repr of fn's result, or of the PreconditionError it raised."""
+    try:
+        return repr(fn(*args))
+    except PreconditionError as exc:
+        return f"PreconditionError({exc})"
+
+
+def _rational(rng, zero_share=5):
+    """p/q with |p| <= 10 and 1 <= q <= 10, zero about 1 time in zero_share."""
+    if zero_share and rng.below(zero_share) == 0:
+        return 0
+    return Fraction(rng.int_in(-10, 10), rng.int_in(1, 10))
+
+
+def _rational3(rng):
+    rows = [[_rational(rng) for _ in range(3)] for _ in range(3)]
+    if rng.below(25) == 0:   # rank <= 2: row k is a combination of the others
+        k = rng.below(3)
+        u, v = (_rational(rng, 0) for _ in range(2))
+        r1, r2 = (rows[i] for i in range(3) if i != k)
+        rows[k] = [u * a + v * b for a, b in zip(r1, r2)]
+    return Matrix(rows)
+
+
+def _upper3(rng):
+    return Matrix([[_rational(rng, 6), _rational(rng), _rational(rng)],
+                   [0, _rational(rng, 6), _rational(rng)],
+                   [0, 0, _rational(rng, 6)]])
+
+
+def test_decompose_and_cell_match_fraction_reference():
+    rng = seeded(2024)
+    h = hashlib.sha256()
+    singular = 0
+    for _ in range(20000):
+        g = _rational3(rng)
+        try:
+            want = _reference_decompose(g)
+        except PreconditionError as exc:
+            want = cell = f"PreconditionError({exc})"
+            singular += 1
+        else:
+            want, cell = repr(want), repr(want[0])
+        fac = _outcome(_factors, g)
+        assert fac == want, g
+        assert _outcome(cell_of, g) == cell, g
+        h.update(f"{fac}\n".encode())
+    assert singular >= 500
+    assert h.hexdigest() == (
+        "4dd323e121a230b1fca4728dfee39cf1363737ac6f7bbf8b237abe503e02f7b5")
+
+
+def test_case3_normalize_matches_products():
+    rng = seeded(2025)
+    p123 = PERM_MATRICES["(123)"]
+    h = hashlib.sha256()
+    for _ in range(2000):
+        g = _upper3(rng) * p123 * _upper3(rng)
+        name, A, B = _reference_decompose(g) if g.det() else (None, None, None)
+        if name != "(123)":
+            with pytest.raises(PreconditionError):
+                case3_normalize(g)
+            continue
+        w = Fraction(B[0, 1]) / Fraction(B[1, 1])
+        want = (A * Matrix([[1, 0, 0], [0, 1, w], [0, 0, 1]]),
+                Matrix([[1, -w, 0], [0, 1, 0], [0, 0, 1]]) * B)
+        got = case3_normalize(g)
+        assert repr(got) == repr(want), g
+        h.update(repr(got).encode())
+    assert h.hexdigest() == (
+        "8fc75f1d96f92d74d90af9624f7ee555a95cb74e69b90cdcd32552d5d6f0341e")
+
+
+def test_fact3_fact4_match_conjugate_cell():
+    rng = seeded(2026)
+    h = hashlib.sha256()
+    for n in range(6000):
+        g = _upper3(rng)
+        if n % 50 == 0:   # one lower entry: refused
+            g = Matrix([[x if (i, j) != (2, 0) else 1 for j, x in enumerate(row)]
+                        for i, row in enumerate(g.data)])
+        for which in (3, 4):
+            got = _outcome(fact_check, which, g)
+            assert got == _outcome(_reference_fact, which, g), (which, g)
+            h.update(got.encode())
+    assert h.hexdigest() == (
+        "2d3b8b2a9694238bc468d85c83f89c8ba3539ddeb9cc8ceccba03c57cc44e229")
+
+
+def test_bruhat_paths_take_no_rational_products(monkeypatch):
+    def forbidden(name):
+        def method(*args):
+            raise AssertionError(f"Matrix.{name} called")
+        return method
+    g = Matrix([[Fraction(1, 2), 2, 0], [3, Fraction(-2, 3), 1], [0, 1, 5]])
+    c3 = Matrix([[2, 1, 0], [1, 1, 0], [0, 3, 1]])
+    u = Matrix([[2, Fraction(1, 3), 0], [0, -1, 4], [0, 0, Fraction(1, 2)]])
+    monkeypatch.setattr(Matrix, "det", forbidden("det"))
+    monkeypatch.setattr(Matrix, "__mul__", forbidden("__mul__"))
+    monkeypatch.setattr(Matrix, "__rmul__", forbidden("__rmul__"))
+    assert bruhat_decompose(g).sigma == cell_of(g) == "(123)"
+    A, B = case3_normalize(c3)
+    assert B[0, 1] == 0 and cell_of(c3) == "(123)"
+    assert fact_check(3, u) and fact_check(4, u)
+    with pytest.raises(PreconditionError, match="matrix is singular"):
+        cell_of(Matrix([[1, 2, 3], [Fraction(1, 2), 1, Fraction(3, 2)], [0, 0, 1]]))

@@ -7,6 +7,7 @@ checked.
 
 import io
 import json
+import time
 from contextlib import redirect_stdout, redirect_stderr
 from importlib import resources
 
@@ -80,6 +81,23 @@ def test_sl2_decompose(tmp_path):
     doc2 = run_ok(tmp_path, ["sl2", "decompose", "--alphabet", "st"], M_HYPERBOLIC)
     assert all(t["gen"] in ("s", "t") for t in doc2["word"])
     assert doc2["central"] == 0
+
+
+def test_sl2_decompose_st_word_cap(tmp_path):
+    # T^e is 2|e| letters over {s, t}; e = 10^9 once asked for tens of GB.
+    doc = run_ok(tmp_path, ["sl2", "decompose", "--alphabet", "st"], mat([[1, 3], [0, 1]]))
+    assert doc["word"] == [{"exp": 1, "gen": "s"}, {"exp": 1, "gen": "t"}] * 3
+    for e in (10 ** 9, -10 ** 9, cli.ST_WORD_CAP // 2 + 1):
+        start = time.process_time()
+        code, out, err = run_cli(tmp_path, ["sl2", "decompose", "--alphabet", "st"],
+                                 mat([[1, e], [0, 1]]))
+        assert time.process_time() - start < 1
+        assert (code, out) == (3, "")
+        assert err == (f"error: st word too long: {2 * abs(e)} letters, "
+                       f"more than {cli.ST_WORD_CAP}\n")
+    # The {S, T} word stays one token.
+    doc = run_ok(tmp_path, ["sl2", "decompose"], mat([[1, 10 ** 9], [0, 1]]))
+    assert doc["word"] == [{"exp": 10 ** 9, "gen": "T"}]
 
 
 def test_sl2_congruence(tmp_path):
@@ -322,6 +340,23 @@ def test_bruhat_fact_check(tmp_path):
     doc = run_ok(tmp_path, ["bruhat", "fact-check", "--fact", "4",
                             "--grid", "1"])
     assert doc["holds"] is True and doc["cases"] == 216
+
+
+def test_bruhat_fact_check_case_cap(tmp_path):
+    # --grid b checks |diag|^3 |off|^3 matrices, about b^12: --grid 2 is the
+    # largest grid under cli.FACT_CASE_CAP, --grid 3 would be 9,261,000.
+    doc = run_ok(tmp_path, ["bruhat", "fact-check", "--fact", "4", "--grid", "2"])
+    assert doc["holds"] is True and doc["cases"] == 74088 <= cli.FACT_CASE_CAP
+    doc = run_ok(tmp_path, ["bruhat", "fact-check", "--fact", "2", "--count", "0"])
+    assert doc["holds"] is True and doc["cases"] == 0
+    for fact, flag, value in ((3, "grid", 3), (4, "grid", 10 ** 18), (3, "grid", 10 ** 4000),
+                              (1, "count", cli.FACT_CASE_CAP + 1), (2, "count", 10 ** 18)):
+        start = time.process_time()
+        code, out, err = run_cli(tmp_path, ["bruhat", "fact-check", "--fact", str(fact),
+                                            f"--{flag}", str(value)])
+        assert time.process_time() - start < 1
+        assert (code, out) == (3, "")
+        assert err == f"error: {flag} too large: more than {cli.FACT_CASE_CAP} cases\n"
 
 
 @pytest.mark.parametrize("argv, doc", [

@@ -8,9 +8,10 @@ SEED, so every run makes the same calls.  Each call must end with exit 0,
 to stderr, never the last-resort `error: internal` line; and no call may
 use more than CALL_CPU_S of CPU.
 
-No mutant is a huge integer: the size caps of `cocycle eval` exponents and
-of `--count`/`--grid` are still open.  `bruhat fact-check` reads no
-document, so it only runs its valid call.
+No document mutant is a huge integer: the size cap of `cocycle eval`
+exponents is still open.  `bruhat fact-check` reads no document; its flags
+are fuzzed instead, each by every value of FLAG_MUTANTS, huge integers
+included, which its case cap must refuse before any work.
 """
 
 import io
@@ -25,6 +26,8 @@ from exactgroups.prng import SplitMix64
 MUTANTS = (None, True, 1.5, "", "x", "1/2", "-1", "0", "7", [], {})
 SEED = 1
 PAIRS = 40
+HUGE = (str(10 ** 18), str(-10 ** 18), "1" + "0" * 4000, "9" * 5000)
+FLAG_MUTANTS = ("x", "1.5", "", "1_0", "+2", "-1", "0", "7") + HUGE
 
 CALL_CPU_S = 2.0
 
@@ -166,3 +169,43 @@ def test_leaf_mutation_fuzz():
     finally:
         signal.signal(signal.SIGPROF, previous)
     assert calls > 2000
+
+
+def test_fact_check_flag_fuzz():
+    # Facts 1 and 2 read --count, facts 3 and 4 --grid; a huge value of the
+    # flag a fact reads is refused by the case cap or the sign check (exit
+    # 3) or, past the int->str digit limit, as a usage error (exit 2).
+    def over_budget(signum, frame):
+        raise _OverBudget
+    previous = signal.signal(signal.SIGPROF, over_budget)
+    calls = 0
+    try:
+        for fact in (1, 2, 3, 4):
+            flags = {"--fact": str(fact), "--seed": "1",
+                     "--count" if fact < 3 else "--grid": "3" if fact < 3 else "1"}
+            for flag in ("--fact", "--grid", "--seed", "--count"):
+                for value in FLAG_MUTANTS:
+                    argv = ["bruhat", "fact-check"] + [x for item in
+                                                        dict(flags, **{flag: value}).items()
+                                                        for x in item]
+                    signal.setitimer(signal.ITIMER_PROF, CALL_CPU_S + 1)
+                    try:
+                        code, out, err, cpu = _call(argv, None)
+                    except _OverBudget:
+                        raise AssertionError(f"over {CALL_CPU_S} s of CPU: {argv}") from None
+                    finally:
+                        signal.setitimer(signal.ITIMER_PROF, 0)
+                    calls += 1
+                    assert cpu <= CALL_CPU_S and code in (0, 2, 3), argv
+                    if code:
+                        assert out == "" and "error: " in err.splitlines()[-1], (argv, err)
+                        assert "error: internal" not in err, (argv, err)
+                    else:
+                        assert err == "" and json.loads(out)["command"] == "bruhat.fact-check"
+                    reads = "--count" if fact < 3 else "--grid"
+                    if flag == reads and value in HUGE:
+                        assert code in (2, 3), argv
+                        assert code == 2 or err.startswith(f"error: {reads[2:]} "), argv
+    finally:
+        signal.signal(signal.SIGPROF, previous)
+    assert calls == 4 * 4 * len(FLAG_MUTANTS)

@@ -4,6 +4,7 @@ dataclasses they replaced."""
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -51,8 +52,6 @@ CASES = {
 
 # Fields that hold a dict make the value unhashable, as with the dataclasses.
 UNHASHABLE = {Check, ClassificationReport}
-HOLDS_MATRIX = {AffineElement, FullLatticeSemidirect, GraphSubgroup, CyclicLinear,
-                BruhatFactorization, CocycleSpec}
 
 params = pytest.mark.parametrize("cls", list(CASES), ids=lambda c: c.__name__)
 
@@ -146,10 +145,17 @@ def test_copy_and_pickle(cls):
     obj = cls(*make())
     clone = copy.copy(obj)
     assert type(clone) is cls and clone == obj
-    if cls in HOLDS_MATRIX:
-        return   # a Matrix can be neither deep-copied nor pickled
     for clone in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         assert type(clone) is cls and clone == obj
+
+
+def test_matrix_copy_and_pickle():
+    m = Matrix([[Fraction(1, 2), -3], [0, Fraction(7, 5)]])
+    for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert type(clone) is Matrix and clone == m and repr(clone) == repr(m)
+        assert (clone.rows, clone.cols) == (2, 2) and hash(clone) == hash(m)
+        with pytest.raises(AttributeError, match="Matrix is immutable"):
+            clone.data = ()
 
 
 def test_affine_element_refuses_shape_mismatch():
