@@ -13,10 +13,11 @@ singular extension system.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .lattice import solve_integer
-from .matrix import (Matrix, PreconditionError, Record, _reduce, vec_add,
-                     vec_is_integral, vec_norm, vec_sub)
+from .matrix import (Matrix, PreconditionError, Record, vec_add, vec_is_integral,
+                     vec_norm, vec_sub)
 from .sl2 import CongruenceKind, _require_sl2, congruence_membership
 
 
@@ -128,31 +129,28 @@ def solve_full_coboundary(c_t):
 def coboundary_witness(spec):
     """Solve xi - g xi = c(g) over Q for all generators jointly.
 
-    The blocks I - g of all generators are stacked into one linear system.
-    Returns None when it is inconsistent; raises UnderdeterminedWitness when
-    the joint kernel is nontrivial.
+    xi comes by Cramer's rule from the first pair of rows (a, b | r) of the
+    stacked [I - g | c(g)] with a nonzero 2x2 minor and is checked on every
+    row.  Returns None when the system is inconsistent; raises
+    UnderdeterminedWitness when the joint kernel is nontrivial.
     """
-    ident = Matrix.identity(2)
-    rows, rhs = [], []
-    for g, cg in zip(spec.generators, spec.values):
-        m = ident - g
-        rows.extend([[Fraction(m[i, 0]), Fraction(m[i, 1])] for i in range(2)])
-        rhs.extend([Fraction(cg[0]), Fraction(cg[1])])
-    xi = _solve_rational(rows, rhs)
-    if xi is None:
+    rows = []
+    for g, (c0, c1) in zip(spec.generators, spec.values):
+        (a, b), (c, d) = g.data
+        rows += [(1 - a, -b, c0), (-c, 1 - d, c1)]
+    for (a, b, r), (c, d, s) in combinations(rows, 2):
+        det = a * d - b * c
+        if det:
+            x, y = Fraction(r * d - b * s, det), Fraction(a * s - r * c, det)
+            if any(u * x + v * y != w for u, v, w in rows):
+                return None
+            return CoboundaryWitness.of((x, y))
+    # Rank <= 1: consistent iff [rows | rhs] has rank <= 1 too, and no zero
+    # row has a nonzero right-hand side (rank 0 has no 2x2 minor to show it).
+    if any(r for a, b, r in rows if not (a or b)) or any(
+            a * s - r * c or b * s - r * d for (a, b, r), (c, d, s) in combinations(rows, 2)):
         return None
-    return CoboundaryWitness.of(xi)
-
-
-def _solve_rational(rows, rhs):
-    """Solve an overdetermined 2-column rational system by Gauss-Jordan."""
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    rank = len(_reduce(aug, 2)[0])
-    if any(row[2] for row in aug[rank:]):
-        return None  # inconsistent
-    if rank < 2:
-        raise UnderdeterminedWitness("joint system has a nontrivial kernel")
-    return (aug[0][2], aug[1][2])
+    raise UnderdeterminedWitness("joint system has a nontrivial kernel")
 
 
 # -- the Gamma_1(N) family -------------------------------------------------

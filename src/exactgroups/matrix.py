@@ -2,12 +2,14 @@
 
 Entries are Python ints or :class:`fractions.Fraction`; every operation is
 exact.  Matrices are immutable and hashable, so they can be used as dict keys
-and set members (needed for the conjugacy-ball enumeration).
+and set members (needed for the conjugacy-ball enumeration).  Determinants
+and inverses past 3x3 come from one fraction-free elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import attrgetter, mul
 
 
@@ -207,32 +209,31 @@ class Matrix:
                 d[0][0] * (d[1][1] * d[2][2] - d[1][2] * d[2][1])
                 - d[0][1] * (d[1][0] * d[2][2] - d[1][2] * d[2][0])
                 + d[0][2] * (d[1][0] * d[2][1] - d[1][1] * d[2][0]))
-        return _norm(_reduce([[Fraction(x) for x in row] for row in d], n)[1])
+        return _bareiss(d, n)[0]
 
     def inverse(self):
         """Exact inverse; raises PreconditionError when singular.
 
-        A 2x2 or 3x3 matrix is inverted in closed form as adj(M) * (1/det M).
+        Up to 3x3 a matrix is inverted in closed form as adj(M) * (1/det M).
         When det M = +-1 the adjugate is multiplied by det M itself, so an
         integer matrix of determinant +-1 gets int entries and no Fraction is
-        made.  Every entry is normalized, so an entry with denominator 1 is an
-        int whatever the input's types.  Other sizes go through Gauss-Jordan
-        elimination on [M | I].
+        made.  Larger sizes go through fraction-free elimination (_bareiss).
+        Every entry is normalized, so an entry with denominator 1 is an int
+        whatever the input's types.
         """
         if self.rows != self.cols:
             raise ShapeError("inverse of a non-square matrix")
         n = self.rows
-        if n in (2, 3):
+        if n <= 3:
             adj, det = _adjugate(self.data)
             if det == 0:
                 raise PreconditionError("matrix is singular")
             s = det if det == 1 or det == -1 else Fraction(1, det)
             return Matrix._trusted(tuple(tuple([_norm(s * x) for x in r]) for r in adj))
-        m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-             for i, row in enumerate(self.data)]
-        if _reduce(m, n)[1] == 0:
+        inv = _bareiss(self.data, n)[1]
+        if inv is None:
             raise PreconditionError("matrix is singular")
-        return Matrix([row[n:] for row in m])
+        return Matrix._trusted(inv)
 
     def is_integral(self):
         return all(isinstance(x, int) for row in self.data for x in row)
@@ -248,40 +249,40 @@ class Matrix:
             raise ShapeError("shape mismatch")
 
 
-def _reduce(m, ncols):
-    """Gauss-Jordan elimination over Q, in place, on the first `ncols` columns.
+def _bareiss(d, n):
+    """(det M, rows of M^-1 or None when singular) for the rows d of an n x n M.
 
-    `m` is a list of row lists of Fractions.  On return its rows are in
-    reduced row echelon form over those columns -- pivot rows first, each
-    pivot 1 and alone in its column -- and any further (augmented) columns
-    have undergone the same row operations.  Returns (pivot_cols, det): the
-    pivot columns in order, and the determinant of the first `ncols` columns
-    when `m` has `ncols` rows (0 when some column has no pivot).
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on [lam M | I], lam
+    the lcm of M's denominators.  Step k brings up the first row from k on
+    with a nonzero entry in column k, negating the row it displaces to keep
+    the determinant, takes p = m[k][k] and sets every other row to
+    (p m_i - m_ik m_k) / q, q the previous pivot; each division is exact.
+    [lam M | I] ends as [q I | q (lam M)^-1], q = det(lam M) = lam^n det M.
     """
-    pivots = []
-    det = Fraction(1)
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+    lam = lcm(*[x.denominator for row in d for x in row])
+    m = [[x.numerator * (lam // x.denominator) for x in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(d)]
+    q = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
-            det = 0
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            det = -det
-        det *= m[r][col]
-        inv = 1 / m[r][col]
-        m[r] = [a * inv for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-    return pivots, det
+            return 0, None
+        if piv != k:
+            m[k], m[piv] = m[piv], [-x for x in m[k]]
+        p = m[k][k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * a - f * b) // q for a, b in zip(m[i], m[k])]
+        q = p
+    return (_norm(Fraction(q, lam ** n)),
+            tuple(tuple([_norm(Fraction(lam * x, q)) for x in row[n:]]) for row in m))
 
 
 def _adjugate(d):
-    """(adj(M), det M) of a 2x2 or 3x3 matrix given by its rows."""
+    """(adj(M), det M) of a 1x1, 2x2 or 3x3 matrix given by its rows."""
+    if len(d) == 1:
+        return ((1,),), d[0][0]
     if len(d) == 2:
         (a, b), (c, e) = d
         return ((e, -b), (-c, a)), a * e - b * c

@@ -60,16 +60,21 @@ def random_sl3(rng, length=10):
 
 
 def random_unimodular(rng, n, length=8):
-    """Random GL_n(Z) element with det +-1."""
-    m = Matrix.identity(n)
-    gens = [elementary(n, i, j) for i in range(n) for j in range(n) if i != j]
+    """Random GL_n(Z) element with det +-1: a product of `length` elementary
+    matrices E_ij(+-1), then diag(-1, 1, ..., 1) half the time.  Each factor
+    is applied as the column operation it stands for: m E_ij(v) adds v times
+    column i to column j, and the flip negates column 0."""
+    m = [[int(r == c) for c in range(n)] for r in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     for _ in range(length):
-        g = gens[rng.below(len(gens))]
-        m = m * (g.inverse() if rng.below(2) else g)
+        i, j = pairs[rng.below(len(pairs))]
+        v = -1 if rng.below(2) else 1
+        for row in m:
+            row[j] += v * row[i]
     if rng.below(2):
-        flip = Matrix.diagonal([-1] + [1] * (n - 1))
-        m = m * flip
-    return m
+        for row in m:
+            row[0] = -row[0]
+    return Matrix._trusted(tuple(map(tuple, m)))
 
 
 def rational_rank(rows):

@@ -277,6 +277,21 @@ def test_affine_aut_check(tmp_path):
     assert doc["homomorphism"] is True and doc["samples"] == 25
 
 
+def test_affine_aut_check_sample_cap(tmp_path):
+    # --count 10^9 once asked for about 40 hours of sampling.  A child process
+    # with a timeout keeps a regression from hanging the suite.
+    import subprocess
+    import sys
+    doc = json.dumps({"L": mat([[1, 1], [0, 1]]), "xi": ["1", "-2"]})
+    for count in (cli.AUT_SAMPLE_CAP + 1, 10 ** 9):
+        proc = subprocess.run(
+            [sys.executable, "-m", "exactgroups.cli", "affine", "aut-check", "--seed", "1",
+             "--count", str(count), "--in", "-"],
+            input=doc, capture_output=True, text=True, env=_child_env(), timeout=20)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == f"error: count too large: more than {cli.AUT_SAMPLE_CAP} samples\n"
+
+
 def test_affine_aut_check_refuses_non_integer_L(tmp_path):
     # diag(2, 1/2) has det 1 and once passed as an automorphism of Z^2 x| SL2(Z).
     for L in ([[2, 0], [0, "1/2"]], [[2, 0], [0, 1]], [[1, 1, 0], [0, 1, 0]]):

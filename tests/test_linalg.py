@@ -80,12 +80,12 @@ SMALL_RATIONALS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)
 
 @st.composite
 def invertible_matrices(draw):
-    """Invertible matrices for n = 2..5: products of elementary matrices
+    """Invertible matrices for n = 1..6: products of elementary matrices
     E_ij(v), optionally times diag(-1, 1, ..., 1).  With v = +-1 they are
     integer matrices of det +-1; otherwise v and a left diagonal factor are
     drawn from small nonzero rationals, so entries may be Fractions and the
     determinant need not be +-1."""
-    n = draw(st.sampled_from([2, 3, 4, 5]))
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6]))
     rational = draw(st.booleans())
     values = st.sampled_from(SMALL_RATIONALS if rational else (1, -1))
     m = Matrix.identity(n)
@@ -151,7 +151,13 @@ def test_det_large_against_permutation_expansion():
     # The identity with its first two rows swapped: det -1 through one swap.
     cases = [Matrix([[int(j == (1, 0, 2, 3, 4)[i]) for j in range(n)] for i in range(n)])
              for n in (4, 5)]
+    # Rows 2 and 3 swapped: the first zero pivot comes after step 0.
+    cases += [Matrix([[int(j == (0, 1, 3, 2, 4)[i]) for j in range(n)] for i in range(n)])
+              for n in (4, 5)]
     cases.append(Matrix([[1, 2, 3, 4], [0, 0, 1, 1], [0, 1, 0, 1], [2, 4, 6, 8]]))
+    # Denominators 2, 3 and 4: the integer pass runs on 12 M.
+    cases.append(Matrix([[Fraction(1, 2), 1, 0, 2], [Fraction(2, 3), 0, 1, 1],
+                         [0, Fraction(3, 4), 1, 0], [1, 0, Fraction(-1, 3), 1]]))
     for n in (4, 5):
         cases += [Matrix([[vals[rng.below(len(vals))] for _ in range(n)] for _ in range(n)])
                   for _ in range(60)]
@@ -167,7 +173,10 @@ def test_inverse_singular_large():
     for M in (Matrix([[1, 2, 0, 1], [0, 1, 3, 0], [1, 3, 3, 1], [2, 0, 1, 1]]),
               Matrix([[1, 2, 0, 1], [0, 1, 3, 0], [2, 0, 1, 2], [1, 1, 1, 1]]),
               Matrix([[Fraction(1, 2), 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 1, 0, 0],
-                      [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])):
+                      [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]),
+              # The last row is the sum of the others: only the last pivot is 0.
+              Matrix([[1, 2, 0, 0, 0, 1], [0, 1, 3, 0, 0, 0], [0, 0, 1, 4, 0, 0],
+                      [0, 0, 0, 1, 5, 0], [0, 0, 0, 0, 1, 6], [1, 3, 4, 5, 6, 7]])):
         with pytest.raises(PreconditionError):
             M.inverse()
 
