@@ -26,8 +26,7 @@ class AffineElement(Record):
     def __init__(self, translation, linear):
         if len(translation) != linear.rows or linear.rows != linear.cols:
             raise ShapeError("translation and linear part dimensions disagree")
-        object.__setattr__(self, "translation", translation)
-        object.__setattr__(self, "linear", linear)
+        Record.__init__(self, translation, linear)
 
     @staticmethod
     def identity(n):
@@ -64,10 +63,12 @@ def fc_witness(g):
 
 
 def icc_affine_cyclic(g):
-    """Whether Z^2 x| <g, -I> is ICC, for g of infinite order.
+    """Whether Z^2 x| <g, -I> is ICC, for g in GL2(Z) of infinite order.
 
     Equivalent characterizations (all checked to agree by the test suite):
-    no +-1 eigenvector in Z^2, and |tr(g)| > 2.
+    no +-1 eigenvector in Z^2, and, for det g = 1, |tr(g)| > 2.  With det
+    g = -1 and infinite order the trace is nonzero, so the eigenvalues are
+    irrational and the group is ICC.
     """
     k = order_of(g)
     if k is not None:
@@ -212,18 +213,11 @@ class FullLatticeSemidirect(Record):
 
     __slots__ = ("lattice", "linear_gens")
 
-    def __init__(self, lattice, linear_gens):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "linear_gens", linear_gens)
-
 
 class GraphSubgroup(Record):
     """H = {(c(g), g)}: the graph of a cocycle given by a CocycleSpec."""
 
     __slots__ = ("spec",)
-
-    def __init__(self, spec):
-        object.__setattr__(self, "spec", spec)
 
 
 class CyclicLinear(Record):
@@ -235,27 +229,15 @@ class CyclicLinear(Record):
     """
 
     __slots__ = ("g", "with_minus_identity")
-
-    def __init__(self, g, with_minus_identity=True):
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "with_minus_identity", with_minus_identity)
+    _defaults = {"with_minus_identity": True}
 
 
 class Check(Record):
-    __slots__ = ("name", "verdict", "evidence")
-
-    def __init__(self, name, verdict, evidence):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "verdict", verdict)   # "pass" | "fail" | "unknown"
-        object.__setattr__(self, "evidence", evidence)
+    __slots__ = ("name", "verdict", "evidence")   # verdict: "pass" | "fail" | "unknown"
 
 
 class ClassificationReport(Record):
-    __slots__ = ("case", "checks")
-
-    def __init__(self, case, checks):
-        object.__setattr__(self, "case", case)         # "case1" | "case2" | "unknown"
-        object.__setattr__(self, "checks", checks)
+    __slots__ = ("case", "checks")   # case: "case1" | "case2" | "unknown"
 
     def verdict(self, name):
         for c in self.checks:

@@ -33,12 +33,7 @@ _NAMES = {sigma: name for name, sigma in PERMUTATIONS.items()}
 
 
 class BruhatFactorization(Record):
-    __slots__ = ("A", "sigma", "B")
-
-    def __init__(self, A, sigma, B):
-        object.__setattr__(self, "A", A)   # upper triangular, invertible
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "B", B)   # upper triangular, invertible
+    __slots__ = ("A", "sigma", "B")   # A and B upper triangular, invertible
 
     def product(self):
         return self.A * PERM_MATRICES[self.sigma] * self.B

@@ -44,8 +44,10 @@ ST_WORD_CAP = 1_000_000
 # Most cases `bruhat fact-check` may check: --count for facts 1 and 2, and
 # |diag|^3 |off|^3 grid matrices for facts 3 and 4 (--grid 2: 74,088).
 FACT_CASE_CAP = 100_000
-# Most samples `affine aut-check` may check: about a second of work for a
-# 2x2 L (--count 5000: 1.1 s in a CLI process).
+# Most samples `affine aut-check` may check for a 2x2 L: about a second of
+# work (--count 5000: 1.1 s in a CLI process).  A sample costs about n^3 for
+# an n x n L, so max(count, 1) * n^2 may not pass 4 * AUT_SAMPLE_CAP: 12
+# samples at n = 40, and an L past 141 x 141 is refused outright.
 AUT_SAMPLE_CAP = 5_000
 
 
@@ -189,8 +191,9 @@ def _cmd_affine_aut_check(doc, opts):
     xi = parse_vector(doc["xi"])
     if opts["count"] < 0:
         raise PreconditionError("count must be >= 0")
-    if opts["count"] > AUT_SAMPLE_CAP:
-        raise PreconditionError(f"count too large: more than {AUT_SAMPLE_CAP} samples")
+    bound = 4 * AUT_SAMPLE_CAP // max(L.rows, 2) ** 2
+    if max(opts["count"], 1) > bound:
+        raise PreconditionError(f"count too large: more than {bound} samples")
     phi = affine.affine_automorphism(L, xi)
     rng = SplitMix64(opts["seed"])
     n = L.rows

@@ -43,22 +43,16 @@ class CocycleSpec(Record):
             raise PreconditionError("generator and value lists differ in length")
         for g in generators:
             _require_sl2(g)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "relators", relators)
+        Record.__init__(self, generators, values, relators)
 
 
 class CoboundaryWitness(Record):
-    __slots__ = ("xi", "integral")
-
-    def __init__(self, xi, integral):
-        object.__setattr__(self, "xi", xi)               # rational vector
-        object.__setattr__(self, "integral", integral)   # xi in Z^2
+    __slots__ = ("xi", "integral")   # xi: rational vector; integral: xi in Z^2
 
     @staticmethod
     def of(xi):
         xi = vec_norm(xi)
-        return CoboundaryWitness(xi=xi, integral=all(isinstance(x, int) for x in xi))
+        return CoboundaryWitness(xi, all(isinstance(x, int) for x in xi))
 
 
 def cocycle_eval(spec, word):
@@ -195,10 +189,6 @@ class ParityCase(Record):
     """One of the four parity classes of the central value (m, n)."""
 
     __slots__ = ("case_id", "description")
-
-    def __init__(self, case_id, description):
-        object.__setattr__(self, "case_id", case_id)
-        object.__setattr__(self, "description", description)
 
     def accepts(self, g):
         if self.case_id == 1:

@@ -20,11 +20,7 @@ from .matrix import Matrix, PreconditionError, Record, ShapeError
 class LatticeBasis(Record):
     """A sublattice of Z^dim given by its row Hermite normal form."""
 
-    __slots__ = ("dim", "rows")
-
-    def __init__(self, dim, rows):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rows", rows)   # tuple of integer tuples, in HNF
+    __slots__ = ("dim", "rows")   # rows: tuple of integer tuples, in HNF
 
     @property
     def rank(self):
@@ -153,7 +149,7 @@ def hnf(rows, dim=None):
         raise ShapeError("lattice dimension must be nonnegative")
     work = [list(r) for r in rows]
     r = _echelon(work)
-    return LatticeBasis(dim=dim, rows=tuple(tuple(row) for row in work[:r]))
+    return LatticeBasis(dim, tuple(tuple(row) for row in work[:r]))
 
 
 def snf(M):
@@ -249,7 +245,7 @@ def solve_integer(M, b):
 
 def kernel_basis(M):
     """HNF basis of the integer kernel {x in Z^n : M x = 0}."""
-    return LatticeBasis(dim=M.cols, rows=tuple(
+    return LatticeBasis(M.cols, tuple(
         tuple(t) for h, t in _hermite_transform(M) if not any(h)))
 
 

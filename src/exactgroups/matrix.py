@@ -28,19 +28,50 @@ class PreconditionError(ExactError):
 class Record:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields in ``__slots__`` and sets them in its own
-    ``__init__`` through ``object.__setattr__``.  Equality (same class only),
-    hashing, pickling and the repr ``Name(field=value, ...)`` read those
-    fields in order; assigning or deleting an attribute raises AttributeError.
+    A subclass names its fields in ``__slots__`` and is built from them:
+    ``Name(value, ...)`` takes the fields by position or by name, in slot
+    order, and the trailing fields that the class's ``_defaults`` dict names
+    may be left out.  A missing, unknown, repeated or extra field raises
+    TypeError.  A subclass that checks its arguments defines ``__init__``,
+    checks, then calls ``Record.__init__``.  Equality (same class only),
+    hashing, pickling and the repr ``Name(field=value, ...)`` read the fields
+    in order; assigning or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
+    _defaults = {}
 
     def __init_subclass__(cls):
         super().__init_subclass__()
         # key(record): the tuple of field values (a single field's value
         # alone), read in C; a Python getattr loop makes __eq__ ~5x slower.
         cls._key = attrgetter(*cls.__slots__)
+        # The slots' own setters, which bypass the refusing __setattr__.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *values, **named):
+        setters = self._setters
+        if named or len(values) != len(setters):
+            values = self._complete(values, named)
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
+
+    @classmethod
+    def _complete(cls, values, named):
+        """The field values in slot order: by position, by name or default."""
+        fields, name = cls.__slots__, cls.__qualname__
+        if len(values) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields but {len(values)} were given")
+        given = dict(zip(fields, values))
+        for field in named:
+            if field in given or field not in fields:
+                kind = "a repeated" if field in given else "an unknown"
+                raise TypeError(f"{name}() got {kind} field {field!r}")
+        given = {**cls._defaults, **given, **named}
+        missing = [field for field in fields if field not in given]
+        if missing:
+            raise TypeError(f"{name}() missing field {missing[0]!r}")
+        return [given[field] for field in fields]
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -78,10 +109,10 @@ def _norm(x):
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x)!r}")
 
 
-class Matrix:
+class Matrix(Record):
     """Immutable dense matrix with exact int/Fraction entries."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data")   # data: rows of normalized entries
 
     def __init__(self, data):
         rows = tuple(tuple(map(_norm, row)) for row in data)
@@ -90,18 +121,18 @@ class Matrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ShapeError("ragged rows")
-        object.__setattr__(self, "data", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
+        Record.__init__(self, len(rows), ncols, rows)
 
     @classmethod
     def _trusted(cls, rows):
         """Matrix on a non-empty rectangular tuple of tuples whose entries are
         already normalized (ints, or Fractions with denominator != 1)."""
         m = object.__new__(cls)
-        object.__setattr__(m, "data", rows)
-        object.__setattr__(m, "rows", len(rows))
-        object.__setattr__(m, "cols", len(rows[0]))
+        # The slot setters, not Record.__init__'s loop: every product ends here.
+        set_rows, set_cols, set_data = cls._setters
+        set_rows(m, len(rows))
+        set_cols(m, len(rows[0]))
+        set_data(m, rows)
         return m
 
     def __setattr__(self, *a):
@@ -128,12 +159,6 @@ class Matrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
 
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.data]})"

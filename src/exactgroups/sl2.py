@@ -20,7 +20,12 @@ MINUS_I = Matrix([[-1, 0], [0, -1]])
 
 GENERATORS = {"S": S, "T": T, "s": S_ALT, "t": T_ALT}
 
-SL2_TORSION_CAP = 12  # sharp for 2x2: orders in SL2(Z) are 1, 2, 3, 4, 6
+SL2_TORSION_CAP = 12  # default power cap of order_of past 2x2
+
+# (det, trace) -> order of a 2x2 integer matrix of finite order other than
+# +-I.  By Cayley-Hamilton g^2 = tr(g) g - det(g) I, and the eigenvalues are
+# roots of unity only for these pairs; det -1 needs trace 0, and then g^2 = I.
+_FINITE_ORDERS = {(1, 0): 4, (1, 1): 6, (1, -1): 3, (-1, 0): 2}
 
 
 class OrderCapExceeded(PreconditionError):
@@ -46,10 +51,7 @@ class GenWord(Record):
     """
 
     __slots__ = ("tokens", "central")
-
-    def __init__(self, tokens, central=0):
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "central", central)
+    _defaults = {"central": 0}
 
     def matrix(self):
         m = Matrix.identity(2)
@@ -66,12 +68,10 @@ class GenWord(Record):
 # -- classification --------------------------------------------------------
 
 class Sl2Class(Record):
+    # kind: "elliptic" | "parabolic" | "hyperbolic"; order set for elliptic,
+    # sign (trace / 2) for parabolic.
     __slots__ = ("kind", "order", "sign")
-
-    def __init__(self, kind, order=None, sign=None):
-        object.__setattr__(self, "kind", kind)     # "elliptic" | "parabolic" | "hyperbolic"
-        object.__setattr__(self, "order", order)   # set for elliptic
-        object.__setattr__(self, "sign", sign)     # set for parabolic: trace / 2
+    _defaults = {"order": None, "sign": None}
 
 
 def classify_sl2(g):
@@ -80,24 +80,25 @@ def classify_sl2(g):
     tr = g.trace()
     if abs(tr) > 2:
         return Sl2Class("hyperbolic")
-    ident = Matrix.identity(2)
-    if abs(tr) == 2:
-        if g == ident:
-            return Sl2Class("elliptic", order=1)
-        if g == MINUS_I:
-            return Sl2Class("elliptic", order=2)
+    order = order_of(g)
+    if order is None:   # trace +-2 and g != +-I
         return Sl2Class("parabolic", sign=tr // 2)
-    # |tr| < 2: elliptic; order found by iteration, at most 12 steps.
-    return Sl2Class("elliptic", order=order_of(g))
+    return Sl2Class("elliptic", order=order)
 
 
 def order_of(g, cap=None):
     """Smallest k with g^k = I, or None for proven infinite order.
 
-    The cap defaults to 12, which is sharp for 2x2.  For larger sizes a
-    cap miss raises OrderCapExceeded rather than claiming infinite order.
+    A 2x2 order comes in closed form from the determinant and trace, whatever
+    the cap.  Larger sizes multiply up to the cap (12 by default), and a cap
+    miss raises OrderCapExceeded rather than claiming infinite order.
     """
     _require_unimodular(g)
+    if g.rows == 2:
+        (a, b), (c, d) = g.data
+        if b == c == 0 and a == d:   # +-I
+            return 1 if a == 1 else 2
+        return _FINITE_ORDERS.get((a * d - b * c, a + d))
     cap = SL2_TORSION_CAP if cap is None else cap
     ident = Matrix.identity(g.rows)
     p = g
@@ -105,8 +106,6 @@ def order_of(g, cap=None):
         if p == ident:
             return k
         p = p * g
-    if g.rows == 2 and g.det() == 1:
-        return None  # non-elliptic, hence infinite order
     raise OrderCapExceeded(f"no order found within cap {cap}")
 
 
@@ -189,8 +188,7 @@ class CongruenceKind(Record):
             raise PreconditionError(f"unknown congruence family {family!r}")
         if level < 1:
             raise PreconditionError("level must be >= 1")
-        object.__setattr__(self, "family", family)   # "gamma" | "gamma0" | "gamma1"
-        object.__setattr__(self, "level", level)
+        Record.__init__(self, family, level)
 
 
 def congruence_membership(kind, g):

@@ -29,6 +29,7 @@ answers alone.  The file reads the same under every supported Python:
 """
 
 import io
+import itertools
 import json
 import os
 import re
@@ -191,9 +192,8 @@ def valid(rng, group, command):
             return [], {"kind": "cyclic_linear", "matrix": mat(sl2(rng, rng.int_in(1, 4))),
                         "with_minus_identity": bool(rng.below(2))}
         if kind == 1:
-            return [], {"kind": "full_lattice",
-                        "lattice": {"rows": [vec((rng.int_in(1, 3), 0)), vec((0, rng.int_in(1, 3)))],
-                                    "dim": 2},
+            rows = [vec((rng.int_in(1, 3), 0)), vec((0, rng.int_in(1, 3)))]
+            return [], {"kind": "full_lattice", "lattice": {"rows": rows, "dim": 2},
                         "generators": [mat(sl2(rng, 2)) for _ in range(rng.int_in(1, 2))]}
         level = rng.int_in(2, 4)
         gens = [((1, 1), (0, 1)), ((1, 0), (level, 1))]
@@ -246,15 +246,21 @@ def mutated(doc, path, value):
 
 # -- the requests ---------------------------------------------------------------
 
+def request(argv, doc=None, text=None):
+    """(argv, stdin) of one request: a document, or a raw text, goes in on
+    stdin through `--in -`."""
+    if doc is not None:
+        text = json.dumps(doc)
+    return (argv + ["--in", "-"], text) if text is not None else (argv, None)
+
+
 def requests():
     """(argv, stdin) of every corpus request, in corpus order."""
     rng = SplitMix64(SEED)
     out = []
 
     def ask(argv, doc=None, text=None):
-        if doc is not None:
-            text = json.dumps(doc)
-        out.append((argv + ["--in", "-"] if text is not None else argv, text))
+        out.append(request(argv, doc, text))
 
     for (group, command), (_, reads_doc, flags) in cli.COMMANDS.items():
         prefix = [group, command]
@@ -288,16 +294,17 @@ def requests():
     for argv in ([], ["-h"], ["--help"], ["nope"], ["--nope"], ["--in", "-"]):
         ask(argv)
 
-    out.extend(cap_requests())
+    out.extend(edge_requests())
     return out
 
 
-def cap_requests():
-    """Both sides of the work caps and of the other size refusals."""
+def edge_requests():
+    """Both sides of the work caps and of the other size refusals, and inputs
+    that seeded documents rarely reach."""
     reqs = []
 
     def ask(argv, doc=None):
-        reqs.append((argv + ["--in", "-"], json.dumps(doc)) if doc is not None else (argv, None))
+        reqs.append(request(argv, doc))
 
     two = {"element": {"translation": ["1", "0"], "matrix": mat(I2)},
            "generators": [{"translation": ["0", "1"], "matrix": mat(S)},
@@ -337,6 +344,12 @@ def cap_requests():
     hyp = {"generators": [mat(((2, 1), (1, 1))), mat(T)], "values": [["1", "0"], ["0", "1"]]}
     for gen, exp in ((0, 12000), (1, 10 ** 8)):
         ask(["cocycle", "eval"], {"spec": hyp, "word": [{"gen": gen, "exp": exp}]})
+    # bruhat cell and decompose: b p b' in each of the six Bruhat cells.
+    b, b2 = ((1, 2, -1), (0, 1, 3), (0, 0, 2)), ((2, 0, 1), (0, -1, 1), (0, 0, 1))
+    for sigma in itertools.permutations(range(3)):
+        p = tuple(tuple(int(sigma[j] == i) for j in range(3)) for i in range(3))
+        for command in ("cell", "decompose"):
+            ask(["bruhat", command], mat(mul(mul(b, p), b2)))
     return reqs
 
 

@@ -201,6 +201,15 @@ def test_affine_icc(tmp_path):
     assert doc["icc"] is True and doc["trace"] == "3"
 
 
+def test_affine_icc_det_minus_one(tmp_path):
+    # [[1, 1], [1, 0]] has det -1 and infinite order; it once exited 3 with
+    # "no order found within cap 12".
+    doc = run_ok(tmp_path, ["affine", "icc"], mat([[1, 1], [1, 0]]))
+    assert doc["icc"] is True and doc["trace"] == "1"
+    code, out, err = run_cli(tmp_path, ["affine", "icc"], mat([[0, 1], [1, 0]]))
+    assert (code, out, err) == (3, "", "error: g has finite order 2\n")
+
+
 def test_affine_ball(tmp_path):
     doc = run_ok(tmp_path, ["affine", "ball", "--radius", "3"],
                  {"element": {"translation": ["1", "0"],
@@ -290,6 +299,40 @@ def test_affine_aut_check_sample_cap(tmp_path):
             input=doc, capture_output=True, text=True, env=_child_env(), timeout=20)
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == f"error: count too large: more than {cli.AUT_SAMPLE_CAP} samples\n"
+
+
+def _unipotent(n):
+    return mat([[int(j in (i, i + 1)) for j in range(n)] for i in range(n)])
+
+
+def test_affine_aut_check_priced_by_size(tmp_path):
+    # A sample costs about n^3, so --count 5000 on a 40x40 L once asked for
+    # minutes of work.  The cap is on count * n^2: 12 samples at n = 40.
+    import subprocess
+    import sys
+    doc = json.dumps({"L": _unipotent(40), "xi": ["0"] * 40})
+    proc = subprocess.run(
+        [sys.executable, "-m", "exactgroups.cli", "affine", "aut-check", "--seed", "1",
+         "--count", "5000", "--in", "-"],
+        input=doc, capture_output=True, text=True, env=_child_env(), timeout=20)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: count too large: more than 12 samples\n"
+
+
+def test_affine_aut_check_refuses_huge_L_before_any_work(tmp_path, monkeypatch):
+    # Past 141x141 not even one sample is allowed, and the refusal comes
+    # before the automorphism's determinant and inverse.
+    from exactgroups import affine
+
+    def refuse(L, xi):
+        raise AssertionError("affine_automorphism called")
+    monkeypatch.setattr(affine, "affine_automorphism", refuse)
+    for n, count, bound in ((10, 201, 200), (142, 0, 0)):
+        code, out, err = run_cli(tmp_path, ["affine", "aut-check", "--seed", "1",
+                                            "--count", str(count)],
+                                 {"L": _unipotent(n), "xi": ["0"] * n})
+        assert (code, out) == (3, "")
+        assert err == f"error: count too large: more than {bound} samples\n"
 
 
 def test_affine_aut_check_refuses_non_integer_L(tmp_path):

@@ -1,5 +1,6 @@
 """Unit tests for SL2(Z) classification, words, and congruence subgroups."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -69,6 +70,31 @@ def test_classify_conjugation_invariant():
     for g in det1_matrices(2):
         h = random_sl2(rng, length=6)
         assert classify_sl2(h * g * h.inverse()) == classify_sl2(g)
+
+
+def _order_by_powers(a, b, c, d):
+    """Order of [[a, b], [c, d]] by repeated products on plain ints; None
+    past 12, which no finite order in GL2(Z) reaches."""
+    p = (a, b, c, d)
+    for k in range(1, 13):
+        if p == (1, 0, 0, 1):
+            return k
+        w, x, y, z = p
+        p = (w * a + x * c, w * b + x * d, y * a + z * c, y * b + z * d)
+    return None
+
+
+def test_order_of_2x2_closed_form():
+    # Order 6 once read as infinite under a cap of 2, and det -1 with
+    # infinite order once raised OrderCapExceeded.
+    assert order_of(Matrix([[1, -1], [1, 0]]), cap=2) == 6
+    assert order_of(Matrix([[1, 1], [1, 0]])) is None
+    checked = 0
+    for a, b, c, d in itertools.product(range(-4, 5), repeat=4):
+        if a * d - b * c in (1, -1):
+            assert order_of(Matrix([[a, b], [c, d]])) == _order_by_powers(a, b, c, d)
+            checked += 1
+    assert checked == 360
 
 
 def test_order_of_larger_sizes():

@@ -124,6 +124,38 @@ def test_immutable(cls):
 
 
 @params
+def test_construction_errors(cls):
+    fields, make, defaults = CASES[cls]
+    values = make()
+    required = fields[:len(fields) - len(defaults)]
+    with pytest.raises(TypeError):   # a required field missing, by position
+        cls(*values[:len(required) - 1])
+    with pytest.raises(TypeError):   # the first field missing, by name
+        cls(**dict(zip(fields[1:], values[1:])))
+    with pytest.raises(TypeError):   # an unknown name
+        cls(*values, extra=None)
+    with pytest.raises(TypeError):   # a field given by position and by name
+        cls(*values, **{fields[0]: values[0]})
+    with pytest.raises(TypeError):   # more values than fields
+        cls(*values, None)
+
+
+def test_only_checking_classes_define_init():
+    records = set(Record.__subclasses__())
+    assert records == set(CASES) | {Matrix}
+    assert {cls for cls in records if "__init__" in vars(cls)} == {
+        AffineElement, CocycleSpec, CongruenceKind, Matrix}
+
+
+def test_matrix_slots_cannot_be_deleted():
+    m = Matrix([[1, 2], [3, 4]])
+    for name in ("rows", "cols", "data"):
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    assert (m.rows, m.cols, m.data) == (2, 2, ((1, 2), (3, 4)))
+
+
+@params
 def test_repr_is_dataclass_format(cls):
     fields, make, _ = CASES[cls]
     values = make()
