@@ -5,8 +5,14 @@ stdin), writes exactly one JSON document to stdout and diagnostics to
 stderr.  Identical argv + input produce byte-identical output.
 
 One table, COMMANDS, maps each (group, command) to its handler, whether it
-reads a document, and its flags as argparse specs.  The argparse parser is
-built from the table once, on the first call of run(); run() reads the
+reads a document, and its flags as argparse specs; every command also takes
+--in.  run() first parses argv from the table alone (_table_parse): the
+(group, command) key, then only that command's flags, each once, as --f v
+or --f=v.  Any other argv -- help, an abbreviated, unknown or repeated flag,
+a missing or bad value -- goes to the argparse parser built from the same
+table, so help texts, usage messages and their exit codes are argparse's.
+argparse is imported and the parser built only then, once per process, and
+help is formatted at a fixed width, not the terminal's.  run() reads the
 document only for commands that take one and calls the handler as a pure
 function handler(doc, opts) -> dict, where opts maps each flag to its value.
 Integer flags follow the integer rule of the input documents
@@ -18,7 +24,6 @@ errors); 2 malformed input; 3 precondition violation or internal error.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
@@ -69,6 +74,7 @@ def _int_flag(text):
     try:
         return parse_int(text)
     except InputError:
+        import argparse
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
@@ -328,9 +334,12 @@ def _cmd_lin_solve(doc, opts):
 # -- wiring ----------------------------------------------------------------
 
 _LEVEL = {"--level": dict(type=_int_flag, required=True)}
+_IN = {"--in": dict(dest="infile", default=None,
+                    help="input JSON document (file path or - for stdin)")}
 
 # (group, command) -> (handler, reads a document, {flag: argparse spec}).
-# Every command also takes --in; the order here is the order of --help.
+# Every command also takes the flags of _IN; the order here is the order of
+# --help.
 COMMANDS = {
     ("sl2", "classify"): (_cmd_sl2_classify, True, {}),
     ("sl2", "decompose"): (_cmd_sl2_decompose, True,
@@ -365,28 +374,69 @@ COMMANDS = {
 }
 
 
+def _table_parse(argv):
+    """vars(_parser().parse_args(argv)) for a plain valid argv, else None.
+
+    Plain: the (group, command) key, then only that command's flags, each
+    once, as --f v or --f=v, with no value that starts with "-" other than
+    "-" itself.  Each value goes through the type and choices of its spec,
+    and a missing flag takes its default unless it is required."""
+    entry = COMMANDS.get(tuple(argv[:2]))
+    if entry is None:
+        return None
+    flags = {**_IN, **entry[2]}
+    given = {}
+    tokens = iter(argv[2:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if not eq:
+            text = next(tokens, None)
+        if (flag not in flags or flag in given or text is None
+                or text.startswith("-") and text != "-"):
+            return None
+        given[flag] = text
+    opts = {"group": argv[0], "command": argv[1]}
+    for flag, spec in flags.items():
+        if flag not in given:
+            if spec.get("required"):
+                return None
+            value = spec.get("default")
+        else:
+            try:
+                value = spec.get("type", str)(given[flag])
+            except Exception:   # argparse converts it again and reports it
+                return None
+            if value not in spec.get("choices", (value,)):
+                return None
+        opts[spec.get("dest", flag[2:].replace("-", "_"))] = value
+    return opts
+
+
 @functools.cache
 def _parser():
-    parser = argparse.ArgumentParser(prog="exactgroups")
+    import argparse
+    # The width COLUMNS=200 gives, at which no help or usage line wraps.
+    fixed = functools.partial(argparse.HelpFormatter, width=198)
+    parser = argparse.ArgumentParser(prog="exactgroups", formatter_class=fixed)
     top = parser.add_subparsers(dest="group", required=True)
     groups = {}
     for (group, command), (_, _, flags) in COMMANDS.items():
         if group not in groups:
-            groups[group] = top.add_parser(group).add_subparsers(dest="command",
-                                                                  required=True)
-        p = groups[group].add_parser(command)
-        p.add_argument("--in", dest="infile", default=None,
-                       help="input JSON document (file path or - for stdin)")
-        for flag, spec in flags.items():
+            groups[group] = top.add_parser(group, formatter_class=fixed).add_subparsers(
+                dest="command", required=True)
+        p = groups[group].add_parser(command, formatter_class=fixed)
+        for flag, spec in {**_IN, **flags}.items():
             p.add_argument(flag, **spec)
     return parser
 
 
 def run(argv):
-    try:
-        opts = vars(_parser().parse_args(argv))
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    opts = _table_parse(argv)
+    if opts is None:
+        try:
+            opts = vars(_parser().parse_args(argv))
+        except SystemExit as exc:
+            return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     command = (opts["group"], opts["command"])
     handler, reads_doc, _ = COMMANDS[command]
     try:

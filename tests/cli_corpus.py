@@ -14,13 +14,9 @@ for a command that reads no document.  The requests cover every
 
 Every input comes from SplitMix64(SEED) or is written out below, using plain
 integers only, so the file depends on this script and on the package's
-answers alone.  The file reads the same under every supported Python:
-
-  * argparse wraps help and usage text at the terminal width, and 3.13 wraps
-    a long usage line differently, so requests are answered with COLUMNS at
-    WIDTH, where no line wraps;
-  * two texts that the interpreter writes into stderr differ between
-    versions and are stored in one form (see `portable`).
+answers alone.  The file reads the same under every supported Python: two
+texts that the interpreter writes into stderr differ between versions and
+are stored in one form (see `portable`).
 
     PYTHONPATH=src python tests/cli_corpus.py            rewrite the corpus
     PYTHONPATH=src python tests/cli_corpus.py --replay [K]
@@ -31,10 +27,9 @@ answers alone.  The file reads the same under every supported Python:
 import io
 import itertools
 import json
-import os
 import re
 import sys
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,7 +40,6 @@ CORPUS = Path(__file__).resolve().parent / "data" / "cli_corpus.jsonl"
 SEED = 2024
 VALID_PER_COMMAND = 12
 MUTATIONS_PER_COMMAND = 8
-WIDTH = "200"
 
 BAD_DOCUMENTS = ("", "{not json", "[]", "null", "{}", '"x"', "3", '{"entries": 5}',
                  "[[1]]", '{"rows": 2, "entries": [["1"')
@@ -355,19 +349,6 @@ def edge_requests():
 
 # -- answering ------------------------------------------------------------------
 
-@contextmanager
-def fixed_width():
-    saved = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = WIDTH
-    try:
-        yield
-    finally:
-        if saved is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = saved
-
-
 def portable(stderr):
     """stderr with its interpreter-dependent texts in one form: argparse lists
     a flag's choices with repr() in older releases and with str() in later
@@ -384,7 +365,7 @@ def answer(argv, stdin):
     saved = sys.stdin
     sys.stdin = io.StringIO("" if stdin is None else stdin)
     try:
-        with fixed_width(), redirect_stdout(out), redirect_stderr(err):
+        with redirect_stdout(out), redirect_stderr(err):
             code = cli.run(list(argv))
     finally:
         sys.stdin = saved

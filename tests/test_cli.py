@@ -580,17 +580,24 @@ def test_every_command_refuses_malformed_documents(tmp_path):
 
 
 def test_parser_built_once_never_at_import():
+    # A plain valid argv is parsed from COMMANDS alone; the argparse parser is
+    # built, once, for the first argv that needs help or a usage error.
     import subprocess
     import sys
     script = ("import io, sys\n"
+              "before = set(sys.modules)\n"
               "from exactgroups import cli\n"
               "assert cli._parser.cache_info().currsize == 0\n"
-              "sys.stdout = io.StringIO()\n"
+              "assert 'argparse' not in set(sys.modules) - before\n"
+              "sys.stdout = sys.stderr = io.StringIO()\n"
               "for _ in range(3):\n"
-              "    cli.run(['bruhat', 'fact-check', '--fact', '1', '--count', '1'])\n"
+              "    assert cli.run(['bruhat', 'fact-check', '--fact', '1', '--count', '1']) == 0\n"
+              "assert cli._parser.cache_info().currsize == 0\n"
+              "assert cli.run(['sl2', 'congruence', '-h']) == 0\n"
+              "assert cli.run(['bruhat', 'fact-check', '--fa', '1', '--count', '1']) == 0\n"
               "assert cli._parser.cache_info().misses == 1\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=_child_env())
+                          stdin=subprocess.DEVNULL, env=_child_env(), timeout=20)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -608,6 +615,38 @@ def test_cli_import_loads_no_dataclasses():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=_child_env())
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_valid_call_loads_no_argparse():
+    # A valid call is parsed from COMMANDS, so argparse is never imported;
+    # as above, only what the import and the call add counts.
+    import subprocess
+    import sys
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "from exactgroups import cli\n"
+              "code = cli.run(['sl2', 'classify', '--in', '-'])\n"
+              "print(code, 'argparse' in set(sys.modules) - before)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          input=json.dumps(M_HYPERBOLIC), env=_child_env(), timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_help_independent_of_terminal_width():
+    # Help is formatted at a fixed width: COLUMNS once rewrapped it.
+    import subprocess
+    import sys
+    outputs = []
+    for columns in ("40", "200"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "exactgroups.cli", "sl2", "congruence", "-h"],
+            capture_output=True, text=True, stdin=subprocess.DEVNULL,
+            env=dict(_child_env(), COLUMNS=columns), timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert "usage: exactgroups sl2 congruence [-h] [--in INFILE]" in outputs[0]
 
 
 def test_non_integer_json_scalars_refused(tmp_path):
