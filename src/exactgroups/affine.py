@@ -80,13 +80,15 @@ def conj_class_ball(x, gens, radius):
     """Number of distinct conjugates w x w^-1 for words w of length <= radius.
 
     Breadth-first closure over the group generated by `gens` and inverses,
-    with exact equality for deduplication.  Each frontier word carries its
-    inverse, (g w)^-1 = w^-1 g^-1, so only the generators are inverted.
+    with exact equality for deduplication.  Each frontier word w carries its
+    conjugate c = w x w^-1, and g w gets g c g^-1, so no word is inverted:
+    three products per new word, and only the generators are inverted.
 
-    The loop runs on plain (translation, rows) tuple pairs, multiplied by
-    `_pair_mul2` (n = 2, entries written out) or `_pair_mul` (any n); no
-    AffineElement or Matrix is built inside it.  A pair is also its own set
-    key: plain tuples hash without a Python-level __hash__ call.
+    The loop runs on plain tuples, which are their own set keys (no
+    Python-level __hash__ call): at n = 2 flat 6-tuples (a0, a1, g00, g01,
+    g10, g11) multiplied by `_flat_mul2`, at any other n (translation, rows)
+    pairs multiplied by `_pair_mul`.  No AffineElement or Matrix is built
+    inside it.
     """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
@@ -95,27 +97,31 @@ def conj_class_ball(x, gens, radius):
         p, p_inv = _pair(g), _pair(g.inverse())
         alphabet += [(p, p_inv), (p_inv, p)]
     n = len(x.translation)
-    # A product across dimensions is an error, but radius 0 forms none.
-    if radius and any(len(p[0]) != n for p, _ in alphabet):
+    e, xp = _pair(AffineElement.identity(n)), _pair(x)
+    if not radius:
+        return 1   # x itself; a product across dimensions would be an error
+    if any(len(p[0]) != n for p, _ in alphabet):
         raise ShapeError("dimension mismatch")
-    times = _pair_mul2 if n == 2 else _pair_mul
-    e = _pair(AffineElement.identity(n))
-    xp = _pair(x)
+    times = _pair_mul
+    if n == 2:
+        times = _flat_mul2
+        alphabet = [(_flat(p), _flat(p_inv)) for p, p_inv in alphabet]
+        e, xp = _flat(e), _flat(xp)
     seen_words = {e}
-    frontier = [(e, e, None)]   # (w, w^-1, index of the letter that made w)
-    conjugates = {xp}           # the identity word's conjugate is x
+    frontier = [(e, xp, None)]   # (w, w x w^-1, index of the letter that made w)
+    conjugates = {xp}
     for _ in range(radius):
         new_frontier = []
-        for w, w_inv, last in frontier:
+        for w, c, last in frontier:
             for i, (g, g_inv) in enumerate(alphabet):
                 if i ^ 1 == last:
                     continue   # g undoes the letter that made w: g w was seen
                 nw = times(g, w)
                 if nw not in seen_words:
                     seen_words.add(nw)
-                    nw_inv = times(w_inv, g_inv)
-                    new_frontier.append((nw, nw_inv, i))
-                    conjugates.add(times(times(nw, xp), nw_inv))
+                    nc = times(times(g, c), g_inv)
+                    new_frontier.append((nw, nc, i))
+                    conjugates.add(nc)
         frontier = new_frontier
         if not frontier:
             break
@@ -127,13 +133,18 @@ def _pair(el):
     return vec_norm(el.translation), el.linear.data
 
 
-def _pair_mul2(p, q):
-    """(a, g)(b, h) = (a + g b, g h) on n = 2 pairs, each entry written out."""
-    (a0, a1), ((g00, g01), (g10, g11)) = p
-    (b0, b1), ((h00, h01), (h10, h11)) = q
-    return ((a0 + g00 * b0 + g01 * b1, a1 + g10 * b0 + g11 * b1),
-            ((g00 * h00 + g01 * h10, g00 * h01 + g01 * h11),
-             (g10 * h00 + g11 * h10, g10 * h01 + g11 * h11)))
+def _flat(p):
+    """The n = 2 pair ((a0, a1), ((g00, g01), (g10, g11))) as one 6-tuple."""
+    return (*p[0], *p[1][0], *p[1][1])
+
+
+def _flat_mul2(p, q):
+    """(a, g)(b, h) = (a + g b, g h) on flat n = 2 tuples, written out."""
+    a0, a1, g00, g01, g10, g11 = p
+    b0, b1, h00, h01, h10, h11 = q
+    return (a0 + g00 * b0 + g01 * b1, a1 + g10 * b0 + g11 * b1,
+            g00 * h00 + g01 * h10, g00 * h01 + g01 * h11,
+            g10 * h00 + g11 * h10, g10 * h01 + g11 * h11)
 
 
 def _pair_mul(p, q):

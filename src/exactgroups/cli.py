@@ -415,16 +415,18 @@ def _table_parse(argv):
 @functools.cache
 def _parser():
     import argparse
-    # The width COLUMNS=200 gives, at which no help or usage line wraps.
-    fixed = functools.partial(argparse.HelpFormatter, width=198)
-    parser = argparse.ArgumentParser(prog="exactgroups", formatter_class=fixed)
+    # The width COLUMNS=200 gives, at which no help or usage line wraps, and
+    # no prefix abbreviations: a flag is accepted only as COMMANDS spells it.
+    fixed = dict(formatter_class=functools.partial(argparse.HelpFormatter, width=198),
+                 allow_abbrev=False)
+    parser = argparse.ArgumentParser(prog="exactgroups", **fixed)
     top = parser.add_subparsers(dest="group", required=True)
     groups = {}
     for (group, command), (_, _, flags) in COMMANDS.items():
         if group not in groups:
-            groups[group] = top.add_parser(group, formatter_class=fixed).add_subparsers(
+            groups[group] = top.add_parser(group, **fixed).add_subparsers(
                 dest="command", required=True)
-        p = groups[group].add_parser(command, formatter_class=fixed)
+        p = groups[group].add_parser(command, **fixed)
         for flag, spec in {**_IN, **flags}.items():
             p.add_argument(flag, **spec)
     return parser

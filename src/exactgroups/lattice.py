@@ -210,10 +210,10 @@ def snf(M):
         D[i][i] = x
     # A rational M can leave a Fraction of denominator 1 in D, which Matrix
     # normalizes.  Row n-1-j of V is column j of the stored Vt.
-    return (Matrix._trusted(tuple(map(tuple, U))),
+    return (Matrix._trusted(tuple(map(tuple, U)), True),
             Matrix._trusted(tuple(map(tuple, D))) if all(type(x) is int for x in d)
             else Matrix(D),
-            Matrix._trusted(tuple(zip(*Vt))[::-1]))
+            Matrix._trusted(tuple(zip(*Vt))[::-1], True))
 
 
 def _hermite_transform(M):

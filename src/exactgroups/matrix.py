@@ -4,6 +4,13 @@ Entries are Python ints or :class:`fractions.Fraction`; every operation is
 exact.  Matrices are immutable and hashable, so they can be used as dict keys
 and set members (needed for the conjugacy-ball enumeration).  Determinants
 and inverses past 3x3 come from one fraction-free elimination.
+
+Each matrix carries an `integral` flag, True only when every entry is an
+int; False means it may hold a Fraction.  The constructor sets it exactly,
+and the operations that keep entries integral pass it on.  Products of two
+integral matrices and their applies to int vectors run on a small integer
+kernel (2x2 and 3x3 written out) that skips entry normalization.  The flag
+takes no part in equality or hashing.
 """
 
 from __future__ import annotations
@@ -112,7 +119,8 @@ def _norm(x):
 class Matrix(Record):
     """Immutable dense matrix with exact int/Fraction entries."""
 
-    __slots__ = ("rows", "cols", "data")   # data: rows of normalized entries
+    # data: rows of normalized entries; integral: True only if all are ints.
+    __slots__ = ("rows", "cols", "data", "integral")
 
     def __init__(self, data):
         rows = tuple(tuple(map(_norm, row)) for row in data)
@@ -121,18 +129,23 @@ class Matrix(Record):
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ShapeError("ragged rows")
-        Record.__init__(self, len(rows), ncols, rows)
+        integral = all(type(x) is int for r in rows for x in r)
+        Record.__init__(self, len(rows), ncols, rows, integral)
 
     @classmethod
-    def _trusted(cls, rows):
+    def _trusted(cls, rows, integral=False):
         """Matrix on a non-empty rectangular tuple of tuples whose entries are
-        already normalized (ints, or Fractions with denominator != 1)."""
+        already normalized (ints, or Fractions with denominator != 1).
+
+        `integral` is the caller's word that every entry is an int; the
+        default False is never wrong, only slower, and costs no scan."""
         m = object.__new__(cls)
         # The slot setters, not Record.__init__'s loop: every product ends here.
-        set_rows, set_cols, set_data = cls._setters
+        set_rows, set_cols, set_data, set_integral = cls._setters
         set_rows(m, len(rows))
         set_cols(m, len(rows[0]))
         set_data(m, rows)
+        set_integral(m, integral)
         return m
 
     def __setattr__(self, *a):
@@ -140,14 +153,14 @@ class Matrix(Record):
 
     def __reduce__(self):
         # copy and pickle rebuild through _trusted, not by setting slots.
-        return Matrix._trusted, (self.data,)
+        return Matrix._trusted, (self.data, self.integral)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def identity(n):
         return Matrix._trusted(tuple(tuple(1 if i == j else 0 for j in range(n))
-                                     for i in range(n)))
+                                     for i in range(n)), True)
 
     @staticmethod
     def diagonal(entries):
@@ -176,13 +189,15 @@ class Matrix(Record):
                        for r1, r2 in zip(self.data, other.data)])
 
     def __neg__(self):
-        return Matrix._trusted(tuple(tuple(-a for a in r) for r in self.data))
+        return Matrix._trusted(tuple(tuple(-a for a in r) for r in self.data), self.integral)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by "
                                  f"{other.rows}x{other.cols}")
+            if self.integral and other.integral:
+                return Matrix._trusted(_int_mul(self.data, other.data), True)
             cols = tuple(zip(*other.data))
             # Each entry is normalized once, as it is computed.
             return Matrix._trusted(tuple(tuple([_norm(sum(map(mul, row, col))) for col in cols])
@@ -208,6 +223,14 @@ class Matrix(Record):
         """Matrix-vector product, returning a tuple."""
         if len(vec) != self.cols:
             raise ShapeError("vector length mismatch")
+        if self.integral:
+            if self.rows == 2 and self.cols == 2:
+                x, y = vec
+                if type(x) is int and type(y) is int:
+                    (a, b), (c, d) = self.data
+                    return (a * x + b * y, c * x + d * y)
+            elif all(type(x) is int for x in vec):
+                return tuple([sum(map(mul, row, vec)) for row in self.data])
         return tuple([_norm(sum(map(mul, row, vec))) for row in self.data])
 
     # -- structure ---------------------------------------------------------
@@ -244,7 +267,8 @@ class Matrix(Record):
         integer matrix of determinant +-1 gets int entries and no Fraction is
         made.  Larger sizes go through fraction-free elimination (_bareiss).
         Every entry is normalized, so an entry with denominator 1 is an int
-        whatever the input's types.
+        whatever the input's types.  The inverse of an integral matrix of
+        determinant +-1 is flagged integral.
         """
         if self.rows != self.cols:
             raise ShapeError("inverse of a non-square matrix")
@@ -253,15 +277,19 @@ class Matrix(Record):
             adj, det = _adjugate(self.data)
             if det == 0:
                 raise PreconditionError("matrix is singular")
-            s = det if det == 1 or det == -1 else Fraction(1, det)
+            unimodular = det == 1 or det == -1
+            if unimodular and self.integral:
+                return Matrix._trusted(adj if det == 1 else
+                                       tuple(tuple([-x for x in r]) for r in adj), True)
+            s = det if unimodular else Fraction(1, det)
             return Matrix._trusted(tuple(tuple([_norm(s * x) for x in r]) for r in adj))
-        inv = _bareiss(self.data, n)[1]
+        det, inv = _bareiss(self.data, n)
         if inv is None:
             raise PreconditionError("matrix is singular")
-        return Matrix._trusted(inv)
+        return Matrix._trusted(inv, self.integral and (det == 1 or det == -1))
 
     def is_integral(self):
-        return all(isinstance(x, int) for row in self.data for x in row)
+        return self.integral or all(isinstance(x, int) for row in self.data for x in row)
 
     def is_upper_triangular(self):
         return all(self.data[i][j] == 0
@@ -272,6 +300,28 @@ class Matrix(Record):
             raise TypeError("expected a Matrix")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("shape mismatch")
+
+
+# Equality and hashing read the entries, not the flag, so a matrix built by
+# _trusted without it equals (and hashes as) the same matrix built by Matrix().
+Matrix._key = attrgetter("rows", "cols", "data")
+
+
+def _int_mul(p, q):
+    """Rows of the product of two int matrices given by their rows; no entry
+    needs normalizing."""
+    if len(p) == len(q) == len(q[0]) == 2:
+        (a, b), (c, d) = p
+        (e, f), (g, h) = q
+        return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+    if len(p) == len(q) == len(q[0]) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = p
+        (j, k, m), (n, r, s), (t, u, v) = q
+        return ((a * j + b * n + c * t, a * k + b * r + c * u, a * m + b * s + c * v),
+                (d * j + e * n + f * t, d * k + e * r + f * u, d * m + e * s + f * v),
+                (g * j + h * n + i * t, g * k + h * r + i * u, g * m + h * s + i * v))
+    cols = tuple(zip(*q))
+    return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in p)
 
 
 def _bareiss(d, n):

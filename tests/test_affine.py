@@ -142,6 +142,87 @@ def test_conj_class_ball_rational_translation():
         assert conj_class_ball(x, gens, r) == _reference_ball(x, gens, r)
 
 
+def _tuple_mul(p, q):
+    """(a, g)(b, h) = (a + g b, g h) on nested (translation, rows) tuples."""
+    (a, g), (b, h) = p, q
+    return (tuple(x + sum(u * v for u, v in zip(row, b)) for x, row in zip(a, g)),
+            tuple(tuple(sum(u * v for u, v in zip(row, col)) for col in zip(*h)) for row in g))
+
+
+def _tuple_inverse(p):
+    """(a, g)^-1 = (-g^-1 a, g^-1), g^-1 by Fraction Gauss-Jordan on [g | I]."""
+    a, g = p
+    n = len(g)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(g)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if m[i][k])
+        m[k], m[piv] = m[piv], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(n):
+            if i != k:
+                m[i] = [x - m[i][k] * y for x, y in zip(m[i], m[k])]
+    g_inv = tuple(tuple(x.numerator if x.denominator == 1 else x for x in row[n:]) for row in m)
+    return tuple(-x for x in _tuple_mul(((0,) * n, g_inv), (a, g))[0]), g_inv
+
+
+def _nested_ball(x, gens, radius):
+    """conj_class_ball(x, gens, r) for r = 0..radius, counted independently:
+    breadth-first over nested tuples, each frontier word carrying its
+    inverse, each new word's conjugate formed as (w x) w^-1, and no letter
+    skipped."""
+    n = len(x.translation)
+    letters = [(g.translation, g.linear.data) for g in gens]
+    alphabet = [(p, _tuple_inverse(p)) for p in letters]
+    alphabet += [(p_inv, p) for p, p_inv in alphabet]
+    e = ((0,) * n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    xp = (x.translation, x.linear.data)
+    seen, frontier, conjugates = {e}, [(e, e)], {xp}
+    counts = [1]
+    for _ in range(radius):
+        new = []
+        for w, w_inv in frontier:
+            for g, g_inv in alphabet:
+                nw = _tuple_mul(g, w)
+                if nw not in seen:
+                    seen.add(nw)
+                    nw_inv = _tuple_mul(w_inv, g_inv)
+                    new.append((nw, nw_inv))
+                    conjugates.add(_tuple_mul(_tuple_mul(nw, xp), nw_inv))
+        frontier = new
+        counts.append(len(conjugates))
+    return counts
+
+
+def test_conj_class_ball_matches_nested_tuple_count():
+    rng = seeded(1919)
+
+    def vec(n):
+        return tuple(rng.int_in(-2, 2) for _ in range(n))
+
+    hyperbolic = Matrix([[2, 1], [1, 1]])
+    cases = []
+    for _ in range(3):
+        cases += [
+            (AffineElement(vec(2), Matrix.identity(2)),
+             [AffineElement(vec(2), S), AffineElement(vec(2), T)], 6),
+            (AffineElement(vec(2), random_sl2(rng, 3)),
+             [AffineElement(vec(2), S), AffineElement((0, 0), T)], 6),
+            (AffineElement(vec(2), Matrix.identity(2)),
+             [AffineElement(vec(2), hyperbolic), AffineElement((0, 0), -Matrix.identity(2))], 6),
+            (AffineElement(vec(2), T),
+             [AffineElement((0, 0), hyperbolic), AffineElement(vec(2), -Matrix.identity(2))], 6),
+            (AffineElement(vec(3), random_unimodular(rng, 3, length=2)),
+             [AffineElement(vec(3), SL3_ELEMENTARIES[rng.below(6)]),
+              AffineElement(vec(3), random_unimodular(rng, 3, length=3))], 6),
+            (AffineElement(vec(3), Matrix.identity(3)),
+             [AffineElement(vec(3), g) for g in SL3_ELEMENTARIES[:3]], 4),
+        ]
+    for x, gens, top in cases:
+        counts = [conj_class_ball(x, gens, r) for r in range(top + 1)]
+        assert counts == _nested_ball(x, gens, top), (x, gens)
+
+
 def test_conj_class_ball_dimension_mismatch():
     x = AffineElement((1, 0), Matrix.identity(2))
     gens = [AffineElement((0, 0), S), AffineElement((0, 0, 0), SL3_ELEMENTARIES[0])]

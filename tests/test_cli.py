@@ -594,11 +594,28 @@ def test_parser_built_once_never_at_import():
               "    assert cli.run(['bruhat', 'fact-check', '--fact', '1', '--count', '1']) == 0\n"
               "assert cli._parser.cache_info().currsize == 0\n"
               "assert cli.run(['sl2', 'congruence', '-h']) == 0\n"
-              "assert cli.run(['bruhat', 'fact-check', '--fa', '1', '--count', '1']) == 0\n"
+              "assert cli.run(['bruhat', 'fact-check', '--fa', '1', '--count', '1']) == 2\n"
               "assert cli._parser.cache_info().misses == 1\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           stdin=subprocess.DEVNULL, env=_child_env(), timeout=20)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_prefix_abbreviations_refused(tmp_path):
+    # argparse once took a unique prefix of a flag as the flag itself, so
+    # --fa answered as --fact and --lev as --level, with exit 0.
+    for argv, doc in ((["bruhat", "fact-check", "--fa", "1", "--count", "1"], None),
+                      (["sl2", "congruence", "--family", "gamma", "--lev", "3"], M_GAMMA12)):
+        code, out, err = run_cli(tmp_path, argv, doc)
+        assert (code, out) == (2, ""), argv
+        usage, error = err.splitlines()
+        assert usage.startswith(f"usage: exactgroups {argv[0]} {argv[1]} "), err
+        assert error.startswith(f"exactgroups {argv[0]} {argv[1]}: error: "), err
+        full = [{"--fa": "--fact", "--lev": "--level"}.get(a, a) for a in argv]
+        assert run_cli(tmp_path, full, doc)[0] == 0, full
+    # A repeated flag still keeps its last value.
+    argv = ["sl2", "congruence", "--family", "gamma", "--level", "2", "--level", "4"]
+    assert run_cli(tmp_path, argv, M_GAMMA12) == run_cli(tmp_path, argv[:4] + argv[6:], M_GAMMA12)
 
 
 def test_cli_import_loads_no_dataclasses():

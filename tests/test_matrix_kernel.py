@@ -1,0 +1,193 @@
+"""The `Matrix.integral` flag and the integer kernel behind it.
+
+Every operation is checked against a reference written here with Fraction
+arithmetic, whose entries are normalized (denominator 1 to int) one by one,
+so each result must match in value and in entry type.  Wherever the code
+promises the flag (the constructor, `identity`, negation, a product of two
+integral matrices, the inverse of an integral matrix of determinant +-1, the
+U and V of `snf`), it must be exact; everywhere a True flag must be true.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from exactgroups.lattice import snf
+from exactgroups.matrix import Matrix
+from tests.conftest import random_unimodular, seeded
+
+SHAPES = [(n, n) for n in range(1, 6)] + [(1, 2), (2, 1), (1, 3), (2, 3), (3, 2),
+                                          (3, 4), (4, 2), (2, 5), (5, 3)]
+KINDS = ("int", "unit", "mixed")   # ints; Fraction(k, 1); ints and Fractions
+
+
+def norm(x):
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def entry(rng, kind):
+    k = rng.int_in(-4, 4)
+    if kind == "int":
+        return k
+    if kind == "unit":
+        return Fraction(k, 1)
+    return Fraction(k, rng.int_in(1, 3)) if rng.below(2) else k
+
+
+def raw(rng, rows, cols, kind):
+    return [[entry(rng, kind) for _ in range(cols)] for _ in range(rows)]
+
+
+def ref_mul(p, q):
+    return tuple(tuple(norm(sum((Fraction(a) * b for a, b in zip(row, col)), Fraction(0)))
+                       for col in zip(*q)) for row in p)
+
+
+def ref_apply(p, v):
+    return tuple(norm(sum((Fraction(a) * b for a, b in zip(row, v)), Fraction(0))) for row in p)
+
+
+def ref_inverse(p):
+    """Rows of p^-1 by Fraction Gauss-Jordan on [p | I], or None if singular."""
+    n = len(p)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(p)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return None
+        m[k], m[piv] = m[piv], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(n):
+            if i != k:
+                m[i] = [a - m[i][k] * b for a, b in zip(m[i], m[k])]
+    return tuple(tuple(norm(x) for x in row[n:]) for row in m)
+
+
+def typed(rows):
+    """The entries with their types, so that 2 and Fraction(2, 1) differ."""
+    return tuple(tuple((type(x), x) for x in row) for row in rows)
+
+
+def all_int(rows):
+    return all(type(x) is int for row in rows for x in row)
+
+
+def sound(m):
+    """A True flag is never wrong."""
+    return not m.integral or all_int(m.data)
+
+
+def operands(rng):
+    """Matrices of every shape and kind, each built by Matrix() and, with
+    int entries, also by _trusted without the flag."""
+    for rows, cols in SHAPES:
+        for kind in KINDS:
+            for _ in range(3):
+                m = Matrix(raw(rng, rows, cols, kind))
+                yield m
+                if all_int(m.data):
+                    yield Matrix._trusted(m.data)
+
+
+def test_constructor_flag_exact():
+    rng = seeded(1901)
+    for rows, cols in SHAPES:
+        for kind in KINDS:
+            given = raw(rng, rows, cols, kind)
+            m = Matrix(given)
+            assert typed(m.data) == typed(tuple(tuple(norm(x) for x in r) for r in given))
+            assert m.integral is all_int(m.data) is m.is_integral()
+    for n in range(1, 6):
+        assert Matrix.identity(n).integral
+    assert Matrix([[Fraction(4, 2), 0]]).integral
+    assert not Matrix([[Fraction(1, 2), 0]]).integral
+    assert not Matrix._trusted(((1, 2),)).integral and Matrix._trusted(((1, 2),)).is_integral()
+
+
+def test_mul_and_apply_against_fraction_reference():
+    rng = seeded(1902)
+    pool = list(operands(rng))
+    for a in pool:
+        for b in [m for m in pool if m.rows == a.cols][::7]:
+            prod = a * b
+            assert typed(prod.data) == typed(ref_mul(a.data, b.data)), (a, b)
+            assert sound(prod)
+            if a.integral and b.integral:
+                assert prod.integral
+        for kind in KINDS:
+            v = [entry(rng, kind) for _ in range(a.cols)]
+            for vec in (v, tuple(v)):
+                out = a.apply(vec)
+                assert type(out) is tuple
+                assert typed((out,)) == typed((ref_apply(a.data, v),)), (a, v)
+
+
+def test_neg_inverse_and_pow_against_fraction_reference():
+    rng = seeded(1903)
+    square = [m for m in operands(rng) if m.rows == m.cols]
+    square += [random_unimodular(rng, n) for n in range(2, 6) for _ in range(5)]
+    square += [Matrix._trusted(m.data) for m in square[-20:]]
+    unimodular = 0
+    for m in square:
+        neg = -m
+        assert typed(neg.data) == typed(tuple(tuple(norm(-x) for x in r) for r in m.data))
+        assert neg.integral == m.integral and sound(neg)
+        inv_rows = ref_inverse(m.data)
+        if inv_rows is None:
+            continue
+        inv = m.inverse()
+        assert typed(inv.data) == typed(inv_rows), m
+        assert sound(inv)
+        # An integer matrix has an integer inverse exactly when det = +-1.
+        unimodular_int = m.integral and all_int(inv_rows)
+        if unimodular_int:
+            unimodular += 1
+            assert inv.integral
+        powers = {0: tuple(tuple(int(i == j) for j in range(m.rows)) for i in range(m.rows))}
+        for k in range(1, 4):
+            powers[k] = ref_mul(powers[k - 1], m.data)
+            powers[-k] = ref_mul(powers[1 - k], inv_rows)
+        for k, rows in powers.items():
+            p = m ** k
+            assert typed(p.data) == typed(rows), (m, k)
+            assert sound(p)
+            if m.integral and (k >= 0 or unimodular_int):
+                assert p.integral
+    assert unimodular >= 20
+
+
+def test_snf_transforms_flagged():
+    rng = seeded(1904)
+    for rows, cols in SHAPES:
+        for kind in KINDS:
+            m = Matrix(raw(rng, rows, cols, kind))
+            U, D, V = snf(m)
+            assert U.integral and V.integral and all_int(U.data) and all_int(V.data)
+            assert U * m * V == D
+
+
+def test_flag_outside_equality_and_hash():
+    for m in operands(seeded(1905)):
+        rows = m.data
+        plain, built = Matrix._trusted(rows), Matrix(rows)
+        assert not plain.integral and built.integral == all_int(rows)
+        assert plain == built and hash(plain) == hash(built)
+        for x in (m, plain, built):
+            assert hash(x) == hash((x.rows, x.cols, x.data))
+
+
+def test_flag_survives_copy_and_pickle():
+    for m in (Matrix([[1, 2], [3, 4]]), Matrix._trusted(((1, 2), (3, 4))),
+              Matrix([[Fraction(1, 2), 3]])):
+        for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert clone == m and clone.integral is m.integral
+    m = Matrix([[1, 0], [0, 1]])
+    with pytest.raises(AttributeError):
+        m.integral = False
+    with pytest.raises(AttributeError):
+        del m.integral
+    assert m.integral
