@@ -10,15 +10,17 @@ from operator import mul
 
 from . import cocycle as _cocycle
 from .lattice import fixed_sublattice, hnf
-from .matrix import (Matrix, PreconditionError, Record, ShapeError, vec_add,
-                     vec_is_integral, vec_norm, vec_sub)
+from .matrix import (Matrix, PreconditionError, Record, ShapeError, _int_mul,
+                     vec_add, vec_is_integral, vec_norm)
 from .sl2 import _require_unimodular, classify_sl2, order_of
 
 
 class AffineElement(Record):
     """Pair (a, g): translation a in Z^n and linear part g in SL_n(Z).
 
-    Multiplication law: (a, g)(b, h) = (a + g b, g h).
+    Multiplication law: (a, g)(b, h) = (a + g b, g h).  With integral g, h
+    and int translations the product runs on ints alone, with no
+    normalizing and no second shape check.
     """
 
     __slots__ = ("translation", "linear")
@@ -27,6 +29,16 @@ class AffineElement(Record):
         if len(translation) != linear.rows or linear.rows != linear.cols:
             raise ShapeError("translation and linear part dimensions disagree")
         Record.__init__(self, translation, linear)
+
+    @classmethod
+    def _trusted(cls, translation, linear):
+        """AffineElement on a translation tuple and a square Matrix of its
+        size, unchecked: the products that end here have checked both."""
+        el = object.__new__(cls)
+        set_translation, set_linear = cls._setters
+        set_translation(el, translation)
+        set_linear(el, linear)
+        return el
 
     @staticmethod
     def identity(n):
@@ -37,14 +49,39 @@ class AffineElement(Record):
         return AffineElement(tuple(a), g)
 
     def __mul__(self, other):
-        if self.linear.rows != other.linear.rows:
+        g, h = self.linear, other.linear
+        if g.rows != h.rows:
             raise ShapeError("dimension mismatch")
-        return AffineElement(vec_add(self.translation, self.linear.apply(other.translation)),
-                             self.linear * other.linear)
+        a, b = self.translation, other.translation
+        if g.integral and h.integral:
+            t = _int_shift(a, g.data, b)
+            if t is not None:
+                return AffineElement._trusted(t, Matrix._trusted(_int_mul(g.data, h.data), True))
+        return AffineElement(vec_add(a, g.apply(b)), g * h)
 
     def inverse(self):
         g_inv = self.linear.inverse()
         return AffineElement(tuple(-x for x in g_inv.apply(self.translation)), g_inv)
+
+
+def _int_shift(a, g, b):
+    """a + g b for the rows g of a square int matrix, when every entry of the
+    vectors a and b is an int (n = 2 and 3 written out); else None."""
+    if len(g) == 2:
+        (a0, a1), (b0, b1) = a, b
+        if type(a0) is int and type(a1) is int and type(b0) is int and type(b1) is int:
+            (p, q), (r, s) = g
+            return (a0 + p * b0 + q * b1, a1 + r * b0 + s * b1)
+    elif len(g) == 3:
+        (a0, a1, a2), (b0, b1, b2) = a, b
+        if (type(a0) is int and type(a1) is int and type(a2) is int
+                and type(b0) is int and type(b1) is int and type(b2) is int):
+            (p, q, r), (s, t, u), (v, w, z) = g
+            return (a0 + p * b0 + q * b1 + r * b2, a1 + s * b0 + t * b1 + u * b2,
+                    a2 + v * b0 + w * b1 + z * b2)
+    elif all(type(x) is int for x in a) and all(type(x) is int for x in b):
+        return tuple([x + sum(map(mul, row, b)) for x, row in zip(a, g)])
+    return None
 
 
 # -- ICC analysis ----------------------------------------------------------
@@ -79,16 +116,25 @@ def icc_affine_cyclic(g):
 def conj_class_ball(x, gens, radius):
     """Number of distinct conjugates w x w^-1 for words w of length <= radius.
 
-    Breadth-first closure over the group generated by `gens` and inverses,
-    with exact equality for deduplication.  Each frontier word w carries its
-    conjugate c = w x w^-1, and g w gets g c g^-1, so no word is inverted:
-    three products per new word, and only the generators are inverted.
+    A translation x = (v, I) is answered in closed form: w x w^-1 = (W v, I)
+    for w = (a, W), so the conjugates are the points W v, W a word of length
+    <= radius in the linear parts of the letters (the linear parts of the
+    affine words of length <= radius are exactly these words).  Those points
+    are the ball of that radius about v in the orbit graph, u -- G u for each
+    letter's linear part G, so `_orbit_ball` searches the points themselves:
+    one matrix-vector product per point and letter, and no word is kept.
 
-    The loop runs on plain tuples, which are their own set keys (no
-    Python-level __hash__ call): at n = 2 flat 6-tuples (a0, a1, g00, g01,
-    g10, g11) multiplied by `_flat_mul2`, at any other n (translation, rows)
-    pairs multiplied by `_pair_mul`.  No AffineElement or Matrix is built
-    inside it.
+    Any other x: breadth-first closure over the group generated by `gens`
+    and inverses, with exact equality for deduplication.  Each frontier word
+    w carries its conjugate c = w x w^-1, and g w gets g c g^-1, so no word
+    is inverted: three products per new word, and only the generators are
+    inverted.
+
+    Both loops run on plain tuples, which are their own set keys (no
+    Python-level __hash__ call): the points, or at n = 2 flat 6-tuples (a0,
+    a1, g00, g01, g10, g11) multiplied by `_flat_mul2`, at any other n
+    (translation, rows) pairs multiplied by `_pair_mul`.  No AffineElement
+    or Matrix is built inside them.
     """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
@@ -102,6 +148,8 @@ def conj_class_ball(x, gens, radius):
         return 1   # x itself; a product across dimensions would be an error
     if any(len(p[0]) != n for p, _ in alphabet):
         raise ShapeError("dimension mismatch")
+    if x.linear == Matrix.identity(n):
+        return _orbit_ball(xp[0], [p[1] for p, _ in alphabet], radius)
     times = _pair_mul
     if n == 2:
         times = _flat_mul2
@@ -126,6 +174,37 @@ def conj_class_ball(x, gens, radius):
         if not frontier:
             break
     return len(conjugates)
+
+
+def _orbit_ball(v, letters, radius):
+    """|{W v : W a product of at most `radius` of the n x n `letters`}|, by
+    breadth-first search on the points; letters 2k and 2k + 1 are inverse.
+    A point is a tuple, its own set key; at n = 2 each letter is a flat
+    4-tuple and its product with a point is written out."""
+    two = len(v) == 2
+    if two:
+        letters = [(*G[0], *G[1]) for G in letters]
+    seen = {v}
+    frontier = [(v, None)]   # (point, index of the letter that made it)
+    for _ in range(radius):
+        new_frontier = []
+        for u, last in frontier:
+            for i, G in enumerate(letters):
+                if i ^ 1 == last:
+                    continue   # G undoes the letter that made u: G u was seen
+                if two:
+                    a, b, c, d = G
+                    x, y = u
+                    gu = (a * x + b * y, c * x + d * y)
+                else:
+                    gu = tuple([sum(map(mul, row, u)) for row in G])
+                if gu not in seen:
+                    seen.add(gu)
+                    new_frontier.append((gu, i))
+        frontier = new_frontier
+        if not frontier:
+            break
+    return len(seen)
 
 
 def _pair(el):
@@ -200,19 +279,19 @@ def invariant_lattice(gens, seeds):
 def affine_automorphism(L, xi):
     """The automorphism (a, s) -> (L a + xi - (L s L^-1) xi, L s L^-1).
 
-    L must be an integer matrix with det +-1; xi is an integer vector.  The
-    returned map is a bijective homomorphism (property-tested in the suite).
+    It is conjugation by P = (xi, L): P (a, s) P^-1 = (xi + L a, L s)
+    (-L^-1 xi, L^-1) is the pair above, so the returned map is
+    el -> P el P^-1, two affine products, and a bijective homomorphism.
+    L must be an integer matrix with det +-1; xi is an integer vector.
     """
     _require_unimodular(L)
     if not vec_is_integral(xi):
         raise PreconditionError("xi must be an integer vector")
-    L_inv = L.inverse()
-    xi = tuple(xi)
+    P = AffineElement(vec_norm(xi), L)
+    P_inv = P.inverse()
 
     def phi(el):
-        s_conj = L * el.linear * L_inv
-        a = vec_add(L.apply(el.translation), vec_sub(xi, s_conj.apply(xi)))
-        return AffineElement(a, s_conj)
+        return P * el * P_inv
 
     return phi
 

@@ -10,7 +10,8 @@ reads a document, and its flags as argparse specs; every command also takes
 (group, command) key, then only that command's flags, each once, as --f v
 or --f=v.  Any other argv -- help, an abbreviated, unknown or repeated flag,
 a missing or bad value -- goes to the argparse parser built from the same
-table, so help texts, usage messages and their exit codes are argparse's.
+table, so help texts, usage messages and their exit codes are argparse's;
+that parser too refuses a flag given twice, with a usage error (exit 2).
 argparse is imported and the parser built only then, once per process, and
 help is formatted at a fixed width, not the terminal's.  run() reads the
 document only for commands that take one and calls the handler as a pure
@@ -415,6 +416,19 @@ def _table_parse(argv):
 @functools.cache
 def _parser():
     import argparse
+
+    class Once(argparse.Action):
+        """Store the flag's value; a second occurrence in one parse is a
+        usage error.  `seen` is the namespace of the last store, and each
+        parse fills a new one."""
+        seen = None
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if self.seen is namespace:
+                raise argparse.ArgumentError(self, "given twice")
+            self.seen = namespace
+            setattr(namespace, self.dest, values)
+
     # The width COLUMNS=200 gives, at which no help or usage line wraps, and
     # no prefix abbreviations: a flag is accepted only as COMMANDS spells it.
     fixed = dict(formatter_class=functools.partial(argparse.HelpFormatter, width=198),
@@ -428,7 +442,7 @@ def _parser():
                 dest="command", required=True)
         p = groups[group].add_parser(command, **fixed)
         for flag, spec in {**_IN, **flags}.items():
-            p.add_argument(flag, **spec)
+            p.add_argument(flag, action=Once, **spec)
     return parser
 
 

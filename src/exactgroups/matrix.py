@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul, sub
 
 
 class ExactError(Exception):
@@ -179,14 +179,10 @@ class Matrix(Record):
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        self._same_shape(other)
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)])
+        return self._entrywise(add, other)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return Matrix([[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)])
+        return self._entrywise(sub, other)
 
     def __neg__(self):
         return Matrix._trusted(tuple(tuple(-a for a in r) for r in self.data), self.integral)
@@ -202,7 +198,10 @@ class Matrix(Record):
             # Each entry is normalized once, as it is computed.
             return Matrix._trusted(tuple(tuple([_norm(sum(map(mul, row, col))) for col in cols])
                                          for row in self.data))
-        return Matrix([[other * a for a in r] for r in self.data])
+        rows = tuple(tuple([other * a for a in r]) for r in self.data)
+        if self.integral and type(other) is int:
+            return Matrix._trusted(rows, True)
+        return Matrix(rows)
 
     __rmul__ = __mul__
 
@@ -236,7 +235,7 @@ class Matrix(Record):
     # -- structure ---------------------------------------------------------
 
     def transpose(self):
-        return Matrix(list(zip(*self.data)))
+        return Matrix._trusted(tuple(zip(*self.data)), self.integral)
 
     def trace(self):
         if self.rows != self.cols:
@@ -295,11 +294,16 @@ class Matrix(Record):
         return all(self.data[i][j] == 0
                    for i in range(self.rows) for j in range(min(i, self.cols)))
 
-    def _same_shape(self, other):
+    def _entrywise(self, op, other):
+        """op applied entry by entry to two matrices of one shape."""
         if not isinstance(other, Matrix):
             raise TypeError("expected a Matrix")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("shape mismatch")
+        rows = tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.data, other.data))
+        if self.integral and other.integral:
+            return Matrix._trusted(rows, True)
+        return Matrix(rows)
 
 
 # Equality and hashing read the entries, not the flag, so a matrix built by
@@ -371,12 +375,20 @@ def _adjugate(d):
 
 # -- vector helpers --------------------------------------------------------
 
+def _normed(w):
+    """The tuple w with its entries normalized: w itself when all are ints."""
+    for x in w:
+        if type(x) is not int:
+            return tuple(map(_norm, w))
+    return w
+
+
 def vec_add(u, v):
-    return tuple(_norm(a + b) for a, b in zip(u, v))
+    return _normed(tuple(map(add, u, v)))
 
 
 def vec_sub(u, v):
-    return tuple(_norm(a - b) for a, b in zip(u, v))
+    return _normed(tuple(map(sub, u, v)))
 
 
 def vec_is_integral(u):
@@ -384,4 +396,4 @@ def vec_is_integral(u):
 
 
 def vec_norm(u):
-    return tuple(_norm(x) for x in u)
+    return _normed(tuple(u))

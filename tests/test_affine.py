@@ -12,7 +12,7 @@ from exactgroups.affine import (AffineElement, ClassificationReport,
 from exactgroups.cocycle import (CocycleSpec, UnderdeterminedWitness,
                                  finf_generator, gamma1_cocycle)
 from exactgroups.lattice import hnf
-from exactgroups.matrix import Matrix, PreconditionError, ShapeError
+from exactgroups.matrix import Matrix, PreconditionError, ShapeError, vec_norm
 from exactgroups.sl2 import CongruenceKind, S, T, congruence_membership
 from tests.conftest import (SL3_ELEMENTARIES, det1_matrices, random_sl2,
                             random_unimodular, seeded)
@@ -38,6 +38,52 @@ def test_affine_multiplication_law_explicit():
     y = AffineElement((0, 3), S)
     assert (x * y).translation == (1 + 3, 2 + 3)   # (1,2) + T (0,3)
     assert (x * y).linear == T * S
+
+
+def _typed(xs):
+    return tuple((type(x), x) for x in xs)
+
+
+def test_affine_product_fast_path_matches_generic_path():
+    # Integral linear parts and int translations take the int path; the
+    # same matrices without the flag, and any Fraction translation, take the
+    # generic one.  Every entry of every product must come out normalized.
+    rng = seeded(2022)
+
+    def pick(options):
+        return options[rng.below(len(options))]
+
+    def translation(n, kind):
+        xs = [rng.int_in(-5, 5) for _ in range(n)]
+        if kind == "unit":
+            return tuple(Fraction(x) for x in xs)
+        if kind == "rational":
+            return tuple(Fraction(x, rng.int_in(1, 3)) for x in xs)
+        return tuple(xs)
+
+    def reference(p, q):
+        (a, g), (b, h) = p, q
+        ga = [sum((Fraction(u) * w for u, w in zip(row, b)), Fraction(0)) for row in g]
+        return (tuple(Fraction(x) + y for x, y in zip(a, ga)),
+                tuple(tuple(sum(u * w for u, w in zip(row, col)) for col in zip(*h))
+                      for row in g))
+
+    int_path = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(40):
+            g, h = (Matrix([[pick((1, -1))]]) if n == 1 else random_unimodular(rng, n)
+                    for _ in range(2))
+            kinds = ["int", "int"] if rng.below(2) else [
+                pick(("int", "unit", "rational")) for _ in range(2)]
+            a, b = translation(n, kinds[0]), translation(n, kinds[1])
+            want_a, want_g = reference((a, g.data), (b, h.data))
+            for gg, hh in ((g, h), (Matrix._trusted(g.data), Matrix._trusted(h.data))):
+                got = AffineElement(a, gg) * AffineElement(b, hh)
+                assert got.translation == want_a and got.linear.data == want_g
+                assert _typed(got.translation) == _typed(vec_norm(want_a))
+                assert all(type(x) is int for row in got.linear.data for x in row)
+                int_path += gg.integral and kinds == ["int", "int"]
+    assert int_path >= 60
 
 
 def test_affine_shape_errors():
@@ -197,8 +243,8 @@ def _nested_ball(x, gens, radius):
 def test_conj_class_ball_matches_nested_tuple_count():
     rng = seeded(1919)
 
-    def vec(n):
-        return tuple(rng.int_in(-2, 2) for _ in range(n))
+    def vec(n, lo=-2, hi=2):
+        return tuple(rng.int_in(lo, hi) for _ in range(n))
 
     hyperbolic = Matrix([[2, 1], [1, 1]])
     cases = []
@@ -218,6 +264,24 @@ def test_conj_class_ball_matches_nested_tuple_count():
             (AffineElement(vec(3), Matrix.identity(3)),
              [AffineElement(vec(3), g) for g in SL3_ELEMENTARIES[:3]], 4),
         ]
+    # Translations x = (v, I), counted as the orbit ball of v: v = 0 and
+    # rational v, translated generators, two generators sharing a linear
+    # part, and a pure translation (t, I).
+    for n, top in ((2, 5), (3, 4), (4, 3)):
+        identity = Matrix.identity(n)
+        shared = random_unimodular(rng, n, length=3)
+        for v in (vec(n, 1, 2), (0,) * n, (Fraction(1, 2),) + vec(n - 1),
+                  tuple(Fraction(rng.int_in(-3, 3), 3) for _ in range(n))):
+            x = AffineElement(v, identity)
+            cases += [
+                (x, [AffineElement(vec(n), random_unimodular(rng, n, length=3)),
+                     AffineElement(vec(n), random_unimodular(rng, n, length=3))], top),
+                (x, [AffineElement(vec(n), shared), AffineElement(vec(n), shared),
+                     AffineElement(vec(n, 1, 2), identity)], top - 1),
+            ]
+    cases.append((AffineElement((1, 0), Matrix.identity(2)),
+                  [AffineElement((1, 0), S), AffineElement((0, 1), T),
+                   AffineElement((3, -2), Matrix.identity(2))], 5))
     for x, gens, top in cases:
         counts = [conj_class_ball(x, gens, r) for r in range(top + 1)]
         assert counts == _nested_ball(x, gens, top), (x, gens)
@@ -282,6 +346,38 @@ def test_affine_automorphism_homomorphism():
             assert phi(e) == e
             x = AffineElement((1,) * n, Matrix.identity(n))
             assert phi(x.inverse()) == phi(x).inverse()
+
+
+def test_affine_automorphism_is_the_explicit_twist():
+    # phi(a, s) = (L a + xi - L s L^-1 xi, L s L^-1), formed here entry by
+    # entry; xi may be given with Fraction(k, 1) entries.
+    rng = seeded(2021)
+    for n in (2, 3, 4):
+        for k in range(6):
+            L = random_unimodular(rng, n)
+            xi = [rng.int_in(-6, 6) for _ in range(n)]
+            if k % 2:
+                xi = [Fraction(x) for x in xi]
+            phi = affine_automorphism(L, tuple(xi) if k % 3 else xi)
+            L_inv = L.inverse()
+            for _ in range(6):
+                a = tuple(rng.int_in(-4, 4) for _ in range(n))
+                s = random_unimodular(rng, n, length=4)
+                t = (L * s * L_inv).data
+                la, txi = [[sum(u * w for u, w in zip(row, vec)) for row in m]
+                           for m, vec in ((L.data, a), (t, xi))]
+                want = tuple(p + q - r for p, q, r in zip(la, xi, txi))
+                got = phi(AffineElement(a, s))
+                assert got.translation == want and got.linear.data == t
+                assert all(type(x) is int for x in got.translation)
+                assert all(type(x) is int for row in got.linear.data for x in row)
+
+
+def test_affine_automorphism_rejects_xi_of_another_size():
+    # phi is conjugation by (xi, L), so a mismatched xi fails when phi is
+    # made, not at its first application.
+    with pytest.raises(ShapeError):
+        affine_automorphism(Matrix.identity(2), (1, 2, 3))
 
 
 def test_affine_automorphism_rejects_non_unimodular():

@@ -613,9 +613,28 @@ def test_prefix_abbreviations_refused(tmp_path):
         assert error.startswith(f"exactgroups {argv[0]} {argv[1]}: error: "), err
         full = [{"--fa": "--fact", "--lev": "--level"}.get(a, a) for a in argv]
         assert run_cli(tmp_path, full, doc)[0] == 0, full
-    # A repeated flag still keeps its last value.
-    argv = ["sl2", "congruence", "--family", "gamma", "--level", "2", "--level", "4"]
-    assert run_cli(tmp_path, argv, M_GAMMA12) == run_cli(tmp_path, argv[:4] + argv[6:], M_GAMMA12)
+
+
+def test_repeated_flag_refused(tmp_path, monkeypatch):
+    # argparse once kept a repeated flag's last value: the first argv read
+    # stdin and answered, never opening /nonexistent.
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(M_HYPERBOLIC)))
+    cases = [
+        (["sl2", "classify", "--in=/nonexistent", "--in", "-"], "--in"),
+        (["sl2", "congruence", "--family", "gamma", "--level", "2", "--level", "4"], "--level"),
+        (["sl2", "congruence", "--level=2", "--family", "gamma", "--family=gamma0"], "--family"),
+        (["bruhat", "fact-check", "--fact", "1", "--count", "1", "--fact", "1"], "--fact"),
+        (["affine", "ball", "--radius", "2", "--radius=2", "--in", "-"], "--radius"),
+    ]
+    for argv, flag in cases:
+        code, out, err = run_cli(tmp_path, argv)
+        assert (code, out) == (2, ""), argv
+        usage, error = err.splitlines()
+        assert usage.startswith(f"usage: exactgroups {argv[0]} {argv[1]} "), err
+        assert error == f"exactgroups {argv[0]} {argv[1]}: error: argument {flag}: given twice", err
+    # Each flag once still answers.
+    argv = ["sl2", "congruence", "--family", "gamma", "--level", "2"]
+    assert run_cli(tmp_path, argv, M_GAMMA12)[0] == 0
 
 
 def test_cli_import_loads_no_dataclasses():

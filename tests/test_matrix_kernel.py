@@ -3,9 +3,11 @@
 Every operation is checked against a reference written here with Fraction
 arithmetic, whose entries are normalized (denominator 1 to int) one by one,
 so each result must match in value and in entry type.  Wherever the code
-promises the flag (the constructor, `identity`, negation, a product of two
-integral matrices, the inverse of an integral matrix of determinant +-1, the
-U and V of `snf`), it must be exact; everywhere a True flag must be true.
+promises the flag (the constructor, `identity`, negation, a product, sum or
+difference of two integral matrices, an integral matrix times an int, the
+transpose of an integral matrix, the inverse of an integral matrix of
+determinant +-1, the U and V of `snf`), it must be exact; everywhere a True
+flag must be true.
 """
 
 import copy
@@ -124,6 +126,31 @@ def test_mul_and_apply_against_fraction_reference():
                 out = a.apply(vec)
                 assert type(out) is tuple
                 assert typed((out,)) == typed((ref_apply(a.data, v),)), (a, v)
+
+
+def test_add_sub_transpose_and_scalar_against_fraction_reference():
+    rng = seeded(1906)
+    pool = list(operands(rng))
+    scalars = (0, 3, -2, Fraction(5), Fraction(-1, 2), Fraction(2, 3))
+    for a in pool:
+        t = a.transpose()
+        assert typed(t.data) == typed(tuple(zip(*a.data))) and sound(t)
+        assert t.integral or not a.integral
+        for b in [m for m in pool if (m.rows, m.cols) == (a.rows, a.cols)][::5]:
+            for got, op in ((a + b, Fraction.__add__), (a - b, Fraction.__sub__)):
+                want = tuple(tuple(norm(op(Fraction(x), y)) for x, y in zip(r, s))
+                             for r, s in zip(a.data, b.data))
+                assert typed(got.data) == typed(want), (a, b)
+                assert sound(got)
+                if a.integral and b.integral:
+                    assert got.integral
+        for c in scalars:
+            want = tuple(tuple(norm(Fraction(c) * x) for x in r) for r in a.data)
+            for got in (c * a, a * c):
+                assert typed(got.data) == typed(want), (a, c)
+                assert sound(got)
+                if a.integral and type(c) is int:
+                    assert got.integral
 
 
 def test_neg_inverse_and_pow_against_fraction_reference():
