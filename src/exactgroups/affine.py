@@ -10,8 +10,8 @@ from operator import mul
 
 from . import cocycle as _cocycle
 from .lattice import fixed_sublattice, hnf
-from .matrix import (Matrix, PreconditionError, Record, ShapeError, _int_mul,
-                     vec_add, vec_is_integral, vec_norm)
+from .matrix import (Matrix, PreconditionError, Record, ShapeError, _int_affine,
+                     _int_mul, vec_add, vec_is_integral, vec_norm)
 from .sl2 import _require_unimodular, classify_sl2, order_of
 
 
@@ -19,8 +19,8 @@ class AffineElement(Record):
     """Pair (a, g): translation a in Z^n and linear part g in SL_n(Z).
 
     Multiplication law: (a, g)(b, h) = (a + g b, g h).  With integral g, h
-    and int translations the product runs on ints alone, with no
-    normalizing and no second shape check.
+    and int translations the product runs on the integer kernels of
+    `matrix` alone, with no normalizing and no second shape check.
     """
 
     __slots__ = ("translation", "linear")
@@ -54,7 +54,7 @@ class AffineElement(Record):
             raise ShapeError("dimension mismatch")
         a, b = self.translation, other.translation
         if g.integral and h.integral:
-            t = _int_shift(a, g.data, b)
+            t = _int_affine(a, g.data, b)
             if t is not None:
                 return AffineElement._trusted(t, Matrix._trusted(_int_mul(g.data, h.data), True))
         return AffineElement(vec_add(a, g.apply(b)), g * h)
@@ -62,26 +62,6 @@ class AffineElement(Record):
     def inverse(self):
         g_inv = self.linear.inverse()
         return AffineElement(tuple(-x for x in g_inv.apply(self.translation)), g_inv)
-
-
-def _int_shift(a, g, b):
-    """a + g b for the rows g of a square int matrix, when every entry of the
-    vectors a and b is an int (n = 2 and 3 written out); else None."""
-    if len(g) == 2:
-        (a0, a1), (b0, b1) = a, b
-        if type(a0) is int and type(a1) is int and type(b0) is int and type(b1) is int:
-            (p, q), (r, s) = g
-            return (a0 + p * b0 + q * b1, a1 + r * b0 + s * b1)
-    elif len(g) == 3:
-        (a0, a1, a2), (b0, b1, b2) = a, b
-        if (type(a0) is int and type(a1) is int and type(a2) is int
-                and type(b0) is int and type(b1) is int and type(b2) is int):
-            (p, q, r), (s, t, u), (v, w, z) = g
-            return (a0 + p * b0 + q * b1 + r * b2, a1 + s * b0 + t * b1 + u * b2,
-                    a2 + v * b0 + w * b1 + z * b2)
-    elif all(type(x) is int for x in a) and all(type(x) is int for x in b):
-        return tuple([x + sum(map(mul, row, b)) for x, row in zip(a, g)])
-    return None
 
 
 # -- ICC analysis ----------------------------------------------------------
@@ -131,10 +111,9 @@ def conj_class_ball(x, gens, radius):
     inverted.
 
     Both loops run on plain tuples, which are their own set keys (no
-    Python-level __hash__ call): the points, or at n = 2 flat 6-tuples (a0,
-    a1, g00, g01, g10, g11) multiplied by `_flat_mul2`, at any other n
-    (translation, rows) pairs multiplied by `_pair_mul`.  No AffineElement
-    or Matrix is built inside them.
+    Python-level __hash__ call): the points, or (translation, rows) pairs
+    multiplied by `_pair_mul`.  No AffineElement or Matrix is built inside
+    them.
     """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
@@ -150,11 +129,6 @@ def conj_class_ball(x, gens, radius):
         raise ShapeError("dimension mismatch")
     if x.linear == Matrix.identity(n):
         return _orbit_ball(xp[0], [p[1] for p, _ in alphabet], radius)
-    times = _pair_mul
-    if n == 2:
-        times = _flat_mul2
-        alphabet = [(_flat(p), _flat(p_inv)) for p, p_inv in alphabet]
-        e, xp = _flat(e), _flat(xp)
     seen_words = {e}
     frontier = [(e, xp, None)]   # (w, w x w^-1, index of the letter that made w)
     conjugates = {xp}
@@ -164,10 +138,10 @@ def conj_class_ball(x, gens, radius):
             for i, (g, g_inv) in enumerate(alphabet):
                 if i ^ 1 == last:
                     continue   # g undoes the letter that made w: g w was seen
-                nw = times(g, w)
+                nw = _pair_mul(g, w)
                 if nw not in seen_words:
                     seen_words.add(nw)
-                    nc = times(times(g, c), g_inv)
+                    nc = _pair_mul(_pair_mul(g, c), g_inv)
                     new_frontier.append((nw, nc, i))
                     conjugates.add(nc)
         frontier = new_frontier
@@ -210,20 +184,6 @@ def _orbit_ball(v, letters, radius):
 def _pair(el):
     """(translation, rows) of an AffineElement, entries normalized."""
     return vec_norm(el.translation), el.linear.data
-
-
-def _flat(p):
-    """The n = 2 pair ((a0, a1), ((g00, g01), (g10, g11))) as one 6-tuple."""
-    return (*p[0], *p[1][0], *p[1][1])
-
-
-def _flat_mul2(p, q):
-    """(a, g)(b, h) = (a + g b, g h) on flat n = 2 tuples, written out."""
-    a0, a1, g00, g01, g10, g11 = p
-    b0, b1, h00, h01, h10, h11 = q
-    return (a0 + g00 * b0 + g01 * b1, a1 + g10 * b0 + g11 * b1,
-            g00 * h00 + g01 * h10, g00 * h01 + g01 * h11,
-            g10 * h00 + g11 * h10, g10 * h01 + g11 * h11)
 
 
 def _pair_mul(p, q):

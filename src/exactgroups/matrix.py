@@ -8,8 +8,8 @@ and inverses past 3x3 come from one fraction-free elimination.
 Each matrix carries an `integral` flag, True only when every entry is an
 int; False means it may hold a Fraction.  The constructor sets it exactly,
 and the operations that keep entries integral pass it on.  Products of two
-integral matrices and their applies to int vectors run on a small integer
-kernel (2x2 and 3x3 written out) that skips entry normalization.  The flag
+integral matrices and their applies to int vectors run on two small integer
+kernels (2x2 and 3x3 written out) that skip entry normalization.  The flag
 takes no part in equality or hashing.
 """
 
@@ -223,13 +223,9 @@ class Matrix(Record):
         if len(vec) != self.cols:
             raise ShapeError("vector length mismatch")
         if self.integral:
-            if self.rows == 2 and self.cols == 2:
-                x, y = vec
-                if type(x) is int and type(y) is int:
-                    (a, b), (c, d) = self.data
-                    return (a * x + b * y, c * x + d * y)
-            elif all(type(x) is int for x in vec):
-                return tuple([sum(map(mul, row, vec)) for row in self.data])
+            w = _int_affine((0,) * self.rows, self.data, vec)
+            if w is not None:
+                return w
         return tuple([_norm(sum(map(mul, row, vec))) for row in self.data])
 
     # -- structure ---------------------------------------------------------
@@ -326,6 +322,27 @@ def _int_mul(p, q):
                 (g * j + h * n + i * t, g * k + h * r + i * u, g * m + h * s + i * v))
     cols = tuple(zip(*q))
     return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in p)
+
+
+def _int_affine(a, g, b):
+    """a + g b for an int matrix given by its rows g, when every entry of the
+    vectors a and b is an int (2x2 and 3x3 written out); else None."""
+    n = len(b)
+    if n == 2 and len(g) == 2:
+        (a0, a1), (b0, b1) = a, b
+        if type(a0) is int and type(a1) is int and type(b0) is int and type(b1) is int:
+            (p, q), (r, s) = g
+            return (a0 + p * b0 + q * b1, a1 + r * b0 + s * b1)
+    elif n == 3 and len(g) == 3:
+        (a0, a1, a2), (b0, b1, b2) = a, b
+        if (type(a0) is int and type(a1) is int and type(a2) is int
+                and type(b0) is int and type(b1) is int and type(b2) is int):
+            (p, q, r), (s, t, u), (v, w, z) = g
+            return (a0 + p * b0 + q * b1 + r * b2, a1 + s * b0 + t * b1 + u * b2,
+                    a2 + v * b0 + w * b1 + z * b2)
+    elif all(type(x) is int for x in a) and all(type(x) is int for x in b):
+        return tuple([x + sum(map(mul, row, b)) for x, row in zip(a, g)])
+    return None
 
 
 def _bareiss(d, n):

@@ -282,6 +282,11 @@ def test_conj_class_ball_matches_nested_tuple_count():
     cases.append((AffineElement((1, 0), Matrix.identity(2)),
                   [AffineElement((1, 0), S), AffineElement((0, 1), T),
                    AffineElement((3, -2), Matrix.identity(2))], 5))
+    # Three letters whose linear parts T, U and [[2, 1], [1, 1]] satisfy
+    # relations: conjugating by g^-1 instead of g gives 348 here, not 358.
+    cases.append((AffineElement((0, -2), Matrix([[1, 0], [1, 1]])),
+                  [AffineElement((-1, -2), T), AffineElement((1, 0), hyperbolic),
+                   AffineElement((2, 2), Matrix([[1, 0], [1, 1]]))], 4))
     for x, gens, top in cases:
         counts = [conj_class_ball(x, gens, r) for r in range(top + 1)]
         assert counts == _nested_ball(x, gens, top), (x, gens)
