@@ -5,6 +5,7 @@ and a classification report for canonical subgroup descriptors.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, prod
 from operator import mul
 
@@ -18,6 +19,10 @@ from .sl2 import _require_unimodular, classify_sl2, order_of
 class AffineElement(Record):
     """Pair (a, g): translation a in Z^n and linear part g in SL_n(Z).
 
+    The translation is kept as a tuple of normalized entries, so elements
+    built from a list or a tuple, or with Fraction(4, 2) for 2, are equal
+    and hash alike.
+
     Multiplication law: (a, g)(b, h) = (a + g b, g h).  With integral g, h
     and int translations the product runs on the integer kernels of
     `matrix` alone, with no normalizing and no second shape check.
@@ -28,7 +33,7 @@ class AffineElement(Record):
     def __init__(self, translation, linear):
         if len(translation) != linear.rows or linear.rows != linear.cols:
             raise ShapeError("translation and linear part dimensions disagree")
-        Record.__init__(self, translation, linear)
+        Record.__init__(self, vec_norm(translation), linear)
 
     @classmethod
     def _trusted(cls, translation, linear):
@@ -43,10 +48,6 @@ class AffineElement(Record):
     @staticmethod
     def identity(n):
         return AffineElement((0,) * n, Matrix.identity(n))
-
-    @staticmethod
-    def of(a, g):
-        return AffineElement(tuple(a), g)
 
     def __mul__(self, other):
         g, h = self.linear, other.linear
@@ -96,65 +97,56 @@ def icc_affine_cyclic(g):
 def conj_class_ball(x, gens, radius):
     """Number of distinct conjugates w x w^-1 for words w of length <= radius.
 
-    A translation x = (v, I) is answered in closed form: w x w^-1 = (W v, I)
-    for w = (a, W), so the conjugates are the points W v, W a word of length
-    <= radius in the linear parts of the letters (the linear parts of the
-    affine words of length <= radius are exactly these words).  Those points
-    are the ball of that radius about v in the orbit graph, u -- G u for each
-    letter's linear part G, so `_orbit_ball` searches the points themselves:
-    one matrix-vector product per point and letter, and no word is kept.
+    One breadth-first search, `_orbit_ball`, on the conjugates themselves:
+    no word is kept.  For a letter g = (b, G) with g^-1 = (b', H), b' = -H b,
+    conjugation sends c = (a, C) to g c g^-1 = (G a + b + G C b', G C H),
+    which is affine in (a, C): `_conjugation` writes it as one matrix on the
+    vector (a, C read row by row, 1).  The letters are the conjugations by
+    g and by g^-1, which are inverse maps, so letters 2k and 2k + 1 undo each
+    other as `_orbit_ball` requires.  The conjugates of x by words of length
+    <= radius are the points within distance radius of x in the graph
+    c -- g c g^-1, and breadth-first distance is the least word length, so
+    the count is exact.
 
-    Any other x: breadth-first closure over the group generated by `gens`
-    and inverses, with exact equality for deduplication.  Each frontier word
-    w carries its conjugate c = w x w^-1, and g w gets g c g^-1, so no word
-    is inverted: three products per new word, and only the generators are
-    inverted.
-
-    Both loops run on plain tuples, which are their own set keys (no
-    Python-level __hash__ call): the points, or (translation, rows) pairs
-    multiplied by `_pair_mul`.  No AffineElement or Matrix is built inside
-    them.
+    A translation x = (v, I) has w x w^-1 = (W v, I) for w = (a, W), so there
+    the search runs on v alone, under the letters' linear parts.  Its points
+    have n entries, while the vector above has n + n^2 + 1, never 2, so only
+    translations in dimension 2 take `_orbit_ball`'s written-out 2x2 product.
     """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
-    alphabet = []
-    for g in gens:
-        p, p_inv = _pair(g), _pair(g.inverse())
-        alphabet += [(p, p_inv), (p_inv, p)]
-    n = len(x.translation)
-    e, xp = _pair(AffineElement.identity(n)), _pair(x)
+    pairs = [(g, g.inverse()) for g in gens]
     if not radius:
         return 1   # x itself; a product across dimensions would be an error
-    if any(len(p[0]) != n for p, _ in alphabet):
+    n = len(x.translation)
+    if any(g.linear.rows != n for g in gens):
         raise ShapeError("dimension mismatch")
     if x.linear == Matrix.identity(n):
-        return _orbit_ball(xp[0], [p[1] for p, _ in alphabet], radius)
-    seen_words = {e}
-    frontier = [(e, xp, None)]   # (w, w x w^-1, index of the letter that made w)
-    conjugates = {xp}
-    for _ in range(radius):
-        new_frontier = []
-        for w, c, last in frontier:
-            for i, (g, g_inv) in enumerate(alphabet):
-                if i ^ 1 == last:
-                    continue   # g undoes the letter that made w: g w was seen
-                nw = _pair_mul(g, w)
-                if nw not in seen_words:
-                    seen_words.add(nw)
-                    nc = _pair_mul(_pair_mul(g, c), g_inv)
-                    new_frontier.append((nw, nc, i))
-                    conjugates.add(nc)
-        frontier = new_frontier
-        if not frontier:
-            break
-    return len(conjugates)
+        letters = [h.linear.data for pair in pairs for h in pair]
+        return _orbit_ball(x.translation, letters, radius)
+    letters = [m for g, g_inv in pairs for m in (_conjugation(g, g_inv), _conjugation(g_inv, g))]
+    return _orbit_ball((*x.translation, *chain(*x.linear.data), 1), letters, radius)
+
+
+def _conjugation(g, g_inv):
+    """Rows of the matrix of c -> g c g^-1 on the vectors (a, C row by row, 1)
+    of c = (a, C), for g = (b, G) and g^-1 = (b', H)."""
+    b, G = g.translation, g.linear.data
+    b_inv, H = g_inv.translation, g_inv.linear.data
+    n = len(b)
+    span = range(n)
+    rows = [(*G[i], *[G[i][j] * b_inv[k] for j in span for k in span], b[i]) for i in span]
+    rows += [(*(0,) * n, *[G[i][j] * H[k][l] for j in span for k in span], 0)
+             for i in span for l in span]
+    rows.append((0,) * (n + n * n) + (1,))
+    return rows
 
 
 def _orbit_ball(v, letters, radius):
-    """|{W v : W a product of at most `radius` of the n x n `letters`}|, by
+    """|{W v : W a product of at most `radius` of the `letters`}|, by
     breadth-first search on the points; letters 2k and 2k + 1 are inverse.
-    A point is a tuple, its own set key; at n = 2 each letter is a flat
-    4-tuple and its product with a point is written out."""
+    A point is a tuple, its own set key; for 2-entry points each letter is a
+    flat 4-tuple and its product with a point is written out."""
     two = len(v) == 2
     if two:
         letters = [(*G[0], *G[1]) for G in letters]
@@ -179,20 +171,6 @@ def _orbit_ball(v, letters, radius):
         if not frontier:
             break
     return len(seen)
-
-
-def _pair(el):
-    """(translation, rows) of an AffineElement, entries normalized."""
-    return vec_norm(el.translation), el.linear.data
-
-
-def _pair_mul(p, q):
-    """(a, g)(b, h) = (a + g b, g h) on pairs of any size n."""
-    a, g = p
-    b, h = q
-    cols = tuple(zip(*h))
-    return (tuple([x + sum(map(mul, row, b)) for x, row in zip(a, g)]),
-            tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in g))
 
 
 # -- invariant lattices ----------------------------------------------------
@@ -247,7 +225,7 @@ def affine_automorphism(L, xi):
     _require_unimodular(L)
     if not vec_is_integral(xi):
         raise PreconditionError("xi must be an integer vector")
-    P = AffineElement(vec_norm(xi), L)
+    P = AffineElement(xi, L)
     P_inv = P.inverse()
 
     def phi(el):

@@ -42,8 +42,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
-# Most reduced words an `affine ball` may enumerate: radius <= 10 for two
-# generators, about a second of work.
+# Bound on the conjugates an `affine ball` may visit, as a count of reduced
+# words (each conjugate comes from one): radius <= 10 for two generators,
+# about a second of work.
 BALL_WORD_CAP = 120_000
 # Most letters `sl2 decompose --alphabet st` may expand T^e into (2|e| each).
 ST_WORD_CAP = 1_000_000
@@ -80,8 +81,7 @@ def _int_flag(text):
 
 
 def _parse_affine(doc):
-    return affine.AffineElement.of(parse_vector(doc["translation"]),
-                                   parse_matrix(doc["matrix"]))
+    return affine.AffineElement(parse_vector(doc["translation"]), parse_matrix(doc["matrix"]))
 
 
 # -- handlers --------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Entries are Python ints or :class:`fractions.Fraction`; every operation is
 exact.  Matrices are immutable and hashable, so they can be used as dict keys
-and set members (needed for the conjugacy-ball enumeration).  Determinants
-and inverses past 3x3 come from one fraction-free elimination.
+and set members (the finite-closure check of `affine` keeps them in a set).
+Determinants and inverses past 3x3 come from one fraction-free elimination.
 
 Each matrix carries an `integral` flag, True only when every entry is an
 int; False means it may hold a Fraction.  The constructor sets it exactly,

@@ -168,7 +168,7 @@ def _reference_ball(x, gens, radius):
 
 
 def test_conj_class_ball_sl3_matches_reference():
-    # n = 3 takes the general tuple product, not the 2x2 closed form.
+    # n = 3: conjugation matrices on the 13-entry vectors (a, C row by row, 1).
     rng = seeded(31)
     e12, e21 = SL3_ELEMENTARIES[0], SL3_ELEMENTARIES[2]
     for _ in range(4):
@@ -287,6 +287,15 @@ def test_conj_class_ball_matches_nested_tuple_count():
     cases.append((AffineElement((0, -2), Matrix([[1, 0], [1, 1]])),
                   [AffineElement((-1, -2), T), AffineElement((1, 0), hyperbolic),
                    AffineElement((2, 2), Matrix([[1, 0], [1, 1]]))], 4))
+    # A non-translation x at n = 4 (conjugation matrices on 21-entry
+    # vectors), and one whose conjugation matrices carry Fractions.
+    rng4 = seeded(2121)
+    x4 = AffineElement(tuple(rng4.int_in(-2, 2) for _ in range(4)),
+                       random_unimodular(rng4, 4, length=2))
+    cases.append((x4, [AffineElement(tuple(rng4.int_in(-2, 2) for _ in range(4)),
+                                     random_unimodular(rng4, 4, length=3)) for _ in range(2)], 3))
+    cases.append((AffineElement((Fraction(1, 2), 0), T),
+                  [AffineElement((0, Fraction(-1, 3)), S), AffineElement((1, 0), T)], 5))
     for x, gens, top in cases:
         counts = [conj_class_ball(x, gens, r) for r in range(top + 1)]
         assert counts == _nested_ball(x, gens, top), (x, gens)

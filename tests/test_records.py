@@ -198,6 +198,17 @@ def test_affine_element_refuses_shape_mismatch():
             AffineElement(translation=a, linear=g)
 
 
+def test_affine_element_translation_is_canonical():
+    # The translation is stored as a tuple of normalized entries, whatever
+    # sequence it was given as.
+    from_list, from_tuple = AffineElement([1, 2], I2), AffineElement((1, 2), I2)
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert from_list.translation == (1, 2) and type(from_list.translation) is tuple
+    halved = AffineElement((Fraction(4, 2), 1), I2)
+    assert halved == AffineElement((2, 1), I2) and hash(halved) == hash(AffineElement((2, 1), I2))
+    assert type(halved.translation[0]) is int
+
+
 def test_cocycle_spec_refusals():
     with pytest.raises(PreconditionError, match="^generator and value lists differ in length$"):
         CocycleSpec((T,), ())
