@@ -285,7 +285,7 @@ def _detect_gamma1_level(spec):
     if N < 2:
         return None
     for g, v in zip(spec.generators, spec.values):
-        if tuple(v) != _cocycle.gamma1_cocycle(N, g):
+        if v != _cocycle.gamma1_cocycle(N, g):
             return None
     return N
 
@@ -394,5 +394,5 @@ def _finf_values(spec):
         k, rem = divmod(1 - g[0, 0], 4)
         if rem or g != _cocycle.finf_generator(k):
             return None
-        values[k] = tuple(v)
+        values[k] = v
     return values if 0 in values else None

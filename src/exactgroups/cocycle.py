@@ -33,7 +33,9 @@ class CocycleSpec(Record):
     """A cocycle presented by generator matrices and their Z^2 values.
 
     Relators (optional) are words that must evaluate to the identity matrix;
-    words are tuples of (generator index, integer exponent).
+    words are tuples of (generator index, integer exponent).  Every field is
+    kept as tuples, values with normalized entries, so specs built from
+    lists or tuples are equal and hash alike.
     """
 
     __slots__ = ("generators", "values", "relators")
@@ -43,7 +45,8 @@ class CocycleSpec(Record):
             raise PreconditionError("generator and value lists differ in length")
         for g in generators:
             _require_sl2(g)
-        Record.__init__(self, generators, values, relators)
+        Record.__init__(self, tuple(generators), tuple(map(vec_norm, values)),
+                        tuple(tuple(map(tuple, word)) for word in relators))
 
 
 class CoboundaryWitness(Record):

@@ -18,9 +18,18 @@ from .matrix import Matrix, PreconditionError, Record, ShapeError
 
 
 class LatticeBasis(Record):
-    """A sublattice of Z^dim given by its row Hermite normal form."""
+    """A sublattice of Z^dim given by its row Hermite normal form.
+
+    The rows are kept as a tuple of tuples, so bases built from lists or
+    tuples are equal and hash alike."""
 
     __slots__ = ("dim", "rows")   # rows: tuple of integer tuples, in HNF
+
+    def __init__(self, dim, rows):
+        rows = tuple(map(tuple, rows))
+        if any(len(row) != dim for row in rows):
+            raise ShapeError("basis rows must have length dim")
+        Record.__init__(self, dim, rows)
 
     @property
     def rank(self):
@@ -149,7 +158,7 @@ def hnf(rows, dim=None):
         raise ShapeError("lattice dimension must be nonnegative")
     work = [list(r) for r in rows]
     r = _echelon(work)
-    return LatticeBasis(dim, tuple(tuple(row) for row in work[:r]))
+    return LatticeBasis(dim, work[:r])
 
 
 def snf(M):
@@ -245,8 +254,7 @@ def solve_integer(M, b):
 
 def kernel_basis(M):
     """HNF basis of the integer kernel {x in Z^n : M x = 0}."""
-    return LatticeBasis(M.cols, tuple(
-        tuple(t) for h, t in _hermite_transform(M) if not any(h)))
+    return LatticeBasis(M.cols, [t for h, t in _hermite_transform(M) if not any(h)])
 
 
 def fixed_sublattice(g, sign):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .cocycle import CocycleSpec
 from .matrix import Matrix, PreconditionError
 
 
@@ -110,6 +109,7 @@ def parse_index_word(doc):
 
 
 def parse_cocycle_spec(doc):
+    import exactgroups.cocycle as cocycle   # here: it loads lattice and sl2
     if not isinstance(doc, dict):
         raise InputError("cocycle spec must be a JSON object")
     try:
@@ -118,4 +118,4 @@ def parse_cocycle_spec(doc):
     except KeyError as exc:
         raise InputError(f"cocycle spec missing key {exc}") from exc
     relators = tuple(parse_index_word(w) for w in doc.get("relators", []))
-    return CocycleSpec(generators=gens, values=values, relators=relators)
+    return cocycle.CocycleSpec(generators=gens, values=values, relators=relators)

@@ -654,19 +654,51 @@ def test_cli_import_loads_no_dataclasses():
 
 
 def test_valid_call_loads_no_argparse():
-    # A valid call is parsed from COMMANDS, so argparse is never imported;
-    # as above, only what the import and the call add counts.
+    # A valid call is parsed from COMMANDS, so argparse is never imported,
+    # and each handler imports only the library modules it calls, so a cold
+    # call compiles no other.  Each call runs as `python -m exactgroups.cli`
+    # does, with cli as __main__; as above, only what the call adds counts.
     import subprocess
     import sys
+    spec = {"generators": [mat([[1, 1], [0, 1]])], "values": [["1", "0"]]}
+    cases = [  # (argv, document, exactgroups modules the call adds)
+        (["sl2", "classify"], M_HYPERBOLIC, {"sl2", "prng"}),
+        (["cocycle", "eval"], {"spec": spec, "word": [{"gen": 0, "exp": 3}]},
+         {"cocycle", "lattice", "sl2", "prng"}),
+        (["affine", "icc"], M_HYPERBOLIC, {"affine", "cocycle", "lattice", "sl2", "prng"}),
+        (["bruhat", "cell"], mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), {"bruhat", "prng"}),
+        (["lin", "snf"], mat([[2, 4], [6, 8]]), {"lattice"}),
+    ]
+    script = ("import json, runpy, sys\n"
+              "sys.argv = ['exactgroups'] + sys.argv[1:]\n"
+              "before = set(sys.modules)\n"
+              "try:\n"
+              "    runpy.run_module('exactgroups.cli', run_name='__main__')\n"
+              "except SystemExit as exc:\n"
+              "    added = set(sys.modules) - before\n"
+              "    print(json.dumps([exc.code, 'argparse' in added,\n"
+              "                      sorted(m for m in added if m.startswith('exactgroups'))]))\n")
+    for argv, doc, modules in cases:
+        proc = subprocess.run([sys.executable, "-c", script, *argv, "--in", "-"],
+                              capture_output=True, text=True, input=json.dumps(doc),
+                              env=_child_env(), timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        expected = sorted(["exactgroups"] + [f"exactgroups.{m}" for m in
+                                             {"matrix", "serialize"} | modules])
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, expected], argv
+    # The package itself loads only matrix; its lattice names load lattice
+    # on first use, by name or by *.
     script = ("import sys\n"
               "before = set(sys.modules)\n"
-              "from exactgroups import cli\n"
-              "code = cli.run(['sl2', 'classify', '--in', '-'])\n"
-              "print(code, 'argparse' in set(sys.modules) - before)\n")
+              "import exactgroups\n"
+              "print(sorted(m for m in set(sys.modules) - before if m.startswith('exactgroups')))\n"
+              "from exactgroups import hnf, LatticeBasis\n"
+              "from exactgroups import *\n"
+              "print(hnf([(2, 0), (0, 3)]) == LatticeBasis(2, ((2, 0), (0, 3))), snf.__name__)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          input=json.dumps(M_HYPERBOLIC), env=_child_env(), timeout=20)
+                          env=_child_env(), timeout=20)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.stdout == "['exactgroups', 'exactgroups.matrix']\nTrue snf\n"
 
 
 def test_help_independent_of_terminal_width():

@@ -144,7 +144,7 @@ def test_only_checking_classes_define_init():
     records = set(Record.__subclasses__())
     assert records == set(CASES) | {Matrix}
     assert {cls for cls in records if "__init__" in vars(cls)} == {
-        AffineElement, CocycleSpec, CongruenceKind, Matrix}
+        AffineElement, CocycleSpec, CongruenceKind, LatticeBasis, Matrix}
 
 
 def test_matrix_slots_cannot_be_deleted():
@@ -199,14 +199,22 @@ def test_affine_element_refuses_shape_mismatch():
 
 
 def test_affine_element_translation_is_canonical():
-    # The translation is stored as a tuple of normalized entries, whatever
-    # sequence it was given as.
-    from_list, from_tuple = AffineElement([1, 2], I2), AffineElement((1, 2), I2)
-    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
-    assert from_list.translation == (1, 2) and type(from_list.translation) is tuple
-    halved = AffineElement((Fraction(4, 2), 1), I2)
-    assert halved == AffineElement((2, 1), I2) and hash(halved) == hash(AffineElement((2, 1), I2))
-    assert type(halved.translation[0]) is int
+    # Sequence fields are stored as tuples, translations and cocycle values
+    # with normalized entries, whatever sequence they were given as; equal
+    # reprs mean no list and no Fraction(4, 2) is left anywhere.
+    for from_list, from_tuple in (
+            (AffineElement([1, 2], I2), AffineElement((1, 2), I2)),
+            (AffineElement((Fraction(4, 2), 1), I2), AffineElement((2, 1), I2)),
+            (LatticeBasis(2, [[1, 0], [0, 1]]), LatticeBasis(2, ((1, 0), (0, 1)))),
+            (CocycleSpec([I2], [[Fraction(4, 2), 0]], [[[0, 1], [0, -1]]]),
+             CocycleSpec((I2,), ((2, 0),), (((0, 1), (0, -1)),)))):
+        assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+        assert repr(from_list) == repr(from_tuple)
+
+
+def test_lattice_basis_refuses_row_of_wrong_length():
+    with pytest.raises(ShapeError, match="^basis rows must have length dim$"):
+        LatticeBasis(3, ((1, 0),))
 
 
 def test_cocycle_spec_refusals():
