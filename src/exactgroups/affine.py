@@ -86,12 +86,15 @@ def icc_affine_cyclic(g):
     Equivalent characterizations (all checked to agree by the test suite):
     no +-1 eigenvector in Z^2, and, for det g = 1, |tr(g)| > 2.  With det
     g = -1 and infinite order the trace is nonzero, so the eigenvalues are
-    irrational and the group is ICC.
+    irrational and the group is ICC.  The answer is read from det(g - I) and
+    det(g + I): an integer matrix with eigenvalue +-1 has a rational, hence
+    an integer, eigenvector, so g has none in Z^2 exactly when both are nonzero.
     """
     k = order_of(g)
     if k is not None:
         raise PreconditionError(f"g has finite order {k}")
-    return fc_witness(g) is None
+    ident = Matrix.identity(g.rows)
+    return (g - ident).det() != 0 and (g + ident).det() != 0
 
 
 def conj_class_ball(x, gens, radius):

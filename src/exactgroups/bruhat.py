@@ -10,9 +10,8 @@ elimination.  Both run fraction-free on lam g, lam the lcm of its denominators.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-from .matrix import Matrix, PreconditionError, Record
+from .matrix import Matrix, PreconditionError, Record, _scaled as _scaled_rows
 from .prng import SplitMix64
 
 # Signed permutation representatives; p_sigma has its column-j entry in
@@ -68,8 +67,7 @@ def _scaled(g):
     """(int rows of lam g, lam) for a 3x3 g, lam the lcm of its denominators."""
     if (g.rows, g.cols) != (3, 3):
         raise PreconditionError("expected a 3x3 matrix")
-    lam = lcm(*[x.denominator for row in g.data for x in row])
-    return [[x.numerator * (lam // x.denominator) for x in row] for row in g.data], lam
+    return _scaled_rows(g.data)
 
 
 def _matrix(rows):

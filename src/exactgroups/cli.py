@@ -190,17 +190,13 @@ def _cmd_affine_ball(doc, opts):
 
 def _reduced_words(k, radius):
     """Reduced words of length <= radius over k generators and their
-    inverses, 1 + 2k((2k-1)^r - 1)/(2k-2); counted layer by layer and
-    stopped once past BALL_WORD_CAP, so a huge radius costs nothing."""
+    inverses: 1 + 2kr for k <= 1, else 1 + 2k((2k-1)^r - 1)/(2k-2) with r
+    clamped to 32, where any k >= 2 has over 3 * 10^15, far past the cap.  A
+    negative radius counts as 0, so it reaches conj_class_ball's refusal."""
+    r = max(radius, 0)
     if k <= 1:
-        return 1 + 2 * k * radius
-    words, layer = 1, 2 * k
-    for _ in range(radius):
-        words += layer
-        if words > BALL_WORD_CAP:
-            break
-        layer *= 2 * k - 1
-    return words
+        return 1 + 2 * k * r
+    return 1 + 2 * k * ((2 * k - 1) ** min(r, 32) - 1) // (2 * k - 2)
 
 
 def _cmd_affine_lattice(doc, opts):

@@ -16,8 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .lattice import solve_integer
-from .matrix import (Matrix, PreconditionError, Record, vec_add, vec_is_integral,
-                     vec_norm, vec_sub)
+from .matrix import Matrix, PreconditionError, Record, vec_add, vec_norm
 from .sl2 import CongruenceKind, _require_sl2, congruence_membership
 
 
@@ -164,13 +163,13 @@ def gamma1_obstruction(N, s):
     """Whether xi - s xi lies in Z^2 for xi = (1/N, 0).
 
     Integrality holds exactly for members of Gamma_1(N), which is the
-    non-extendability obstruction for the family.
+    non-extendability obstruction for the family.  Since xi - s xi =
+    ((1 - s11)/N, -s21/N), it is read as two divisibilities by N.
     """
     if N < 1:
         raise PreconditionError("level must be >= 1")
     _require_sl2(s)
-    xi = (Fraction(1, N), Fraction(0))
-    return vec_is_integral(vec_sub(xi, s.apply(xi)))
+    return (1 - s[0, 0]) % N == 0 and s[1, 0] % N == 0
 
 
 # -- cocycles with -I in the domain ----------------------------------------

@@ -3,7 +3,10 @@
 Entries are Python ints or :class:`fractions.Fraction`; every operation is
 exact.  Matrices are immutable and hashable, so they can be used as dict keys
 and set members (the finite-closure check of `affine` keeps them in a set).
-Determinants and inverses past 3x3 come from one fraction-free elimination.
+Determinants and inverses up to 3x3 come from one cofactor expansion
+(`_adjugate`), past it from one fraction-free elimination (`_bareiss`) on the
+int rows of lam M, lam the lcm of M's denominators; `_scaled` makes those
+rows, for `bruhat` too.
 
 Each matrix carries an `integral` flag, True only when every entry is an
 int; False means it may hold a Fraction.  The constructor sets it exactly,
@@ -104,14 +107,13 @@ class Record:
 
 
 def _norm(x):
-    # Canonicalize Fraction with denominator 1 to int.
+    # Canonicalize Fraction with denominator 1 to int; anything else, bool
+    # (an int subclass) included, is refused.
     if type(x) is int:
         return x
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return int(x)
-        return x
-    if isinstance(x, int):
         return x
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x)!r}")
 
@@ -241,18 +243,9 @@ class Matrix(Record):
     def det(self):
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
-        n = self.rows
-        d = self.data
-        if n == 1:
-            return d[0][0]
-        if n == 2:
-            return _norm(d[0][0] * d[1][1] - d[0][1] * d[1][0])
-        if n == 3:
-            return _norm(
-                d[0][0] * (d[1][1] * d[2][2] - d[1][2] * d[2][1])
-                - d[0][1] * (d[1][0] * d[2][2] - d[1][2] * d[2][0])
-                + d[0][2] * (d[1][0] * d[2][1] - d[1][1] * d[2][0]))
-        return _bareiss(d, n)[0]
+        if self.rows <= 3:
+            return _norm(_adjugate(self.data)[1])
+        return _bareiss(self.data, self.rows)[0]
 
     def inverse(self):
         """Exact inverse; raises PreconditionError when singular.
@@ -355,9 +348,8 @@ def _bareiss(d, n):
     (p m_i - m_ik m_k) / q, q the previous pivot; each division is exact.
     [lam M | I] ends as [q I | q (lam M)^-1], q = det(lam M) = lam^n det M.
     """
-    lam = lcm(*[x.denominator for row in d for x in row])
-    m = [[x.numerator * (lam // x.denominator) for x in row] + [int(i == j) for j in range(n)]
-         for i, row in enumerate(d)]
+    m, lam = _scaled(d)
+    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     q = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k]), None)
@@ -373,6 +365,12 @@ def _bareiss(d, n):
         q = p
     return (_norm(Fraction(q, lam ** n)),
             tuple(tuple([_norm(Fraction(lam * x, q)) for x in row[n:]]) for row in m))
+
+
+def _scaled(d):
+    """(int rows of lam M, lam) for the rows d of M, lam the lcm of its denominators."""
+    lam = lcm(*[x.denominator for row in d for x in row])
+    return [[x.numerator * (lam // x.denominator) for x in row] for row in d], lam
 
 
 def _adjugate(d):

@@ -20,8 +20,9 @@ are stored in one form (see `portable`).
 
     PYTHONPATH=src python tests/cli_corpus.py            rewrite the corpus
     PYTHONPATH=src python tests/cli_corpus.py --replay [K]
-        answer every K-th corpus request again (default every one) and print
-        each answer as a corpus line, for a diff against the file
+        answer every K-th corpus request again (default every one), print
+        each answer as a corpus line, and exit 1, naming the first differing
+        corpus line on stderr, when an answer differs from the file
 """
 
 import io
@@ -380,10 +381,17 @@ def dumps(record):
 def main(args):
     if args[:1] == ["--replay"]:
         stride = int(args[1]) if len(args) > 1 else 1
-        lines = CORPUS.read_text(encoding="utf-8").splitlines()[::stride]
-        for line in lines:
-            record = json.loads(line)
-            print(dumps(answer(record["argv"], record["stdin"])))
+        lines = CORPUS.read_text(encoding="utf-8").splitlines()
+        differs = None
+        for number in range(0, len(lines), stride):
+            record = json.loads(lines[number])
+            replayed = dumps(answer(record["argv"], record["stdin"]))
+            print(replayed)
+            if differs is None and replayed != lines[number]:
+                differs = number + 1
+        if differs is not None:
+            print(f"answer differs from {CORPUS.name} line {differs}", file=sys.stderr)
+            return 1
         return 0
     if args:
         print(__doc__, file=sys.stderr)

@@ -762,7 +762,15 @@ def test_integer_fields_strict(tmp_path):
             (["lin", "hnf"], {"rows": [["1", "2"]], "dim": "x"}),
             (["lin", "hnf"], {"rows": [["1", "2"]], "dim": 2.0}),
             (["affine", "classify"], {**full, "lattice": {**lattice, "dim": "x"}}),
-            (["affine", "classify"], {**full, "lattice": {**lattice, "dim": 2.5}})):
+            (["affine", "classify"], {**full, "lattice": {**lattice, "dim": 2.5}}),
+            # The other serialize refusals: a zero denominator, a vector or
+            # word that is no array, a malformed spec and a token without gen.
+            (["cocycle", "solve-coboundary"], {"c_t": ["1/0", "0"]}),
+            (["cocycle", "solve-coboundary"], {"c_t": "1"}),
+            (["cocycle", "eval"], {"spec": spec, "word": {"gen": 0, "exp": 1}}),
+            (["cocycle", "eval"], {"spec": [spec], "word": []}),
+            (["cocycle", "eval"], {"spec": {"generators": [M_HYPERBOLIC]}, "word": []}),
+            (["cocycle", "eval"], {"spec": spec, "word": [{"exp": 1}]})):
         if isinstance(doc, str):
             path = tmp_path / "raw.json"
             path.write_text(doc)

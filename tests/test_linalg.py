@@ -51,6 +51,20 @@ def test_matrix_errors():
         Matrix([[1, 1], [1, 1]]).inverse()
     with pytest.raises(TypeError):
         Matrix([[1.5]])
+    for empty in ([], [[]]):
+        with pytest.raises(ShapeError, match="^matrix must have at least one row and column$"):
+            Matrix(empty)
+    wide = Matrix([[1, 2, 3], [4, 5, 6]])
+    for op, name in ((lambda m: m ** 2, "power"), (Matrix.trace, "trace"),
+                     (Matrix.det, "determinant"), (Matrix.inverse, "inverse")):
+        with pytest.raises(ShapeError, match=f"^{name} of a non-square matrix$"):
+            op(wide)
+    with pytest.raises(ShapeError, match="^vector length mismatch$"):
+        wide.apply((1, 2))
+    with pytest.raises(ShapeError, match="^shape mismatch$"):
+        wide + Matrix([[1, 2], [3, 4]])
+    with pytest.raises(TypeError, match="^expected a Matrix$"):
+        wide + 1
 
 
 def test_matrix_hashable_immutable():
@@ -158,7 +172,8 @@ def test_det_large_against_permutation_expansion():
     # Denominators 2, 3 and 4: the integer pass runs on 12 M.
     cases.append(Matrix([[Fraction(1, 2), 1, 0, 2], [Fraction(2, 3), 0, 1, 1],
                          [0, Fraction(3, 4), 1, 0], [1, 0, Fraction(-1, 3), 1]]))
-    for n in (4, 5):
+    # Every size: cofactors up to 3x3, elimination past it.
+    for n in range(1, 6):
         cases += [Matrix([[vals[rng.below(len(vals))] for _ in range(n)] for _ in range(n)])
                   for _ in range(60)]
     for M in cases:

@@ -124,6 +124,7 @@ def test_decompose_roundtrip_random():
         assert w.matrix() == g
         v = to_st_word(w)
         assert v.matrix() == g
+        assert to_st_word(v) == v   # a word already over s and t is kept
         assert all(gen in ("s", "t") for gen, _ in v.tokens)
         # canonical exponent ranges in the torsion alphabet
         for gen, exp in v.tokens:

@@ -108,6 +108,11 @@ def test_constructor_flag_exact():
     assert Matrix([[Fraction(4, 2), 0]]).integral
     assert not Matrix([[Fraction(1, 2), 0]]).integral
     assert not Matrix._trusted(((1, 2),)).integral and Matrix._trusted(((1, 2),)).is_integral()
+    # bool is an int subclass, not an entry type: it once passed through as
+    # True and left a matrix equal to I but flagged non-integral.
+    for given in ([[True, False], [False, True]], [[1, 0], [0, True]]):
+        with pytest.raises(TypeError, match="^matrix entries must be int or Fraction"):
+            Matrix(given)
 
 
 def test_mul_and_apply_against_fraction_reference():

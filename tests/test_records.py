@@ -210,6 +210,9 @@ def test_affine_element_translation_is_canonical():
              CocycleSpec((I2,), ((2, 0),), (((0, 1), (0, -1)),)))):
         assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
         assert repr(from_list) == repr(from_tuple)
+    # A bool is refused, not kept as a translation entry.
+    with pytest.raises(TypeError, match="^matrix entries must be int or Fraction"):
+        AffineElement((True, 0), I2)
 
 
 def test_lattice_basis_refuses_row_of_wrong_length():
