@@ -11,8 +11,8 @@ from operator import mul
 
 from . import cocycle as _cocycle
 from .lattice import fixed_sublattice, hnf
-from .matrix import (Matrix, PreconditionError, Record, ShapeError, _int_affine,
-                     _int_mul, vec_add, vec_is_integral, vec_norm)
+from .matrix import (Matrix, PreconditionError, Record, ShapeError, _int_affine_mul,
+                     vec_add, vec_is_integral, vec_norm)
 from .sl2 import _require_unimodular, classify_sl2, order_of
 
 
@@ -24,8 +24,8 @@ class AffineElement(Record):
     and hash alike.
 
     Multiplication law: (a, g)(b, h) = (a + g b, g h).  With integral g, h
-    and int translations the product runs on the integer kernels of
-    `matrix` alone, with no normalizing and no second shape check.
+    and int translations the product is one call of `matrix._int_affine_mul`
+    on the raw rows, with no normalizing and no second shape check.
     """
 
     __slots__ = ("translation", "linear")
@@ -55,9 +55,9 @@ class AffineElement(Record):
             raise ShapeError("dimension mismatch")
         a, b = self.translation, other.translation
         if g.integral and h.integral:
-            t = _int_affine(a, g.data, b)
-            if t is not None:
-                return AffineElement._trusted(t, Matrix._trusted(_int_mul(g.data, h.data), True))
+            product = _int_affine_mul(a, g.data, b, h.data)
+            if product is not None:
+                return AffineElement._trusted(product[0], Matrix._trusted(product[1], True))
         return AffineElement(vec_add(a, g.apply(b)), g * h)
 
     def inverse(self):
@@ -224,14 +224,28 @@ def affine_automorphism(L, xi):
     (-L^-1 xi, L^-1) is the pair above, so the returned map is
     el -> P el P^-1, two affine products, and a bijective homomorphism.
     L must be an integer matrix with det +-1; xi is an integer vector.
+
+    The rows and translations of P and P^-1 are all ints, so for an el of
+    the same size with an integral linear part and an int translation the
+    two products are two calls of `matrix._int_affine_mul` on raw rows, and
+    only the result is built as an AffineElement.  Any other el takes
+    P * el * P_inv.
     """
     _require_unimodular(L)
     if not vec_is_integral(xi):
         raise PreconditionError("xi must be an integer vector")
     P = AffineElement(xi, L)
     P_inv = P.inverse()
+    xi, rows, xi_inv, rows_inv = P.translation, L.data, P_inv.translation, P_inv.linear.data
+    n = len(rows)
 
     def phi(el):
+        s = el.linear
+        if s.integral and s.rows == n:
+            left = _int_affine_mul(xi, rows, el.translation, s.data)
+            if left is not None:
+                t, m = _int_affine_mul(left[0], left[1], xi_inv, rows_inv)
+                return AffineElement._trusted(t, Matrix._trusted(m, True))
         return P * el * P_inv
 
     return phi

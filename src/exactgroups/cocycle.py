@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .lattice import solve_integer
-from .matrix import Matrix, PreconditionError, Record, vec_add, vec_norm
+from .matrix import Matrix, PreconditionError, Record, ShapeError, vec_norm
 from .sl2 import CongruenceKind, _require_sl2, congruence_membership
 
 
@@ -63,35 +63,47 @@ def cocycle_eval(spec, word):
     A token g^e is the e-th power of the element (c(g), g) of Z^2 x| SL2(Z),
     and c of the word is the translation part of the product of its tokens,
     with (v, m)(c, h) = (v + m c, m h).  Inverse generators are handled
-    through c(g^-1) = -g^-1 c(g).  Powers are taken by square-and-multiply,
-    so a token costs O(log|e|) matrix products, not |e|.
+    through g^-1 = adj g and c(g^-1) = -g^-1 c(g).  Powers are taken by
+    square-and-multiply, so a token costs O(log|e|) affine products, not |e|.
+    Every product runs on plain numbers: the four int entries of each matrix
+    and the two entries, ints or Fractions, of each value.  The value is
+    normalized once, at the end.
     """
     return _evaluate(spec, word)[0]
 
 
 def _evaluate(spec, word):
     """(c(w), w): the product of the tokens (c(g), g)^e of a word, as
-    described in cocycle_eval; w is the matrix of the word."""
-    m = Matrix.identity(2)
-    v = (0, 0)
+    described in cocycle_eval; w is the matrix of the word.  The matrices
+    are kept as their entries (a, b, c, d) = ((a, b), (c, d)), ints since
+    every generator is in SL2(Z)."""
+    a, b, c, d = 1, 0, 0, 1
+    v0 = v1 = 0
     for idx, exp in word:
         if not 0 <= idx < len(spec.generators):
             raise PreconditionError(f"unknown generator index {idx}")
-        g = spec.generators[idx]
-        cg = spec.values[idx]
+        if not exp:
+            continue
+        if len(spec.values[idx]) != 2:
+            raise ShapeError("vector length mismatch")
+        (p, q), (r, s) = spec.generators[idx].data
+        x, y = spec.values[idx]
         if exp < 0:
-            g_inv = g.inverse()
-            g, cg = g_inv, tuple(-x for x in g_inv.apply(cg))
+            p, q, r, s = s, -q, -r, p
+            x, y = -p * x - q * y, -r * x - s * y
             exp = -exp
-        # (cg, g) runs through the powers (c(g^(2^i)), g^(2^i)); they commute,
-        # so multiplying them into (v, m) bit by bit gives (cg, g)^exp.
+        # (x, y; p, q, r, s) runs through the powers (c(g^(2^i)), g^(2^i));
+        # they commute, so multiplying them into (v; a, b, c, d) bit by bit
+        # gives (c(g), g)^exp.
         while exp:
             if exp & 1:
-                v, m = vec_add(v, m.apply(cg)), m * g
+                v0, v1 = v0 + a * x + b * y, v1 + c * x + d * y
+                a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
             exp >>= 1
             if exp:
-                cg, g = vec_add(cg, g.apply(cg)), g * g
-    return v, m
+                x, y = x + p * x + q * y, y + r * x + s * y
+                p, q, r, s = p * p + q * r, p * q + q * s, r * p + s * r, r * q + s * s
+    return vec_norm((v0, v1)), Matrix._trusted(((a, b), (c, d)), True)
 
 
 def verify_relations(spec):

@@ -3,17 +3,18 @@
 Entries are Python ints or :class:`fractions.Fraction`; every operation is
 exact.  Matrices are immutable and hashable, so they can be used as dict keys
 and set members (the finite-closure check of `affine` keeps them in a set).
-Determinants and inverses up to 3x3 come from one cofactor expansion
-(`_adjugate`), past it from one fraction-free elimination (`_bareiss`) on the
-int rows of lam M, lam the lcm of M's denominators; `_scaled` makes those
-rows, for `bruhat` too.
+Determinants and inverses work on the int rows of lam M, lam the lcm of M's
+denominators (`_scaled` makes them, for `bruhat` too): up to 3x3 by one
+cofactor expansion (`_adjugate`), past it by one fraction-free elimination
+(`_bareiss`), with one Fraction made per output entry at the end.
 
 Each matrix carries an `integral` flag, True only when every entry is an
 int; False means it may hold a Fraction.  The constructor sets it exactly,
 and the operations that keep entries integral pass it on.  Products of two
-integral matrices and their applies to int vectors run on two small integer
-kernels (2x2 and 3x3 written out) that skip entry normalization.  The flag
-takes no part in equality or hashing.
+integral matrices and their applies to int vectors run on small integer
+kernels (2x2 and 3x3 written out) that skip entry normalization.  One more,
+`_int_affine_mul`, gives the affine product (a + g b, g h) of int rows in a
+single call, for `affine`.  The flag takes no part in equality or hashing.
 """
 
 from __future__ import annotations
@@ -161,6 +162,8 @@ class Matrix(Record):
 
     @staticmethod
     def identity(n):
+        if n < 1:
+            raise ShapeError("matrix must have at least one row and column")
         return Matrix._trusted(tuple(tuple(1 if i == j else 0 for j in range(n))
                                      for i in range(n)), True)
 
@@ -225,7 +228,7 @@ class Matrix(Record):
         if len(vec) != self.cols:
             raise ShapeError("vector length mismatch")
         if self.integral:
-            w = _int_affine((0,) * self.rows, self.data, vec)
+            w = _int_apply(self.data, vec)
             if w is not None:
                 return w
         return tuple([_norm(sum(map(mul, row, vec))) for row in self.data])
@@ -243,34 +246,38 @@ class Matrix(Record):
     def det(self):
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
-        if self.rows <= 3:
-            return _norm(_adjugate(self.data)[1])
-        return _bareiss(self.data, self.rows)[0]
+        if self.rows > 3:
+            return _bareiss(self.data, self.rows)[0]
+        if self.integral:
+            return _adjugate(self.data)[1]
+        rows, lam = _scaled(self.data)
+        return _norm(Fraction(_adjugate(rows)[1], lam ** self.rows))
 
     def inverse(self):
         """Exact inverse; raises PreconditionError when singular.
 
-        Up to 3x3 a matrix is inverted in closed form as adj(M) * (1/det M).
-        When det M = +-1 the adjugate is multiplied by det M itself, so an
-        integer matrix of determinant +-1 gets int entries and no Fraction is
-        made.  Larger sizes go through fraction-free elimination (_bareiss).
-        Every entry is normalized, so an entry with denominator 1 is an int
-        whatever the input's types.  The inverse of an integral matrix of
-        determinant +-1 is flagged integral.
+        Up to 3x3 a matrix is inverted in closed form: with N = lam M on
+        ints (lam = 1 for an integral M), M^-1 = lam adj(N) / det N, one
+        Fraction per entry.  An integral matrix of determinant +-1 gets
+        +-adj(M) with no Fraction made.  Larger sizes go through
+        fraction-free elimination (_bareiss).  Every entry is normalized, so
+        an entry with denominator 1 is an int whatever the input's types.
+        The inverse of an integral matrix of determinant +-1 is flagged
+        integral.
         """
         if self.rows != self.cols:
             raise ShapeError("inverse of a non-square matrix")
         n = self.rows
         if n <= 3:
-            adj, det = _adjugate(self.data)
+            rows, lam = (self.data, 1) if self.integral else _scaled(self.data)
+            adj, det = _adjugate(rows)
             if det == 0:
                 raise PreconditionError("matrix is singular")
-            unimodular = det == 1 or det == -1
-            if unimodular and self.integral:
+            if self.integral and (det == 1 or det == -1):
                 return Matrix._trusted(adj if det == 1 else
                                        tuple(tuple([-x for x in r]) for r in adj), True)
-            s = det if unimodular else Fraction(1, det)
-            return Matrix._trusted(tuple(tuple([_norm(s * x) for x in r]) for r in adj))
+            return Matrix._trusted(tuple(tuple([_norm(Fraction(lam * x, det)) for x in r])
+                                         for r in adj))
         det, inv = _bareiss(self.data, n)
         if inv is None:
             raise PreconditionError("matrix is singular")
@@ -317,24 +324,51 @@ def _int_mul(p, q):
     return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in p)
 
 
-def _int_affine(a, g, b):
-    """a + g b for an int matrix given by its rows g, when every entry of the
-    vectors a and b is an int (2x2 and 3x3 written out); else None."""
+def _int_apply(g, b):
+    """g b for an int matrix given by its rows g, when every entry of the
+    vector b is an int (2x2 and 3x3 written out); else None."""
     n = len(b)
     if n == 2 and len(g) == 2:
+        b0, b1 = b
+        if type(b0) is int and type(b1) is int:
+            (p, q), (r, s) = g
+            return (p * b0 + q * b1, r * b0 + s * b1)
+    elif n == 3 and len(g) == 3:
+        b0, b1, b2 = b
+        if type(b0) is int and type(b1) is int and type(b2) is int:
+            (p, q, r), (s, t, u), (v, w, z) = g
+            return (p * b0 + q * b1 + r * b2, s * b0 + t * b1 + u * b2,
+                    v * b0 + w * b1 + z * b2)
+    elif all(type(x) is int for x in b):
+        return tuple([sum(map(mul, row, b)) for row in g])
+    return None
+
+
+def _int_affine_mul(a, g, b, h):
+    """(a + g b, rows of g h) for int matrices given by their rows g, h, both
+    n x n, and vectors a, b of length n, when every entry of a and b is an
+    int (n = 2 and 3 written out); else None.  No entry needs normalizing."""
+    n = len(g)
+    if n == 2:
         (a0, a1), (b0, b1) = a, b
         if type(a0) is int and type(a1) is int and type(b0) is int and type(b1) is int:
             (p, q), (r, s) = g
-            return (a0 + p * b0 + q * b1, a1 + r * b0 + s * b1)
-    elif n == 3 and len(g) == 3:
+            (e, f), (u, v) = h
+            return ((a0 + p * b0 + q * b1, a1 + r * b0 + s * b1),
+                    ((p * e + q * u, p * f + q * v), (r * e + s * u, r * f + s * v)))
+    elif n == 3:
         (a0, a1, a2), (b0, b1, b2) = a, b
         if (type(a0) is int and type(a1) is int and type(a2) is int
                 and type(b0) is int and type(b1) is int and type(b2) is int):
             (p, q, r), (s, t, u), (v, w, z) = g
-            return (a0 + p * b0 + q * b1 + r * b2, a1 + s * b0 + t * b1 + u * b2,
-                    a2 + v * b0 + w * b1 + z * b2)
+            (j, k, m), (c, d, e), (x, y, f) = h
+            return ((a0 + p * b0 + q * b1 + r * b2, a1 + s * b0 + t * b1 + u * b2,
+                     a2 + v * b0 + w * b1 + z * b2),
+                    ((p * j + q * c + r * x, p * k + q * d + r * y, p * m + q * e + r * f),
+                     (s * j + t * c + u * x, s * k + t * d + u * y, s * m + t * e + u * f),
+                     (v * j + w * c + z * x, v * k + w * d + z * y, v * m + w * e + z * f)))
     elif all(type(x) is int for x in a) and all(type(x) is int for x in b):
-        return tuple([x + sum(map(mul, row, b)) for x, row in zip(a, g)])
+        return tuple([x + sum(map(mul, row, b)) for x, row in zip(a, g)]), _int_mul(g, h)
     return None
 
 

@@ -44,14 +44,33 @@ def _typed(xs):
     return tuple((type(x), x) for x in xs)
 
 
+def _ref_product(p, q):
+    """(a + g b, g h) for p = (a, g), q = (b, h) given as tuples of rows, in
+    Fraction arithmetic, every entry normalized (denominator 1 to int)."""
+    (a, g), (b, h) = p, q
+    return (vec_norm([Fraction(x) + sum((Fraction(u) * w for u, w in zip(row, b)), Fraction(0))
+                      for x, row in zip(a, g)]),
+            tuple(vec_norm([sum((Fraction(u) * w for u, w in zip(row, col)), Fraction(0))
+                            for col in zip(*h)]) for row in g))
+
+
 def test_affine_product_fast_path_matches_generic_path():
-    # Integral linear parts and int translations take the int path; the
-    # same matrices without the flag, and any Fraction translation, take the
-    # generic one.  Every entry of every product must come out normalized.
+    # Integral linear parts and int translations take the int kernel (written
+    # out for n = 2 and 3, generic for n = 1, 4 and 5); the same matrices
+    # without the flag, rational linear parts and any Fraction translation
+    # take the generic path.  Products and the twist automorphism must match
+    # a Fraction reference in value and entry type, and a True flag must be
+    # true.
     rng = seeded(2022)
 
     def pick(options):
         return options[rng.below(len(options))]
+
+    def linear(n, rational=False):
+        if rational:
+            return Matrix([[Fraction(rng.int_in(-4, 4), rng.int_in(1, 3)) for _ in range(n)]
+                           for _ in range(n)])
+        return Matrix([[pick((1, -1))]]) if n == 1 else random_unimodular(rng, n)
 
     def translation(n, kind):
         xs = [rng.int_in(-5, 5) for _ in range(n)]
@@ -61,28 +80,40 @@ def test_affine_product_fast_path_matches_generic_path():
             return tuple(Fraction(x, rng.int_in(1, 3)) for x in xs)
         return tuple(xs)
 
-    def reference(p, q):
-        (a, g), (b, h) = p, q
-        ga = [sum((Fraction(u) * w for u, w in zip(row, b)), Fraction(0)) for row in g]
-        return (tuple(Fraction(x) + y for x, y in zip(a, ga)),
-                tuple(tuple(sum(u * w for u, w in zip(row, col)) for col in zip(*h))
-                      for row in g))
+    def check(got, want):
+        assert _typed(got.translation) == _typed(want[0])
+        assert tuple(map(_typed, got.linear.data)) == tuple(map(_typed, want[1]))
+        assert not got.linear.integral or all(
+            type(x) is int for row in got.linear.data for x in row)
 
     int_path = 0
-    for n in (1, 2, 3, 4):
+    for n in range(1, 6):
         for _ in range(40):
-            g, h = (Matrix([[pick((1, -1))]]) if n == 1 else random_unimodular(rng, n)
-                    for _ in range(2))
+            g, h = (linear(n, rng.below(6) == 0) for _ in range(2))
             kinds = ["int", "int"] if rng.below(2) else [
                 pick(("int", "unit", "rational")) for _ in range(2)]
             a, b = translation(n, kinds[0]), translation(n, kinds[1])
-            want_a, want_g = reference((a, g.data), (b, h.data))
+            L = linear(n)
+            xi = translation(n, pick(("int", "unit")))
+            phi = affine_automorphism(L, xi)
+            L_inv = Matrix([[Fraction(v) for v in row] for row in L.data]).inverse()
+            P, P_inv = (xi, L.data), (vec_norm([-v for v in L_inv.apply(xi)]), L_inv.data)
             for gg, hh in ((g, h), (Matrix._trusted(g.data), Matrix._trusted(h.data))):
-                got = AffineElement(a, gg) * AffineElement(b, hh)
-                assert got.translation == want_a and got.linear.data == want_g
-                assert _typed(got.translation) == _typed(vec_norm(want_a))
-                assert all(type(x) is int for row in got.linear.data for x in row)
-                int_path += gg.integral and kinds == ["int", "int"]
+                x, y = AffineElement(a, gg), AffineElement(b, hh)
+                got = x * y
+                check(got, _ref_product((x.translation, gg.data), (y.translation, hh.data)))
+                if gg.integral and hh.integral:
+                    assert got.linear.integral
+                    int_path += kinds == ["int", "int"]
+                for el in (x, y):
+                    check(phi(el), _ref_product(
+                        _ref_product(P, (el.translation, el.linear.data)), P_inv))
+            with pytest.raises(ShapeError):
+                x * AffineElement.identity(n + 1)
+            with pytest.raises(ShapeError):
+                AffineElement.identity(n + 1) * x
+            with pytest.raises(ShapeError):
+                phi(AffineElement.identity(n + 1))
     assert int_path >= 60
 
 

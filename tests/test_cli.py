@@ -153,6 +153,20 @@ def test_cocycle_eval_huge_exponent(tmp_path):
     assert doc["value"] == ["100000000", "0"]
 
 
+def test_cocycle_eval_value_of_wrong_length(tmp_path):
+    # A value that is not a 2-vector is refused when its token is evaluated,
+    # for either sign of the exponent; a token with exponent 0 never reads it.
+    for value in (["1", "0", "2"], ["1"], []):
+        spec = {"generators": [mat([[1, 1], [0, 1]])], "values": [value]}
+        for exp in (3, -2):
+            code, out, err = run_cli(tmp_path, ["cocycle", "eval"],
+                                     {"spec": spec, "word": [{"gen": 0, "exp": exp}]})
+            assert (code, out, err) == (3, "", "error: vector length mismatch\n")
+        doc = run_ok(tmp_path, ["cocycle", "eval"],
+                     {"spec": spec, "word": [{"gen": 0, "exp": 0}]})
+        assert doc["value"] == ["0", "0"]
+
+
 def test_answer_past_int_str_digit_limit_exits_3(tmp_path):
     # c(g^20000) for g = [[2, 1], [1, 1]] has entries of about 8400 digits,
     # past the interpreter's int/str limit.  This once exited 2 as

@@ -11,7 +11,7 @@ from exactgroups.cocycle import (A_GEN, B_GEN, CoboundaryWitness, CocycleSpec,
                                  cocycle_eval, finf_extend, finf_generator,
                                  gamma1_cocycle, gamma1_obstruction,
                                  parity_domain, solve_full_coboundary,
-                                 verify_relations)
+                                 verify_relations, _evaluate)
 from exactgroups.matrix import Matrix, PreconditionError, vec_add, vec_sub
 from exactgroups.sl2 import MINUS_I, S_ALT, T, T_ALT
 from tests.conftest import det1_matrices, random_sl2, seeded
@@ -118,6 +118,64 @@ def test_verify_relations_bad_index():
         with pytest.raises(PreconditionError, match="unknown generator index") as info:
             verify_relations(bad)
         assert not isinstance(info.value, RelatorNotIdentity)
+
+
+def _golden_specs(count, seed):
+    """Seeded (spec, words): 1 to 3 generators among S_ALT, T_ALT, a
+    hyperbolic, a parabolic and random SL2(Z) samples; each value entry an
+    int, a Fraction or a Fraction(k, 1); relators g^4 and g^6 where they
+    hold, w w^-1, and now and then g g, which is no relation; three words."""
+    rng = seeded(seed)
+    fixed = (S_ALT, T_ALT, Matrix([[2, 1], [1, 1]]), Matrix([[1, 3], [0, 1]]))
+
+    def entry():
+        k = rng.int_in(-6, 6)
+        kind = rng.below(3)
+        return k if kind == 0 else Fraction(k, 1) if kind == 1 else Fraction(k, rng.int_in(2, 5))
+
+    def word(size, big):
+        top = 1000 if big else 4
+        return tuple((rng.below(size), rng.int_in(-top, top)) for _ in range(rng.below(5)))
+
+    for _ in range(count):
+        size = 1 + rng.below(3)
+        gens = tuple(fixed[rng.below(4)] if rng.below(2) else random_sl2(rng, 4, 2)
+                     for _ in range(size))
+        values = tuple((entry(), entry()) for _ in range(size))
+        relators = []
+        for i, g in enumerate(gens):
+            for k in (4, 6):
+                if g ** k == Matrix.identity(2):
+                    relators.append(((i, k),))
+        w = word(size, False)
+        relators.append(w + tuple((i, -e) for i, e in reversed(w)))
+        if rng.below(8) == 0:
+            relators.append(((0, 1), (0, 1)))   # g^2 = I only for g = +-I
+        yield (CocycleSpec(gens, values, tuple(relators)),
+               [word(size, rng.below(4) == 0) for _ in range(3)])
+
+
+def test_eval_and_relations_golden():
+    # Values, with their entry types (repr tells 2 from Fraction(2, 1)), the
+    # word's matrix and verify_relations' verdict, pinned over seeded specs
+    # with int and rational values, negative exponents and |exp| up to 1000.
+    h = hashlib.sha256()
+    verdicts = set()
+    for spec, words in _golden_specs(600, 2525):
+        for w in words:
+            value, m = _evaluate(spec, w)
+            assert value == cocycle_eval(spec, w) and m.integral
+            assert all(type(x) is int or x.denominator != 1 for x in value)
+            h.update(repr((value, m.data)).encode())
+        try:
+            verdict = verify_relations(spec)
+        except RelatorNotIdentity:
+            verdict = "not identity"
+        verdicts.add(verdict)
+        h.update(repr(verdict).encode())
+    assert verdicts == {True, False, "not identity"}
+    assert h.hexdigest() == (
+        "e7619e28a9a58eca686fe5eff059dc4d4bb0e308da15ddca9c1df36d89cbec8c")
 
 
 # -- full-group solver -----------------------------------------------------

@@ -13,11 +13,13 @@ flag must be true.
 import copy
 import pickle
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+from exactgroups.affine import AffineElement
 from exactgroups.lattice import snf
-from exactgroups.matrix import Matrix
+from exactgroups.matrix import Matrix, PreconditionError, ShapeError
 from tests.conftest import random_unimodular, seeded
 
 SHAPES = [(n, n) for n in range(1, 6)] + [(1, 2), (2, 1), (1, 3), (2, 3), (3, 2),
@@ -115,6 +117,14 @@ def test_constructor_flag_exact():
             Matrix(given)
 
 
+def test_empty_matrix_refused_alike():
+    # identity(0) once raised IndexError from reading the first row.
+    for build in (lambda: Matrix([]), lambda: Matrix([[]]), lambda: Matrix.diagonal([]),
+                  lambda: Matrix.identity(0), lambda: AffineElement.identity(0)):
+        with pytest.raises(ShapeError, match="^matrix must have at least one row and column$"):
+            build()
+
+
 def test_mul_and_apply_against_fraction_reference():
     rng = seeded(1902)
     pool = list(operands(rng))
@@ -190,6 +200,53 @@ def test_neg_inverse_and_pow_against_fraction_reference():
             if m.integral and (k >= 0 or unimodular_int):
                 assert p.integral
     assert unimodular >= 20
+
+
+def ref_det(p):
+    """det p by the Leibniz formula in Fraction arithmetic, normalized."""
+    n = len(p)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= p[i][j]
+        total += term
+    return norm(total)
+
+
+def test_rational_det_and_inverse_against_fraction_reference():
+    # Up to 3x3, with int, Fraction and Fraction(k, 1) entries mixed and
+    # denominators up to 6: det and inverse match the reference in value and
+    # in entry type, and a singular matrix has det 0 and no inverse.
+    rng = seeded(2526)
+
+    def entry():
+        k, kind = rng.int_in(-5, 5), rng.below(3)
+        return k if kind == 0 else Fraction(k) if kind == 1 else Fraction(k, rng.int_in(2, 6))
+
+    singular = 0
+    for n in (1, 2, 3):
+        for trial in range(300):
+            given = [[entry() for _ in range(n)] for _ in range(n)]
+            if trial % 5 == 0:
+                # Row n-1 a rational multiple of row 0 (for n = 1, zero).
+                c = Fraction(rng.int_in(-3, 3), rng.int_in(1, 4))
+                given[-1] = [c * x for x in given[0]]
+            m = Matrix(given)
+            det, want = m.det(), ref_det(m.data)
+            assert typed(((det,),)) == typed(((want,),)), m
+            inv_rows = ref_inverse(m.data)
+            if inv_rows is None:
+                singular += 1
+                assert det == 0
+                with pytest.raises(PreconditionError, match="singular"):
+                    m.inverse()
+                continue
+            inv = m.inverse()
+            assert typed(inv.data) == typed(inv_rows), m
+            assert sound(inv)
+    assert singular >= 150
 
 
 def test_snf_transforms_flagged():
