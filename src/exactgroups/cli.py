@@ -14,10 +14,11 @@ table, so help texts, usage messages and their exit codes are argparse's;
 that parser too refuses a flag given twice, with a usage error (exit 2).
 argparse is imported and the parser built only then, once per process, and
 help is formatted at a fixed width, not the terminal's.  run() reads the
-document only for commands that take one and calls the handler as a pure
-function handler(doc, opts) -> dict, where opts maps each flag to its value.
-Integer flags follow the integer rule of the input documents
-(serialize.parse_int).
+document only for commands that take one, refuses any document but a JSON
+object with one line of its own (not the interpreter's wording of an
+exception), and calls the handler as a pure function handler(doc, opts) ->
+dict, where opts maps each flag to its value.  Integer flags follow the
+integer rule of the input documents (serialize.parse_int).
 
 Each handler imports the library modules it calls when it runs, not when
 this module loads, so a cold call compiles only its own command's modules:
@@ -70,11 +71,15 @@ def _read_doc(infile):
         raise InputError("this subcommand requires --in")
     try:
         if infile == "-":
-            return json.load(sys.stdin)
-        with open(infile, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(sys.stdin)
+        else:
+            with open(infile, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read input document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError("input document must be a JSON object")
+    return doc
 
 
 def _int_flag(text):
@@ -248,8 +253,6 @@ def _random_affine(rng, n):
 def _cmd_affine_classify(doc, opts):
     import exactgroups.affine as affine
     import exactgroups.lattice as lattice
-    if not isinstance(doc, dict):
-        raise InputError("subgroup descriptor must be a JSON object")
     kind = doc.get("kind")
     if kind == "full_lattice":
         basis = lattice.hnf([parse_vector(r) for r in doc["lattice"]["rows"]],

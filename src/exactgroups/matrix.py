@@ -308,8 +308,8 @@ Matrix._key = attrgetter("rows", "cols", "data")
 
 
 def _int_mul(p, q):
-    """Rows of the product of two int matrices given by their rows; no entry
-    needs normalizing."""
+    """Rows of the product of two matrices given by their rows; the arithmetic
+    is type-agnostic, and on int rows no entry needs normalizing."""
     if len(p) == len(q) == len(q[0]) == 2:
         (a, b), (c, d) = p
         (e, f), (g, h) = q

@@ -199,7 +199,7 @@ def _reference_ball(x, gens, radius):
 
 
 def test_conj_class_ball_sl3_matches_reference():
-    # n = 3: conjugation matrices on the 13-entry vectors (a, C row by row, 1).
+    # n = 3: the (a, C) pair step on 3x3 rows, with translated generators.
     rng = seeded(31)
     e12, e21 = SL3_ELEMENTARIES[0], SL3_ELEMENTARIES[2]
     for _ in range(4):
@@ -318,8 +318,8 @@ def test_conj_class_ball_matches_nested_tuple_count():
     cases.append((AffineElement((0, -2), Matrix([[1, 0], [1, 1]])),
                   [AffineElement((-1, -2), T), AffineElement((1, 0), hyperbolic),
                    AffineElement((2, 2), Matrix([[1, 0], [1, 1]]))], 4))
-    # A non-translation x at n = 4 (conjugation matrices on 21-entry
-    # vectors), and one whose conjugation matrices carry Fractions.
+    # A non-translation x at n = 4 (the generic `_int_mul` rows), and one
+    # whose pair steps carry Fractions.
     rng4 = seeded(2121)
     x4 = AffineElement(tuple(rng4.int_in(-2, 2) for _ in range(4)),
                        random_unimodular(rng4, 4, length=2))
@@ -327,6 +327,22 @@ def test_conj_class_ball_matches_nested_tuple_count():
                                      random_unimodular(rng4, 4, length=3)) for _ in range(2)], 3))
     cases.append((AffineElement((Fraction(1, 2), 0), T),
                   [AffineElement((0, Fraction(-1, 3)), S), AffineElement((1, 0), T)], 5))
+    # n = 1, and linear parts outside GL_n(Z): diag(2, 1/2) of det 1 and
+    # diag(2, 1) of det 2, whose inverses carry Fractions.
+    minus_one = Matrix([[-1]])
+    cases.append((AffineElement((1,), minus_one),
+                  [AffineElement((0,), minus_one), AffineElement((1,), Matrix([[1]]))], 6))
+    cases.append((AffineElement((1, 0), T),
+                  [AffineElement((0, 1), S),
+                   AffineElement((0, 0), Matrix([[2, 0], [0, Fraction(1, 2)]]))], 5))
+    cases.append((AffineElement((0, -2), Matrix([[1, 0], [1, 1]])),
+                  [AffineElement((1, 1), Matrix([[2, 0], [0, 1]])), AffineElement((0, 1), T)], 4))
+    # A non-translation x at n = 3 with Fraction translations.
+    e3 = SL3_ELEMENTARIES[0]
+    f3 = Matrix([[1, 0, 0], [0, 1, 0], [1, 0, 1]])
+    cases.append((AffineElement((Fraction(1, 2), 0, 1), e3 * f3),
+                  [AffineElement((0, Fraction(1, 3), 0), e3),
+                   AffineElement((1, 0, Fraction(-1, 2)), f3)], 4))
     for x, gens, top in cases:
         counts = [conj_class_ball(x, gens, r) for r in range(top + 1)]
         assert counts == _nested_ball(x, gens, top), (x, gens)

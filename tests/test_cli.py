@@ -589,6 +589,11 @@ def test_every_command_refuses_malformed_documents(tmp_path):
             code, out, err = run_cli(tmp_path, argv + ["--in", str(path)])
             assert code in (2, 3) and out == "", (argv, text, code)
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, text, err)
+            if text in ("[]", "null", '"x"', "3", "[[1]]"):
+                # run() refuses a document that is not an object with a line
+                # of its own, the same under every Python version.
+                assert (code, err) == (2, "error: input document must be a JSON object\n"), (
+                    argv, text, err)
         code, out, err = run_cli(tmp_path, argv)
         assert (code, out, err) == (2, "", "error: this subcommand requires --in\n")
 

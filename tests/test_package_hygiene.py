@@ -1,0 +1,75 @@
+"""Static checks on the package source, by the standard library's `ast` alone:
+no module-level import goes unused, and no private module-level name is
+left without a reference in the package."""
+
+import ast
+from pathlib import Path
+
+import exactgroups
+
+PACKAGE = Path(exactgroups.__file__).resolve().parent
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _references(node):
+    """Identifiers that `node` reads: names, attribute names, and the names
+    imported from a module."""
+    refs = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom) and sub.module != "__future__":
+            refs.update(alias.name for alias in sub.names)
+    return refs
+
+
+def _exported(tree):
+    """The strings of a module-level `__all__` list."""
+    for stmt in tree.body:
+        if (isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)):
+            return {elt.value for elt in stmt.value.elts}
+    return set()
+
+
+def _defined(stmt):
+    """Names that a module-level statement binds, other than by import."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)}
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for name, tree in MODULES.items():
+        imports = [stmt for stmt in tree.body if isinstance(stmt, (ast.Import, ast.ImportFrom))
+                   and getattr(stmt, "module", None) != "__future__"]
+        used = set().union(*(_references(stmt) for stmt in tree.body
+                             if stmt not in imports)) | _exported(tree)
+        for stmt in imports:
+            for alias in stmt.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{name}:{stmt.lineno} {bound}")
+    assert not unused, unused
+
+
+def test_every_private_module_level_name_is_referenced():
+    # A reference counts when it lies outside the statement that binds the
+    # name, in any module of the package: a helper that only calls itself is
+    # still dead.
+    reads = [(stmt, _references(stmt)) for tree in MODULES.values() for stmt in tree.body]
+    unreferenced = []
+    for name, tree in MODULES.items():
+        for stmt in tree.body:
+            for private in _defined(stmt):
+                if not private.startswith("_") or private.startswith("__"):
+                    continue
+                if not any(private in refs for other, refs in reads if other is not stmt):
+                    unreferenced.append(f"{name}:{stmt.lineno} {private}")
+    assert not unreferenced, unreferenced
