@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -588,6 +589,79 @@ def test_solve_and_kernel_rational_matrix():
     assert all(type(v) is int for v in x) and M.apply(x) == (Fraction(1, 6),)
     assert solve_integer(M, (Fraction(1, 12),)) is None
     assert kernel_basis(M).rows == ((2, -3),)
+
+
+def _differential_cases():
+    """Seeded matrices M, each with a solvable b = M x0 and a random b:
+    square n = 1..16; tall with 1..4 extra rows, either random or integer
+    combinations of the first n rows (the random b then obeys the same
+    combinations, so it is consistent on the extra rows); wide; square of
+    rank k < n; and rational M and/or b with denominators <= 6."""
+    rng = seeded(2701)
+
+    def ints(r, c):
+        return [[rng.int_in(-9, 9) for _ in range(c)] for _ in range(r)]
+
+    def rational(r, c):
+        return [[Fraction(rng.int_in(-9, 9), rng.int_in(1, 6)) for _ in range(c)]
+                for _ in range(r)]
+
+    def add(rows, b=None):
+        M = Matrix(rows)
+        x0 = tuple(rng.int_in(-5, 5) for _ in range(M.cols))
+        if b is None:
+            b = tuple(rng.int_in(-9, 9) for _ in range(M.rows))
+        cases.append((M, (M.apply(x0), tuple(b))))
+
+    cases = []
+    for n in range(1, 17):
+        for _ in range(3):
+            add(ints(n, n))
+    for n in range(1, 9):
+        for extra in range(1, 5):
+            add(ints(n + extra, n))
+            top = ints(n, n)
+            combos = [[rng.int_in(-2, 2) for _ in range(n)] for _ in range(extra)]
+            b = [rng.int_in(-9, 9) for _ in range(n)]
+            add(top + [[sum(c * row[j] for c, row in zip(combo, top)) for j in range(n)]
+                       for combo in combos],
+                b + [sum(map(mul, combo, b)) for combo in combos])
+    for m in range(1, 8):
+        for n in range(m + 1, m + 4):
+            add(ints(m, n))
+    for n in range(2, 9):
+        for k in range(n):
+            left = [[rng.int_in(-3, 3) for _ in range(k)] for _ in range(n)]
+            right = [[rng.int_in(-3, 3) for _ in range(n)] for _ in range(k)]
+            add([[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)]
+                 for i in range(n)])
+    for n in range(1, 7):
+        for r in (n, n + 2):
+            add(rational(r, n))
+            add(ints(r, n), [row[0] for row in rational(r, 1)])
+            add(rational(r, n), [row[0] for row in rational(r, 1)])
+    return cases
+
+
+def test_solve_integer_and_kernel_differential():
+    # Every answer solves M x = b, and every None is confirmed by the
+    # Hermite basis of M's columns; all answers and kernels are pinned.
+    answers, kernels = [], []
+    for M, bs in _differential_cases():
+        kernels.append(kernel_basis(M).rows)
+        columns = hnf(list(zip(*M.data)), dim=M.rows)
+        for b in bs:
+            x = solve_integer(M, b)
+            answers.append(x)
+            if x is None:
+                assert not columns.contains(b), (M, b)
+            else:
+                assert all(type(v) is int for v in x) and M.apply(x) == b, (M, b)
+    assert len(answers) == 2 * len(kernels) and answers.count(None) > 100
+    assert _digest(answers) == (
+        "c697c1a7b7e6b6571ab56259510392c7d78c12a7dec93a124b7434c8b747a88c")
+    assert _digest(kernels) == (
+        "8e308a35c50c7d145bdebcab3a81e2841dc7c9ade407f2669eebd77927413c40")
 
 
 def test_fixed_sublattice():

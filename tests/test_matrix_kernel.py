@@ -216,9 +216,10 @@ def ref_det(p):
 
 
 def test_rational_det_and_inverse_against_fraction_reference():
-    # Up to 3x3, with int, Fraction and Fraction(k, 1) entries mixed and
-    # denominators up to 6: det and inverse match the reference in value and
-    # in entry type, and a singular matrix has det 0 and no inverse.
+    # Up to 5x5 (cofactors up to 3x3, elimination past it), with int,
+    # Fraction and Fraction(k, 1) entries mixed and denominators up to 6: det
+    # and inverse match the reference in value and in entry type, and a
+    # singular matrix has det 0 and no inverse.
     rng = seeded(2526)
 
     def entry():
@@ -226,7 +227,7 @@ def test_rational_det_and_inverse_against_fraction_reference():
         return k if kind == 0 else Fraction(k) if kind == 1 else Fraction(k, rng.int_in(2, 6))
 
     singular = 0
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         for trial in range(300):
             given = [[entry() for _ in range(n)] for _ in range(n)]
             if trial % 5 == 0:
