@@ -49,12 +49,22 @@ class CocycleSpec(Record):
 
 
 class CoboundaryWitness(Record):
-    __slots__ = ("xi", "integral")   # xi: rational vector; integral: xi in Z^2
+    """A vector xi in Q^2 with c(g) = xi - g xi, and whether it lies in Z^2.
 
-    @staticmethod
-    def of(xi):
+    xi is kept as a tuple of normalized entries and `integral` is read from
+    it; a flag that is given must agree with it.
+    """
+
+    __slots__ = ("xi", "integral")
+
+    def __init__(self, xi, integral=None):
         xi = vec_norm(xi)
-        return CoboundaryWitness(xi, all(isinstance(x, int) for x in xi))
+        if len(xi) != 2:
+            raise ShapeError("witness must have two entries")
+        flag = all(type(x) is int for x in xi)
+        if integral is not None and integral is not flag:
+            raise PreconditionError(f"witness {xi} is {'' if flag else 'not '}integral")
+        Record.__init__(self, xi, flag)
 
 
 def cocycle_eval(spec, word):
@@ -131,7 +141,7 @@ def solve_full_coboundary(c_t):
     """
     x, y = c_t
     c_s = (-x - 2 * y, x)
-    return c_s, CoboundaryWitness.of((-y, x + y))
+    return c_s, CoboundaryWitness((-y, x + y))
 
 
 def coboundary_witness(spec):
@@ -152,7 +162,7 @@ def coboundary_witness(spec):
             x, y = Fraction(r * d - b * s, det), Fraction(a * s - r * c, det)
             if any(u * x + v * y != w for u, v, w in rows):
                 return None
-            return CoboundaryWitness.of((x, y))
+            return CoboundaryWitness((x, y))
     # Rank <= 1: consistent iff [rows | rhs] has rank <= 1 too, and no zero
     # row has a nonzero right-hand side (rank 0 has no 2x2 minor to show it).
     if any(r for a, b, r in rows if not (a or b)) or any(

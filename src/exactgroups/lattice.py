@@ -7,6 +7,9 @@ Conventions:
     with U*M*V = D for unimodular U, V.  It is computed by alternating row
     and column Hermite passes (Kannan-Bachem 1979), so every entry of U and
     V stays polynomial in the size of M.
+  * An integer solve of a system of full column rank, whose solution is
+    unique if it exists, takes one fraction-free pass (`matrix._bareiss`);
+    kernels and every other system take the Hermite form of [M^T | I].
   * The zero lattice is an empty basis, never a zero row.
 """
 
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from math import gcd, prod
 
-from .matrix import Matrix, PreconditionError, Record, ShapeError
+from .matrix import Matrix, PreconditionError, Record, ShapeError, _bareiss, _scaled
 
 
 class LatticeBasis(Record):
@@ -240,11 +243,31 @@ def _hermite_transform(M):
 def solve_integer(M, b):
     """Some integer solution x of M x = b, or None when none exists.
 
-    b is written over the Hermite basis h = M t of the column lattice, and x
-    is the same combination of the t; absence is a value, not an error.
+    An m x n M with m >= n goes first through one fraction-free pass
+    (`matrix._bareiss`) on the int rows of lam [M | b], lam the lcm of their
+    denominators.  When every column has a pivot, M has full column rank, so
+    the solution, if any, is unique: the pass ends as [q I | q x] on its
+    first n rows, and x is the answer when q divides every entry of q x and
+    every later row is 0 on the right; otherwise there is none.  A wide M,
+    or one with a column without a pivot, takes the Hermite form instead: b
+    is written over the Hermite basis h = M t of the column lattice, and x is
+    the same combination of the t.  Absence is a value, not an error.
     """
-    if len(b) != M.rows:
+    m, n = M.rows, M.cols
+    if len(b) != m:
         raise ShapeError("right-hand side length mismatch")
+    if m >= n:
+        if M.integral and all(type(x) is int for x in b):
+            rows = [[*row, x] for row, x in zip(M.data, b)]
+        else:
+            rows = _scaled([row + (x,) for row, x in zip(M.data, b)])[0]
+        done = _bareiss(rows, n)
+        if done is not None:
+            q, rows = done
+            if any(row[0] for row in rows[n:]):
+                return None
+            x = [divmod(row[0], q) for row in rows[:n]]
+            return None if any(rem for _, rem in x) else tuple(v for v, _ in x)
     image = [(h, t) for h, t in _hermite_transform(M) if any(h)]
     y = _combination([h for h, _ in image], b)
     if y is None:
@@ -253,7 +276,11 @@ def solve_integer(M, b):
 
 
 def kernel_basis(M):
-    """HNF basis of the integer kernel {x in Z^n : M x = 0}."""
+    """HNF basis of the integer kernel {x in Z^n : M x = 0}.
+
+    Taken from the Hermite form directly, with no fraction-free pass first:
+    a kernel is asked for mostly of an M without full column rank, on which
+    that pass would only fail."""
     return LatticeBasis(M.cols, [t for h, t in _hermite_transform(M) if not any(h)])
 
 

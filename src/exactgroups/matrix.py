@@ -4,9 +4,12 @@ Entries are Python ints or :class:`fractions.Fraction`; every operation is
 exact.  Matrices are immutable and hashable, so they can be used as dict keys
 and set members (the finite-closure check of `affine` keeps them in a set).
 Determinants and inverses work on the int rows of lam M, lam the lcm of M's
-denominators (`_scaled` makes them, for `bruhat` too): up to 3x3 by one
-cofactor expansion (`_adjugate`), past it by one fraction-free elimination
-(`_bareiss`), with one Fraction made per output entry at the end.
+denominators (`_scaled` makes them, for `bruhat` and `lattice` too): up to
+3x3 by one cofactor expansion (`_adjugate`), past it by fraction-free
+elimination (`_bareiss`), with one Fraction made per output entry at the
+end.  `_bareiss` is the package's one fraction-free elimination: it carries
+a right-hand block, empty for `det`, I for `inverse` and b for
+`lattice.solve_integer`.
 
 Each matrix carries an `integral` flag, True only when every entry is an
 int; False means it may hold a Fraction.  The constructor sets it exactly,
@@ -246,42 +249,42 @@ class Matrix(Record):
     def det(self):
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
-        if self.rows > 3:
-            return _bareiss(self.data, self.rows)[0]
-        if self.integral:
-            return _adjugate(self.data)[1]
-        rows, lam = _scaled(self.data)
-        return _norm(Fraction(_adjugate(rows)[1], lam ** self.rows))
+        n = self.rows
+        rows, lam = (self.data, 1) if self.integral else _scaled(self.data)
+        if n <= 3:
+            det = _adjugate(rows)[1]
+        else:
+            det = (_bareiss([list(row) for row in rows], n) or (0, None))[0]
+        return det if lam == 1 else _norm(Fraction(det, lam ** n))
 
     def inverse(self):
         """Exact inverse; raises PreconditionError when singular.
 
-        Up to 3x3 a matrix is inverted in closed form: with N = lam M on
-        ints (lam = 1 for an integral M), M^-1 = lam adj(N) / det N, one
-        Fraction per entry.  An integral matrix of determinant +-1 gets
-        +-adj(M) with no Fraction made.  Larger sizes go through
-        fraction-free elimination (_bareiss).  Every entry is normalized, so
-        an entry with denominator 1 is an int whatever the input's types.
-        The inverse of an integral matrix of determinant +-1 is flagged
-        integral.
+        With N = lam M on ints (lam = 1 for an integral M), M^-1 =
+        lam adj(N) / det N, one Fraction per entry.  adj(N) and det N come in
+        closed form up to 3x3 (_adjugate) and past it from the fraction-free
+        pass on [N | I], which ends as [det N I | adj(N)] (_bareiss).  An
+        integral matrix of determinant +-1 gets +-adj(M) with no Fraction
+        made, flagged integral.  Every entry is normalized, so an entry with
+        denominator 1 is an int whatever the input's types.
         """
         if self.rows != self.cols:
             raise ShapeError("inverse of a non-square matrix")
         n = self.rows
+        rows, lam = (self.data, 1) if self.integral else _scaled(self.data)
         if n <= 3:
-            rows, lam = (self.data, 1) if self.integral else _scaled(self.data)
             adj, det = _adjugate(rows)
-            if det == 0:
-                raise PreconditionError("matrix is singular")
-            if self.integral and (det == 1 or det == -1):
-                return Matrix._trusted(adj if det == 1 else
-                                       tuple(tuple([-x for x in r]) for r in adj), True)
-            return Matrix._trusted(tuple(tuple([_norm(Fraction(lam * x, det)) for x in r])
-                                         for r in adj))
-        det, inv = _bareiss(self.data, n)
-        if inv is None:
+        else:
+            det, m = _bareiss([list(row) + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(rows)], n) or (0, ())
+            adj = tuple(map(tuple, m))
+        if det == 0:
             raise PreconditionError("matrix is singular")
-        return Matrix._trusted(inv, self.integral and (det == 1 or det == -1))
+        if self.integral and (det == 1 or det == -1):
+            return Matrix._trusted(adj if det == 1 else
+                                   tuple(tuple([-x for x in r]) for r in adj), True)
+        return Matrix._trusted(tuple(tuple([_norm(Fraction(lam * x, det)) for x in r])
+                                     for r in adj))
 
     def is_integral(self):
         return self.integral or all(isinstance(x, int) for row in self.data for x in row)
@@ -372,33 +375,39 @@ def _int_affine_mul(a, g, b, h):
     return None
 
 
-def _bareiss(d, n):
-    """(det M, rows of M^-1 or None when singular) for the rows d of an n x n M.
+def _bareiss(m, n):
+    """(q, m) after fraction-free Gauss-Jordan elimination (Bareiss 1968) on
+    the first n columns of m, a list of distinct int row lists that it
+    consumes, or None when one of those columns has no pivot.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on [lam M | I], lam
-    the lcm of M's denominators.  Step k brings up the first row from k on
-    with a nonzero entry in column k, negating the row it displaces to keep
-    the determinant, takes p = m[k][k] and sets every other row to
-    (p m_i - m_ik m_k) / q, q the previous pivot; each division is exact.
-    [lam M | I] ends as [q I | q (lam M)^-1], q = det(lam M) = lam^n det M.
+    m holds an r x n matrix N, r >= n, each row followed by its row of a
+    right-hand block B: empty for det, I for inverse, b for a solve.  Step k
+    brings up the first row from k on with a nonzero entry in column k,
+    negating the row it displaces to keep the determinant, takes that entry
+    p and sets every other row to (p m_i - m_ik m_k) / q, q the previous
+    pivot; each division is exact (Cohen, GTM 138, 2.2).  Column k is then
+    dropped from every row, so the rows end as their B part: q P^-1 B_P on
+    rows 0..n-1, with P the n rows of N that gave the pivots and B_P theirs,
+    and +-q (B_i - N_i P^-1 B_P) on each row i past them.  For square N,
+    q = det N, and B = I ends as adj(N).
     """
-    m, lam = _scaled(d)
-    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    r = len(m)
     q = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
+        piv = next((i for i in range(k, r) if m[i][0]), None)
         if piv is None:
-            return 0, None
+            return None
         if piv != k:
             m[k], m[piv] = m[piv], [-x for x in m[k]]
-        p = m[k][k]
-        for i in range(n):
+        p, *rest = m[k]
+        for i in range(r):
             if i != k:
-                f = m[i][k]
-                m[i] = [(p * a - f * b) // q for a, b in zip(m[i], m[k])]
+                row = m[i]
+                f = row.pop(0)
+                m[i] = [(p * a - f * b) // q for a, b in zip(row, rest)]
+        m[k] = rest
         q = p
-    return (_norm(Fraction(q, lam ** n)),
-            tuple(tuple([_norm(Fraction(lam * x, q)) for x in row[n:]]) for row in m))
+    return q, m
 
 
 def _scaled(d):

@@ -16,6 +16,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from exactgroups import cli, cocycle, lattice
+from tests.conftest import seeded
 from exactgroups.matrix import Matrix
 
 
@@ -485,6 +486,17 @@ def test_lin_snf_and_solve_regression_6x6(tmp_path):
     doc = run_ok(tmp_path, ["lin", "solve"],
                  {"matrix": mat(SNF_REGRESSION), "b": [str(b[0] + 1)] + [str(v) for v in b[1:]]})
     assert doc["solution"] is None
+
+
+def test_lin_solve_n32_document(tmp_path):
+    # A few-KB document on which the Hermite transform takes 4.3 s: the
+    # full-rank 32 x 32 system of test_solve_integer_square_n32_n40_within_a_second,
+    # seed 7.
+    rng = seeded(3527)
+    rows = [[rng.int_in(-9, 9) for _ in range(32)] for _ in range(32)]
+    b = Matrix(rows).apply(tuple(rng.int_in(-9, 9) for _ in range(32)))
+    doc = run_ok(tmp_path, ["lin", "solve"], {"matrix": mat(rows), "b": [str(v) for v in b]})
+    assert doc["solution"] == [str(v) for v in lattice.solve_integer(Matrix(rows), b)]
 
 
 def test_negative_lattice_dimension_refused(tmp_path):
@@ -999,8 +1011,8 @@ def test_readme_examples(monkeypatch):
 
 
 def test_solve_and_kernels_never_call_snf(tmp_path, monkeypatch):
-    # Integer solving and kernels come from one Hermite pass; Smith normal
-    # form serves `lin snf` only.
+    # Integer solving and kernels come from a fraction-free pass or one
+    # Hermite pass; Smith normal form serves `lin snf` only.
     def refuse(M):
         raise AssertionError("snf called")
     monkeypatch.setattr(lattice, "snf", refuse)

@@ -293,7 +293,7 @@ def test_coboundary_witness_golden():
 
 
 def test_coboundary_witness_of():
-    w = CoboundaryWitness.of((Fraction(4, 2), Fraction(1, 3)))
+    w = CoboundaryWitness((Fraction(4, 2), Fraction(1, 3)))
     assert w.xi == (2, Fraction(1, 3)) and not w.integral
 
 

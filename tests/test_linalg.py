@@ -664,6 +664,29 @@ def test_solve_integer_and_kernel_differential():
         "8e308a35c50c7d145bdebcab3a81e2841dc7c9ade407f2669eebd77927413c40")
 
 
+def test_solve_integer_square_n32_n40_within_a_second():
+    # On these inputs the Hermite transform of [M^T | I] takes 4.3 s of CPU
+    # per call (n = 32, seed 7) and over 190 s (n = 32, seed 8; n = 40, seed
+    # 1) under CPython 3.11 on a Xeon core.  A square M of full rank has at
+    # most one solution, found by one fraction-free pass.
+    for n, seeds in ((32, (7, 8)), (40, (1, 2))):
+        for seed in seeds:
+            rng = seeded(3200 + 10 * n + seed)
+            M = Matrix([[rng.int_in(-9, 9) for _ in range(n)] for _ in range(n)])
+            x0 = tuple(rng.int_in(-9, 9) for _ in range(n))
+            b = tuple(rng.int_in(-9, 9) for _ in range(n))
+            t0 = time.process_time()
+            x = solve_integer(M, M.apply(x0))
+            assert time.process_time() - t0 <= 1.0, (n, seed)
+            assert x == x0
+            t0 = time.process_time()
+            x = solve_integer(M, b)
+            assert time.process_time() - t0 <= 1.0, (n, seed)
+            assert x is None
+            exact = [sum(map(mul, row, b)) for row in _gauss_jordan_inverse(M)]
+            assert any(v.denominator != 1 for v in exact)
+
+
 def test_fixed_sublattice():
     t = Matrix([[1, 1], [0, 1]])
     plus = fixed_sublattice(t, 1)

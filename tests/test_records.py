@@ -41,7 +41,7 @@ CASES = {
     BruhatFactorization: (("A", "sigma", "B"), lambda: (I3, "id", I3), {}),
     CocycleSpec: (("generators", "values", "relators"),
                   lambda: ((T,), ((1, 0),), (((0, 2),),)), {"relators": ()}),
-    CoboundaryWitness: (("xi", "integral"), lambda: ((1, 0), True), {}),
+    CoboundaryWitness: (("xi", "integral"), lambda: ((1, 0), True), {"integral": True}),
     ParityCase: (("case_id", "description"), lambda: (2, "g11 odd"), {}),
     LatticeBasis: (("dim", "rows"), lambda: (2, ((1, 0), (0, 2))), {}),
     GenWord: (("tokens", "central"), lambda: ((("S", 1), ("T", -2)), 1), {"central": 0}),
@@ -144,7 +144,7 @@ def test_only_checking_classes_define_init():
     records = set(Record.__subclasses__())
     assert records == set(CASES) | {Matrix}
     assert {cls for cls in records if "__init__" in vars(cls)} == {
-        AffineElement, CocycleSpec, CongruenceKind, LatticeBasis, Matrix}
+        AffineElement, CoboundaryWitness, CocycleSpec, CongruenceKind, LatticeBasis, Matrix}
 
 
 def test_matrix_slots_cannot_be_deleted():
@@ -213,6 +213,19 @@ def test_affine_element_translation_is_canonical():
     # A bool is refused, not kept as a translation entry.
     with pytest.raises(TypeError, match="^matrix entries must be int or Fraction"):
         AffineElement((True, 0), I2)
+
+
+def test_coboundary_witness_reads_its_flag():
+    # The flag is read from xi; a flag given that disagrees, or an xi not in
+    # Q^2, is refused.
+    half = Fraction(1, 2)
+    assert CoboundaryWitness([Fraction(4, 2), 0]) == CoboundaryWitness((2, 0), True)
+    assert not CoboundaryWitness((half, 1)).integral
+    for xi, flag in (((1, 0), False), ((half, 0), True)):
+        with pytest.raises(PreconditionError, match="integral$"):
+            CoboundaryWitness(xi, flag)
+    with pytest.raises(ShapeError, match="^witness must have two entries$"):
+        CoboundaryWitness((1, 0, 0))
 
 
 def test_lattice_basis_refuses_row_of_wrong_length():
