@@ -246,12 +246,13 @@ def solve_integer(M, b):
     An m x n M with m >= n goes first through one fraction-free pass
     (`matrix._bareiss`) on the int rows of lam [M | b], lam the lcm of their
     denominators.  When every column has a pivot, M has full column rank, so
-    the solution, if any, is unique: the pass ends as [q I | q x] on its
-    first n rows, and x is the answer when q divides every entry of q x and
-    every later row is 0 on the right; otherwise there is none.  A wide M,
-    or one with a column without a pivot, takes the Hermite form instead: b
-    is written over the Hermite basis h = M t of the column lattice, and x is
-    the same combination of the t.  Absence is a value, not an error.
+    the solution, if any, is unique: the pass turns [M | b] into [q I | q x]
+    on its first n rows and into [0 | +-q (b_i - M_i x)] on the others, so x
+    is the answer when q divides every entry of q x and the others are 0;
+    otherwise there is none.  A wide M, or one with a column without a
+    pivot, takes the Hermite form instead: b is written over the Hermite
+    basis h = M t of the column lattice, and x is the same combination of
+    the t.  Absence is a value, not an error.
     """
     m, n = M.rows, M.cols
     if len(b) != m:

@@ -638,8 +638,8 @@ def _differential_cases():
     for n in range(1, 7):
         for r in (n, n + 2):
             add(rational(r, n))
-            add(ints(r, n), [row[0] for row in rational(r, 1)])
-            add(rational(r, n), [row[0] for row in rational(r, 1)])
+            add(ints(r, n), rational(1, r)[0])
+            add(rational(r, n), rational(1, r)[0])
     return cases
 
 
