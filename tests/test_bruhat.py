@@ -417,17 +417,36 @@ def test_fact3_fact4_match_conjugate_cell():
 def test_bruhat_paths_take_no_rational_products(monkeypatch):
     def forbidden(name):
         def method(*args):
-            raise AssertionError(f"Matrix.{name} called")
+            raise AssertionError(f"{name} called")
         return method
     g = Matrix([[Fraction(1, 2), 2, 0], [3, Fraction(-2, 3), 1], [0, 1, 5]])
     c3 = Matrix([[2, 1, 0], [1, 1, 0], [0, 3, 1]])
+    c3q = (Matrix([[Fraction(1, 2), 1, 0], [0, Fraction(-2, 3), 1], [0, 0, 2]])
+           * PERM_MATRICES["(123)"]
+           * Matrix([[1, Fraction(1, 3), 5], [0, 2, Fraction(3, 4)], [0, 0, Fraction(1, 2)]]))
+    singular = Matrix([[1, 2, 3], [Fraction(1, 2), 1, Fraction(3, 2)], [0, 0, 1]])
     u = Matrix([[2, Fraction(1, 3), 0], [0, -1, 4], [0, 0, Fraction(1, 2)]])
-    monkeypatch.setattr(Matrix, "det", forbidden("det"))
-    monkeypatch.setattr(Matrix, "__mul__", forbidden("__mul__"))
-    monkeypatch.setattr(Matrix, "__rmul__", forbidden("__rmul__"))
-    assert bruhat_decompose(g).sigma == cell_of(g) == "(123)"
-    A, B = case3_normalize(c3)
-    assert B[0, 1] == 0 and cell_of(c3) == "(123)"
-    assert fact_check(3, u) and fact_check(4, u)
-    with pytest.raises(PreconditionError, match="matrix is singular"):
-        cell_of(Matrix([[1, 2, 3], [Fraction(1, 2), 1, Fraction(3, 2)], [0, 0, 1]]))
+    with monkeypatch.context() as patch:
+        patch.setattr(Matrix, "det", forbidden("Matrix.det"))
+        patch.setattr(Matrix, "__mul__", forbidden("Matrix.__mul__"))
+        patch.setattr(Matrix, "__rmul__", forbidden("Matrix.__rmul__"))
+        assert bruhat_decompose(g).sigma == cell_of(g) == "(123)"
+        A, B = case3_normalize(c3)
+        assert B[0, 1] == 0 and cell_of(c3) == "(123)"
+        assert fact_check(3, u) and fact_check(4, u)
+        with pytest.raises(PreconditionError, match="matrix is singular"):
+            cell_of(singular)
+    # Nor any Fraction arithmetic: on Fraction inputs the three paths work on
+    # the int rows of lam g and make each output entry once.
+    with monkeypatch.context() as patch:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__eq__"):
+            patch.setattr(Fraction, name, forbidden(f"Fraction.{name}"))
+        fac, cell = bruhat_decompose(g), cell_of(g)
+        normalized, cell3 = case3_normalize(c3q), cell_of(c3q)
+        with pytest.raises(PreconditionError, match="matrix is singular"):
+            cell_of(singular)
+    assert fac.product() == g and fac.sigma == cell == "(123)"
+    (A, B), p123 = normalized, PERM_MATRICES["(123)"]
+    assert A * p123 * B == c3q and B[0, 1] == 0 and cell3 == "(123)"
+    assert any(type(x) is Fraction for row in A.data + B.data for x in row)

@@ -12,6 +12,7 @@ from exactgroups.cocycle import (A_GEN, B_GEN, CoboundaryWitness, CocycleSpec,
                                  gamma1_cocycle, gamma1_obstruction,
                                  parity_domain, solve_full_coboundary,
                                  verify_relations, _evaluate)
+from exactgroups.lattice import solve_integer
 from exactgroups.matrix import Matrix, PreconditionError, vec_add, vec_sub
 from exactgroups.sl2 import MINUS_I, S_ALT, T, T_ALT
 from tests.conftest import det1_matrices, random_sl2, seeded
@@ -407,6 +408,45 @@ def test_finf_extend_obstructed_values():
     values = {k: ((0, 0) if k == 0 else (1, 1)) for k in range(-6, 7)}
     for n in (1, -1, 2, -2):
         assert finf_extend(n, values, sorted(values)) is None
+
+
+def _finf_extend_two_rows(n, values, window):
+    """finf_extend as the joint system with both rows of every I - g_j."""
+    rows, rhs = [], []
+    for k in window:
+        j = k + n
+        if j in window:
+            (x, y), (xj, yj) = values[k], values[j]
+            rows += [(4 * j, -2), (8 * j * j, -4 * j)]
+            rhs += [xj - x, yj - 2 * n * x - y]
+    return solve_integer(Matrix(rows), rhs)
+
+
+def test_finf_extend_matches_two_row_system():
+    # The second row of I - g_j is 2j times the first, so one row per
+    # relation and a check on the second right-hand side give the answer of
+    # the full system: windows of coboundary values as in the benchmark's
+    # extension ops, half perturbed, then windows of one relation and of
+    # Fraction values, each against the two-row system.
+    rng = seeded(2827)
+    answers = {"unique": 0, "single": 0, "none": 0}
+    for i in range(3000):
+        r = rng.int_in(1, 6)
+        xi = (rng.int_in(-9, 9), rng.int_in(-9, 9))
+        if i % 5 == 4:
+            xi = (Fraction(rng.int_in(-9, 9), rng.int_in(1, 4)), xi[1])
+        values = {k: vec_sub(xi, finf_generator(k).apply(xi)) for k in range(-r, r + 1)}
+        if i % 2:
+            k = rng.int_in(-r, r)
+            bump = Fraction(1, rng.int_in(1, 3)) if i % 7 == 0 else rng.int_in(1, 3)
+            values[k] = vec_add(values[k], (bump, 0) if rng.below(2) else (0, bump))
+        n = rng.int_in(1, min(r, 3)) * (1 if rng.below(2) else -1)
+        window = sorted(values) if i % 3 else [0, n]
+        u = finf_extend(n, values, window)
+        assert u == _finf_extend_two_rows(n, values, window), (n, values, window)
+        single = sum(k + n in window for k in window) == 1
+        answers["none" if u is None else "single" if single else "unique"] += 1
+    assert min(answers.values()) >= 300, answers
 
 
 def test_finf_extend_window_errors():

@@ -143,6 +143,59 @@ def test_mul_and_apply_against_fraction_reference():
                 assert typed((out,)) == typed((ref_apply(a.data, v),)), (a, v)
 
 
+def test_rational_products_and_applies_against_fraction_reference():
+    # A product or apply with a non-integral operand, n = 1..5 and
+    # non-square, entries int, Fraction(k, 1) and k/q (q up to 7) mixed in
+    # one matrix: value, hash and entry types match the reference, and a
+    # True flag is never wrong.  m m^-1 and m^-1 m cancel every
+    # denominator, so their int entries must come back as ints.
+    rng = seeded(2728)
+
+    def entry(dense):
+        k, kind = rng.int_in(-6, 6), rng.below(3 if dense else 6)
+        return (Fraction(k, rng.int_in(2, 7)) if kind == 0 else
+                Fraction(k) if kind == 1 else k)
+
+    def matrix(rows, cols, dense=True):
+        return Matrix([[entry(dense) for _ in range(cols)] for _ in range(rows)])
+
+    def check(got, a, b):
+        want = ref_mul(a.data, b.data)
+        assert got == Matrix(want) and hash(got) == hash(Matrix(want)), (a, b)
+        assert typed(got.data) == typed(want), (a, b)
+        assert sound(got)
+
+    shapes = [(n, n, n) for n in range(1, 6)] + [(1, 3, 2), (2, 1, 3), (3, 2, 4),
+                                                 (4, 3, 1), (2, 5, 3), (5, 2, 5)]
+    integral_results = 0
+    for r, k, c in shapes:
+        for trial in range(40):
+            a, b = matrix(r, k, trial % 2 == 0), matrix(k, c, trial % 3 == 0)
+            ints = Matrix([[rng.int_in(-5, 5) for _ in range(c)] for _ in range(k)])
+            for p, q in ((a, b), (a, ints), (ints.transpose(), b), (a.transpose(), a),
+                         (a, Matrix._trusted(ints.data)), (Matrix._trusted(ints.data), b)):
+                if p.cols == q.rows:
+                    check(p * q, p, q)
+            if r == k:
+                m = next((m for m in (a, b) if m.rows == m.cols and ref_inverse(m.data)), None)
+                if m is not None:
+                    for p, q in ((m, m.inverse()), (m.inverse(), m)):
+                        got = p * q
+                        check(got, p, q)
+                        integral_results += all_int(got.data)
+            for v in ([rng.int_in(-5, 5) for _ in range(k)],
+                      [entry(True) for _ in range(k)],
+                      [Fraction(rng.int_in(-5, 5)) for _ in range(k)]):
+                for m in (a, a.transpose(), ints.transpose()):
+                    if m.cols != k:
+                        continue
+                    for vec in (v, tuple(v)):
+                        out = m.apply(vec)
+                        assert type(out) is tuple
+                        assert typed((out,)) == typed((ref_apply(m.data, v),)), (m, v)
+    assert integral_results >= 150
+
+
 def test_add_sub_transpose_and_scalar_against_fraction_reference():
     rng = seeded(1906)
     pool = list(operands(rng))
