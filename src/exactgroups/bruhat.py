@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .matrix import Matrix, PreconditionError, Record, _scaled as _scaled_rows
+from .matrix import Matrix, PreconditionError, Record, _over, _scaled as _scaled_rows
 from .prng import SplitMix64
 
 # Signed permutation representatives; p_sigma has its column-j entry in
@@ -67,53 +67,59 @@ def _scaled(g):
     """(int rows of lam g, lam) for a 3x3 g, lam the lcm of its denominators."""
     if (g.rows, g.cols) != (3, 3):
         raise PreconditionError("expected a 3x3 matrix")
-    return _scaled_rows(g.data)
-
-
-def _matrix(rows):
-    """The Matrix of rows of (n, d) int pairs: n // d where d divides n, else Fraction(n, d)."""
-    return Matrix._trusted(tuple(tuple([Fraction(n, d) if n % d else n // d for n, d in row])
-                                 for row in rows))
-
-
-def _madd(p, w, q):   # p + w q for (n, d) int pairs
-    return p[0] * w[1] * q[1] + w[0] * q[0] * p[1], p[1] * w[1] * q[1]
+    return (list(g.data), 1) if g.integral else _scaled_rows(g.data)
 
 
 def bruhat_decompose(g):
     """Deterministic factorization g = A p_sigma B with A, B upper triangular
     (see _eliminate).  When det(g) = 1 the factors satisfy det A = det B = 1."""
     name, A, B = _eliminate(g)
-    return BruhatFactorization(_matrix(A), name, _matrix(B))
+    return BruhatFactorization(_unit_upper(*A), name, _factors(B))
+
+
+def _unit_upper(a01, a02, a12):
+    """The unit upper-triangular Matrix with entries given as (n, d) int pairs."""
+    (n01, d01), (n02, d02), (n12, d12) = a01, a02, a12
+    return Matrix._trusted(((1,) + _over((n01 * d02, n02 * d01), d01 * d02),
+                            (0, 1) + _over((n12,), d12), (0, 0, 1)))
+
+
+def _factors(B):
+    """The Matrix of rows given as (int row, denominator) pairs."""
+    return Matrix._trusted(tuple([_over(row, d) for row, d in B]))
 
 
 def _eliminate(g):
-    """(sigma, A, B) of bruhat_decompose, entries as (n, d) int pairs.
+    """(sigma, A, B) of bruhat_decompose: A as the entries (0, 1), (0, 2) and
+    (1, 2) of the unit upper-triangular A, each an (n, d) int pair, and B as
+    its three rows, each an (int row, denominator) pair.
 
     Column by column, the pivot row is the lowest nonzero row without a pivot
     (none: g is singular); clearing the rows i above it, row i -= f row piv,
     gives R g = p_sigma B with R unit upper triangular: B's row j is column
     j's pivot row, signed, and A = R^-1 has A[i][piv] = f.  On the rows m_i /
-    s_i of lam g, m_i integer, a step is m_i <- p m_i - a m_piv, s_i <- p s_i.
+    s_i of lam g, m_i integer, a step is m_i <- p m_i - a m_piv, s_i <- p s_i,
+    and B's row j is m_piv over p_sigma[piv][j] s_piv lam.
     """
     (m, lam), s = _scaled(g), [1, 1, 1]
-    A = [[(1, 1), (0, 1), (0, 1)], [(0, 1), (1, 1), (0, 1)], [(0, 1), (0, 1), (1, 1)]]
+    A = [(0, 1), (0, 1), (0, 1)]   # A[i + piv - 1] is A's entry (i, piv)
     pivots = []  # pivots[col] is the pivot row of column col
     for col in range(3):
         free = [i for i in range(3) if i not in pivots and m[i][col]]
         if not free:
             raise PreconditionError("matrix is singular")
         piv, p = free[-1], m[free[-1]][col]
+        y0, y1, y2 = m[piv]
         for i in free[:-1]:   # clear free rows above the pivot
             a = m[i][col]
-            A[i][piv] = (a * s[piv], p * s[i])
-            m[i] = [p * x - a * y for x, y in zip(m[i], m[piv])]
+            A[i + piv - 1] = (a * s[piv], p * s[i])
+            x0, x1, x2 = m[i]
+            m[i] = (p * x0 - a * y0, p * x1 - a * y1, p * x2 - a * y2)
             s[i] *= p
         pivots.append(piv)
     name = _NAMES[tuple(piv + 1 for piv in pivots)]
     p = PERM_MATRICES[name].data
-    return name, A, [[(x, p[piv][j] * s[piv] * lam) for x in m[piv]]
-                     for j, piv in enumerate(pivots)]
+    return name, A, [(m[piv], p[piv][j] * s[piv] * lam) for j, piv in enumerate(pivots)]
 
 
 # -- the explicit facts ----------------------------------------------------
@@ -128,9 +134,19 @@ H_GENERATORS = (
 
 
 def _require_upper(g):
-    if ((g.rows, g.cols) != (3, 3) or not g.is_upper_triangular()
-            or not (g[0, 0] and g[1, 1] and g[2, 2])):
-        raise PreconditionError("expected an invertible upper-triangular 3x3 matrix")
+    """The rows of g, an invertible upper-triangular 3x3 matrix."""
+    if (g.rows, g.cols) == (3, 3):
+        (x, _, _), (d, a, _), (h, i, c) = rows = g.data
+        if x and a and c and not (d or h or i):
+            return rows
+    raise PreconditionError("expected an invertible upper-triangular 3x3 matrix")
+
+
+def _rational(v):
+    """v as a Fraction; anything but an int or a Fraction, bool included, is refused."""
+    if type(v) is int or isinstance(v, Fraction):
+        return Fraction(v)
+    raise TypeError(f"parameters must be int or Fraction, got {type(v)!r}")
 
 
 def fact3_display_factorization(x, y, a, b, c):
@@ -139,7 +155,7 @@ def fact3_display_factorization(x, y, a, b, c):
     Returns (A_inv, B) with A_inv * (p13 g p13) = p123 * B, valid when
     b*y != 0; all five parameters must be nonzero.
     """
-    x, y, a, b, c = (Fraction(v) for v in (x, y, a, b, c))
+    x, y, a, b, c = map(_rational, (x, y, a, b, c))
     if 0 in (x, y, a, b, c):
         raise PreconditionError("all parameters must be nonzero")
     return (Matrix([[-b * y / (a * c), -y / a, 1], [0, 1, 0], [0, 0, 1]]),   # A_inv
@@ -175,10 +191,9 @@ def fact_check(which, g=None, seed=0, count=50, length=8):
                 return False
         return True
     if which in (3, 4):
-        _require_upper(g)
         # p g p, invertible with g (no det), reads g: for g = [[x,y,z],[0,a,b],[0,0,c]],
         # p13 g p13 = [[-c,0,0],[b,a,0],[z,y,-x]], p132 g p132 = [[b,0,a],[c,0,0],[z,x,y]].
-        (x, y, z), (_, a, b), (_, _, c) = g.data
+        (x, y, z), (_, a, b), (_, _, c) = _require_upper(g)
         if which == 3:
             return (_cell(b, a, z, y) == "(123)") == (y != 0 and b != 0 and z == 0)
         cell = _cell(c, 0, z, x)
@@ -192,15 +207,16 @@ def case3_normalize(g):
     Uses the identity p123 E12(w) = E23(w) p123: with w = B12/B22 the factor
     E12(w) moves across the permutation and is absorbed into A.
     """
-    name, A, B = _eliminate(g)
+    name, (a01, a02, a12), B = _eliminate(g)
     if name != "(123)":
         raise PreconditionError(f"matrix lies in cell {name}, not (123)")
-    # A E23(w): column 3 += w column 2.  E12(-w) B: row 1 -= w row 2.
-    (b01, d0), (b11, d1) = B[0][1], B[1][1]   # B's rows share a denominator
-    w = (b01 * d1, d0 * b11)
-    return (_matrix([r[:2] + [_madd(r[2], w, r[1])] for r in A]),
-            _matrix([[(b11 * x - b01 * y, d0 * b11) for (x, _), (y, _) in zip(*B[:2])]]
-                    + B[1:]))
+    # A E23(w): A02 += w A01, A12 += w.  E12(-w) B: row 0 -= w row 1.
+    ((b00, b01, b02), d0), ((_, b11, b12), d1) = B[0], B[1]
+    (n01, e01), (n02, e02), (n12, e12) = a01, a02, a12
+    wn, wd = b01 * d1, d0 * b11   # w = B01 / B11
+    return (_unit_upper(a01, (n02 * wd * e01 + wn * n01 * e02, e02 * wd * e01),
+                        (n12 * wd + wn * e12, e12 * wd)),
+            _factors([((b11 * b00, 0, b11 * b02 - b01 * b12), wd)] + B[1:]))
 
 
 def case4_witness(b, e, c=0):
@@ -210,7 +226,7 @@ def case4_witness(b, e, c=0):
     Writing e = m/n and b = m'/n' in lowest terms, X = [[1,n,m-m'],[0,1,n'],
     [0,0,1]].  Requires b != 0 and e != 0.
     """
-    b, e = Fraction(b), Fraction(e)
+    b, e, _ = map(_rational, (b, e, c))
     if b == 0 or e == 0:
         raise PreconditionError("witness recipe requires b != 0 and e != 0")
     (m, n), (mp, np_) = (e.numerator, e.denominator), (b.numerator, b.denominator)

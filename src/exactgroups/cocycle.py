@@ -270,10 +270,15 @@ def finf_extend(n, values, window):
         j = k + n
         if j not in window:
             continue
-        # I - g_j = [[4j, -2], [8j^2, -4j]] and b^n (x, y) = (x, 2nx + y).
+        # I - g_j = [[4j, -2], [8j^2, -4j]] and b^n (x, y) = (x, 2nx + y).  The
+        # second row is 2j times the first, so the relation is the first row's
+        # equation and the check that the second right-hand side is 2j r.
         (x, y), (xj, yj) = values[k], values[j]
-        rows += [(4 * j, -2), (8 * j * j, -4 * j)]
-        rhs += [xj - x, yj - 2 * n * x - y]
+        r = xj - x
+        if yj - 2 * n * x - y != 2 * j * r:
+            return None
+        rows.append((4 * j, -2))
+        rhs.append(r)
     if not rows:
         raise PreconditionError("window instantiates no relation")
-    return solve_integer(Matrix(rows), rhs)
+    return solve_integer(Matrix._trusted(tuple(rows), True), rhs)

@@ -202,10 +202,13 @@ class Matrix(Record):
                                  f"{other.rows}x{other.cols}")
             if self.integral and other.integral:
                 return Matrix._trusted(_int_mul(self.data, other.data), True)
-            cols = tuple(zip(*other.data))
-            # Each entry is normalized once, as it is computed.
-            return Matrix._trusted(tuple(tuple([_norm(sum(map(mul, row, col))) for col in cols])
-                                         for row in self.data))
+            # (lam P)(mu Q) on ints, each entry divided by lam mu once.
+            p, lam = (self.data, 1) if self.integral else _scaled(self.data)
+            q, mu = (other.data, 1) if other.integral else _scaled(other.data)
+            rows, d = _int_mul(p, q), lam * mu
+            if d == 1:
+                return Matrix._trusted(rows, True)
+            return Matrix._trusted(tuple([_over(row, d) for row in rows]))
         rows = tuple(tuple([other * a for a in r]) for r in self.data)
         if self.integral and type(other) is int:
             return Matrix._trusted(rows, True)
@@ -234,7 +237,13 @@ class Matrix(Record):
             w = _int_apply(self.data, vec)
             if w is not None:
                 return w
-        return tuple([_norm(sum(map(mul, row, vec))) for row in self.data])
+        # (lam M)(mu v) on ints, each entry divided by lam mu once.
+        rows, lam = (self.data, 1) if self.integral else _scaled(self.data)
+        try:
+            (v,), mu = _scaled((vec,))
+        except AttributeError:
+            raise TypeError("vector entries must be int or Fraction") from None
+        return _over(_int_apply(rows, v), lam * mu)
 
     # -- structure ---------------------------------------------------------
 
@@ -283,8 +292,9 @@ class Matrix(Record):
         if self.integral and (det == 1 or det == -1):
             return Matrix._trusted(adj if det == 1 else
                                    tuple(tuple([-x for x in r]) for r in adj), True)
-        return Matrix._trusted(tuple(tuple([_norm(Fraction(lam * x, det)) for x in r])
-                                     for r in adj))
+        if lam != 1:
+            adj = [[lam * x for x in r] for r in adj]
+        return Matrix._trusted(tuple([_over(r, det) for r in adj]))
 
     def is_integral(self):
         return self.integral or all(isinstance(x, int) for row in self.data for x in row)
@@ -414,6 +424,12 @@ def _scaled(d):
     """(int rows of lam M, lam) for the rows d of M, lam the lcm of its denominators."""
     lam = lcm(*[x.denominator for row in d for x in row])
     return [[x.numerator * (lam // x.denominator) for x in row] for row in d], lam
+
+
+def _over(row, d):
+    """The entries x / d of the int row, normalized: x // d where d divides x,
+    else one Fraction."""
+    return tuple([Fraction(x, d) if x % d else x // d for x in row])
 
 
 def _adjugate(d):

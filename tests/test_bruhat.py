@@ -230,6 +230,19 @@ def test_fact3_display_factorization_identity():
         fact3_display_factorization(1, 0, 1, 1, 1)
 
 
+def test_fact3_display_factorization_refuses_other_scalars():
+    # A float, a string or a bool was once passed through Fraction() and a
+    # matrix came back.
+    for bad in (1.5, "1/3", True):
+        for k in range(5):
+            args = [1, 2, Fraction(1, 3), -1, 1]
+            args[k] = bad
+            with pytest.raises(TypeError, match="^parameters must be int or Fraction"):
+                fact3_display_factorization(*args)
+    with pytest.raises(TypeError):
+        fact3_display_factorization(True, 1.5, "1/3", 1, 1)
+
+
 def test_case3_normalize():
     rng = seeded(6)
     p123 = PERM_MATRICES["(123)"]
@@ -263,6 +276,14 @@ def test_case4_witness():
         case4_witness(0, 1)
     with pytest.raises(PreconditionError):
         case4_witness(1, 0)
+
+
+def test_case4_witness_refuses_other_scalars():
+    # case4_witness(0.5, "2/3") once returned a matrix.
+    for args in ((0.5, Fraction(2, 3)), (Fraction(1, 2), "2/3"), (0.5, "2/3"),
+                 (True, 1), (1, False), (1, 1, 0.5), (1, 1, True)):
+        with pytest.raises(TypeError, match="^parameters must be int or Fraction"):
+            case4_witness(*args)
 
 
 # -- the Fraction elimination, as a reference ------------------------------
@@ -414,11 +435,19 @@ def test_fact3_fact4_match_conjugate_cell():
         "2d3b8b2a9694238bc468d85c83f89c8ba3539ddeb9cc8ceccba03c57cc44e229")
 
 
+def forbidden(name):
+    def method(*args):
+        raise AssertionError(f"{name} called")
+    return method
+
+
+def _forbid_fraction_arithmetic(patch):
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__eq__"):
+        patch.setattr(Fraction, name, forbidden(f"Fraction.{name}"))
+
+
 def test_bruhat_paths_take_no_rational_products(monkeypatch):
-    def forbidden(name):
-        def method(*args):
-            raise AssertionError(f"{name} called")
-        return method
     g = Matrix([[Fraction(1, 2), 2, 0], [3, Fraction(-2, 3), 1], [0, 1, 5]])
     c3 = Matrix([[2, 1, 0], [1, 1, 0], [0, 3, 1]])
     c3q = (Matrix([[Fraction(1, 2), 1, 0], [0, Fraction(-2, 3), 1], [0, 0, 2]])
@@ -439,9 +468,7 @@ def test_bruhat_paths_take_no_rational_products(monkeypatch):
     # Nor any Fraction arithmetic: on Fraction inputs the three paths work on
     # the int rows of lam g and make each output entry once.
     with monkeypatch.context() as patch:
-        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                     "__truediv__", "__rtruediv__", "__eq__"):
-            patch.setattr(Fraction, name, forbidden(f"Fraction.{name}"))
+        _forbid_fraction_arithmetic(patch)
         fac, cell = bruhat_decompose(g), cell_of(g)
         normalized, cell3 = case3_normalize(c3q), cell_of(c3q)
         with pytest.raises(PreconditionError, match="matrix is singular"):
@@ -450,3 +477,19 @@ def test_bruhat_paths_take_no_rational_products(monkeypatch):
     (A, B), p123 = normalized, PERM_MATRICES["(123)"]
     assert A * p123 * B == c3q and B[0, 1] == 0 and cell3 == "(123)"
     assert any(type(x) is Fraction for row in A.data + B.data for x in row)
+
+
+def test_rational_3x3_product_takes_no_fraction_arithmetic(monkeypatch):
+    # A product of two grid Borels runs on the int rows of lam P and mu Q and
+    # makes one Fraction per non-integer entry; so does an apply.
+    p = Matrix([[Fraction(1, 2), 1, Fraction(-2, 3)], [0, Fraction(3, 2), 2], [0, 0, -3]])
+    q = Matrix([[2, Fraction(-1, 3), 0], [0, Fraction(2, 3), Fraction(1, 2)], [0, 0, 1]])
+    v = (Fraction(1, 3), -2, Fraction(3, 4))
+    with monkeypatch.context() as patch:
+        _forbid_fraction_arithmetic(patch)
+        pq, qp, pv = p * q, q * p, p.apply(v)
+    for got, a, b in ((pq, p, q), (qp, q, p)):
+        assert got == Matrix([[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0))
+                               for col in zip(*b.data)] for row in a.data])
+    assert pv == tuple(sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0))
+                       for row in p.data)
