@@ -4,7 +4,11 @@ the upper-triangular Borel subgroup.
 Cells are double cosets B p_sigma B indexed by Sym(3); the signed permutation
 representatives p_sigma all lie in SL3(Z).  The cell is read from three zero
 tests and one 2x2 minor; the factorization is a deterministic Gaussian
-elimination.  Both run fraction-free on lam g, lam the lcm of its denominators.
+elimination.  Both run fraction-free on lam g, lam the lcm of its denominators
+(g itself when integral).  The elimination hands back A's three entries above
+its unit diagonal as (n, d) int pairs and B's rows as int rows over one
+denominator each; the factors, and the cell-(123) normalization of them, are
+built straight from those, one Fraction per non-integer entry.
 """
 
 from __future__ import annotations

@@ -3,19 +3,22 @@
 Entries are Python ints or :class:`fractions.Fraction`; every operation is
 exact.  Matrices are immutable and hashable, so they can be used as dict keys
 and set members (the finite-closure check of `affine` keeps them in a set).
-Determinants and inverses work on the int rows of lam M, lam the lcm of M's
-denominators (`_scaled` makes them, for `bruhat` and `lattice` too): up to
-3x3 by one cofactor expansion (`_adjugate`), past it by fraction-free
-elimination (`_bareiss`), with one Fraction made per output entry at the
-end.  `_bareiss` is the package's one fraction-free elimination: it carries
-a right-hand block, empty for `det`, I for `inverse` and b for
+Products, applies, determinants and inverses work on the int rows of
+lam M, lam the lcm of M's denominators (`_scaled` makes them, for `bruhat`
+and `lattice` too), and make one Fraction per non-integer output entry at
+the end (`_over` divides an int row by a denominator, for `bruhat` too).
+Products and applies run on small integer kernels (2x2 and 3x3 written
+out); determinants and inverses up to 3x3 by one cofactor expansion
+(`_adjugate`), past it by fraction-free elimination (`_bareiss`).
+`_bareiss` is the package's one fraction-free elimination: it carries a
+right-hand block, empty for `det`, I for `inverse` and b for
 `lattice.solve_integer`.
 
 Each matrix carries an `integral` flag, True only when every entry is an
 int; False means it may hold a Fraction.  The constructor sets it exactly,
 and the operations that keep entries integral pass it on.  Products of two
-integral matrices and their applies to int vectors run on small integer
-kernels (2x2 and 3x3 written out) that skip entry normalization.  One more,
+integral matrices and their applies to int vectors go to the integer
+kernels directly, with no scaling and no division.  One more kernel,
 `_int_affine_mul`, gives the affine product (a + g b, g h) of int rows in a
 single call, for `affine`.  The flag takes no part in equality or hashing.
 """
@@ -205,10 +208,8 @@ class Matrix(Record):
             # (lam P)(mu Q) on ints, each entry divided by lam mu once.
             p, lam = (self.data, 1) if self.integral else _scaled(self.data)
             q, mu = (other.data, 1) if other.integral else _scaled(other.data)
-            rows, d = _int_mul(p, q), lam * mu
-            if d == 1:
-                return Matrix._trusted(rows, True)
-            return Matrix._trusted(tuple([_over(row, d) for row in rows]))
+            d = lam * mu
+            return Matrix._trusted(tuple([_over(row, d) for row in _int_mul(p, q)]))
         rows = tuple(tuple([other * a for a in r]) for r in self.data)
         if self.integral and type(other) is int:
             return Matrix._trusted(rows, True)
