@@ -360,6 +360,24 @@ def edge_requests():
         p = tuple(tuple(int(sigma[j] == i) for j in range(3)) for i in range(3))
         for command in ("cell", "decompose"):
             ask(["bruhat", command], mat(mul(mul(b, p), b2)))
+    # Integer fields as written by hand: leading zeros and "-0", JSON
+    # integers among strings, "p/q" entries that are integers, and entries
+    # at the interpreter's int/str digit limit (4,300 digits) and past it.
+    def entries(rows):
+        return {"rows": len(rows), "cols": len(rows[0]), "entries": rows}
+
+    ask(["sl2", "classify"], entries([["007", "-1"], ["1", "-0"]]))
+    ask(["lin", "snf"], entries([["-0", "010"], ["03", "-004"]]))
+    ask(["cocycle", "solve-coboundary"], {"c_t": ["-0", "007"]})
+    ask(["affine", "icc"], entries([[2, "1"], ["1", 1]]))
+    ask(["cocycle", "solve-coboundary"], {"c_t": [3, "-4"]})
+    ask(["bruhat", "decompose"], entries([["4/2", 1, "0"], ["-3/6", "0", 3], ["1", "2", "6/3"]]))
+    ask(["lin", "solve"], {"matrix": entries([["4/2", "0"], [0, "1"]]), "b": ["4/2", 3]})
+    big = "9" * 4300
+    for text in (big, "-" + big, "1" + big):
+        ask(["lin", "hnf"], {"rows": [[text]], "dim": 1})
+        ask(["lin", "snf"], entries([[text]]))
+    ask(["affine", "aut-check", "--seed", "3", "--count", "0"], {"L": mat(T), "xi": ["1", "0"]})
     return reqs
 
 
