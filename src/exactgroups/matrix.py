@@ -70,8 +70,27 @@ class Record:
         setters = self._setters
         if named or len(values) != len(setters):
             values = self._complete(values, named)
-        for set_field, value in zip(setters, values):
-            set_field(self, value)
+        # The setter calls written out for two to four fields: a zip loop
+        # over them costs about twice as much.
+        n = len(setters)
+        if n == 2:
+            (set_a, set_b), (a, b) = setters, values
+            set_a(self, a)
+            set_b(self, b)
+        elif n == 4:
+            (set_a, set_b, set_c, set_d), (a, b, c, d) = setters, values
+            set_a(self, a)
+            set_b(self, b)
+            set_c(self, c)
+            set_d(self, d)
+        elif n == 3:
+            (set_a, set_b, set_c), (a, b, c) = setters, values
+            set_a(self, a)
+            set_b(self, b)
+            set_c(self, c)
+        else:
+            for set_field, value in zip(setters, values):
+                set_field(self, value)
 
     @classmethod
     def _complete(cls, values, named):
@@ -238,12 +257,10 @@ class Matrix(Record):
             w = _int_apply(self.data, vec)
             if w is not None:
                 return w
-        # (lam M)(mu v) on ints, each entry divided by lam mu once.
+        # (lam M)(mu v) on ints, each entry divided by lam mu once.  The
+        # entries are normalized first, so a bool is refused as by Matrix().
         rows, lam = (self.data, 1) if self.integral else _scaled(self.data)
-        try:
-            (v,), mu = _scaled((vec,))
-        except AttributeError:
-            raise TypeError("vector entries must be int or Fraction") from None
+        (v,), mu = _scaled((tuple(map(_norm, vec)),))
         return _over(_int_apply(rows, v), lam * mu)
 
     # -- structure ---------------------------------------------------------

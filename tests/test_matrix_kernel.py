@@ -143,6 +143,18 @@ def test_mul_and_apply_against_fraction_reference():
                 assert typed((out,)) == typed((ref_apply(a.data, v),)), (a, v)
 
 
+def test_apply_refuses_bool_entries():
+    # apply once read True and False as 1 and 0, which Matrix() and vec_norm
+    # refuse: on the 2x2 and 3x3 int kernels, the generic one, and the
+    # Fraction path.
+    for m in (Matrix([[1, 0], [0, 1]]), Matrix([[1, 2, 0], [0, 1, 0], [0, 0, 1]]),
+              Matrix.identity(4), Matrix([[Fraction(1, 2), 0], [0, 1]])):
+        for vec in ([True] + [0] * (m.cols - 1), (1,) * (m.cols - 1) + (False,),
+                    [Fraction(1, 2)] * (m.cols - 1) + [True]):
+            with pytest.raises(TypeError, match="^matrix entries must be int or Fraction"):
+                m.apply(vec)
+
+
 def test_rational_products_and_applies_against_fraction_reference():
     # A product or apply with a non-integral operand, n = 1..5 and
     # non-square, entries int, Fraction(k, 1) and k/q (q up to 7) mixed in
