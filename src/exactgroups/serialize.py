@@ -10,6 +10,16 @@ optional "-" followed by one or more ASCII digits.  A scalar is an integer or
 a "p/q" string of two such integers.  Every other JSON value -- a float,
 true/false, null, an array, an object, or a string with spaces, underscores
 or a "+" sign -- is refused with InputError rather than coerced.
+
+Integers are read on a fast path: `parse_scalar` turns a non-bool JSON
+integer or a decimal string straight into an int, and `parse_matrix` reads a
+rectangular list of rows of such entries in one pass into an unchecked,
+integral Matrix (a row of strings at once: int() reads exactly those strings
+once they are known to hold only "-" and ASCII digits).  Everything else --
+a "p/q" entry, a digit string past the interpreter's int/str digit limit, a
+ragged, empty or non-list row, a refused value -- falls back to the checked
+path (`_checked_scalar`, `_checked_matrix`), which gives the same value or
+the same InputError as it always did.
 """
 
 from __future__ import annotations
@@ -28,6 +38,8 @@ def scalar_to_str(x):
     """Decimal text of an exact scalar.  An answer past the interpreter's
     int/str digit limit raises PreconditionError; the limit is not lifted."""
     try:
+        if type(x) is int:
+            return str(x)
         if isinstance(x, Fraction) and x.denominator != 1:
             return f"{x.numerator}/{x.denominator}"
         return str(int(x))
@@ -52,7 +64,25 @@ def parse_int(x):
     raise InputError(f"bad integer {x!r}: expected a JSON integer or a decimal string")
 
 
+def _int(x):
+    """x as an int when it is a non-bool int or a string that parse_int takes
+    and the int/str digit limit allows; else None."""
+    if type(x) is int:
+        return x
+    if type(x) is str and x.isascii() and x.lstrip("-").isdigit():
+        try:
+            return int(x)
+        except ValueError:   # "--1", or past the int/str digit limit
+            pass
+    return None
+
+
 def parse_scalar(s):
+    x = _int(s)
+    return _checked_scalar(s) if x is None else x
+
+
+def _checked_scalar(s):
     if isinstance(s, str) and "/" in s:
         num, _, den = s.partition("/")
         den = parse_int(den)
@@ -69,7 +99,7 @@ def vector_to_json(v):
 def parse_vector(doc):
     if not isinstance(doc, list):
         raise InputError("vector must be a JSON array")
-    return tuple(parse_scalar(x) for x in doc)
+    return tuple(map(parse_scalar, doc))
 
 
 def matrix_to_json(m):
@@ -78,11 +108,46 @@ def matrix_to_json(m):
 
 
 def parse_matrix(doc):
+    rows = _int_rows(doc.get("entries")) if type(doc) is dict else None
+    if rows is None or "rows" in doc and (
+            (len(rows), len(rows[0])) != (doc["rows"], doc.get("cols", len(rows[0])))):
+        return _checked_matrix(doc)
+    return Matrix._trusted(rows, True)
+
+
+def _int_rows(entries):
+    """The rows of a matrix's entries as int tuples when they are a non-empty
+    list of non-empty lists of one length holding integers only; else None."""
+    if type(entries) is not list or not entries or type(entries[0]) is not list:
+        return None
+    width = len(entries[0])
+    rows = []
+    for row in entries:
+        if type(row) is not list or len(row) != width or not width:
+            return None
+        try:
+            text = "".join(row)
+        except TypeError:   # not all strings: entry by entry
+            row = tuple(map(_int, row))
+            if None in row:
+                return None
+        else:
+            if not (text.isascii() and text.replace("-", "").isdigit()):
+                return None
+            try:
+                row = tuple(map(int, row))
+            except ValueError:   # "", "-", "1-2", or past the digit limit
+                return None
+        rows.append(row)
+    return tuple(rows)
+
+
+def _checked_matrix(doc):
     if not isinstance(doc, dict) or "entries" not in doc:
         raise InputError('matrix must be {"rows", "cols", "entries"}')
     entries = doc["entries"]
     try:
-        m = Matrix([[parse_scalar(x) for x in row] for row in entries])
+        m = Matrix([[_checked_scalar(x) for x in row] for row in entries])
     except Exception as exc:
         raise InputError(f"bad matrix entries: {exc}") from exc
     if "rows" in doc and (m.rows, m.cols) != (doc["rows"], doc.get("cols", m.cols)):
