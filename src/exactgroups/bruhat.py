@@ -14,8 +14,9 @@ built straight from those, one Fraction per non-integer entry.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
-from .matrix import Matrix, PreconditionError, Record, _over, _scaled as _scaled_rows
+from .matrix import Matrix, PreconditionError, Record, _int_mul, _over, _scaled as _scaled_rows
 from .prng import SplitMix64
 
 # Signed permutation representatives; p_sigma has its column-j entry in
@@ -183,15 +184,11 @@ def fact_check(which, g=None, seed=0, count=50, length=8):
     cell of the conjugate by p_(13) resp. p_(132) to the entries of g.
     """
     if which in (1, 2):
-        p = PERM_MATRICES["(12)" if which == 1 else "(23)"]
-        letters = [x for h in H_GENERATORS + (p,) for x in (h, h.inverse())]
         rng = SplitMix64(seed)
         zero_at = ((2, 0), (2, 1)) if which == 1 else ((1, 0), (2, 0))
         for _ in range(count):
-            m = Matrix.identity(3)
-            for _ in range(length):
-                m = m * letters[rng.below(len(letters))]
-            if any(m[i, j] != 0 for i, j in zero_at):
+            m = _fact_walk(which, rng, length)
+            if any(m[i][j] != 0 for i, j in zero_at):
                 return False
         return True
     if which in (3, 4):
@@ -203,6 +200,22 @@ def fact_check(which, g=None, seed=0, count=50, length=8):
         cell = _cell(c, 0, z, x)
         return ((cell == "(123)") == (z == 0)) and ((cell == "(13)") == (z != 0))
     raise PreconditionError(f"unknown fact {which!r}")
+
+
+@cache
+def _fact_letters(which):
+    """Rows of the letters of fact 1 or 2: each H generator and p, then its inverse."""
+    p = PERM_MATRICES["(12)" if which == 1 else "(23)"]
+    return tuple(x.data for h in H_GENERATORS + (p,) for x in (h, h.inverse()))
+
+
+def _fact_walk(which, rng, length):
+    """Rows of the product of `length` letters of fact 1 or 2, each drawn in
+    turn by rng.below, multiplied on int rows from the identity."""
+    letters, m = _fact_letters(which), ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for _ in range(length):
+        m = _int_mul(m, letters[rng.below(len(letters))])
+    return m
 
 
 def case3_normalize(g):

@@ -40,11 +40,15 @@ import json
 import sys
 
 from . import __version__
-from .matrix import ExactError, Matrix, PreconditionError
+from .matrix import ExactError, Matrix, PreconditionError, _int_mul
 from .serialize import (InputError, matrix_to_json, parse_cocycle_spec,
                         parse_index_word, parse_int, parse_matrix,
                         parse_scalar, parse_vector, scalar_to_str,
                         vector_to_json, word_to_json)
+
+# json.dumps(doc, sort_keys=True, separators=(",", ":")) without building an
+# encoder on every call.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -238,16 +242,23 @@ def _cmd_affine_aut_check(doc, opts):
 
 
 def _random_affine(rng, n):
+    """(a, g): a drawn from [-5, 5]^n, then for n = 2 a product of six
+    letters, each drawn from S, S^-1, T, T^-1 (for other n, g = I)."""
     import exactgroups.affine as affine
-    import exactgroups.sl2 as sl2
     a = tuple(rng.int_in(-5, 5) for _ in range(n))
-    g = Matrix.identity(n)
-    if n == 2:
-        for _ in range(6):
-            r = rng.below(4)
-            base = sl2.S if r // 2 == 0 else sl2.T
-            g = g * (base.inverse() if r % 2 else base)
-    return affine.AffineElement(a, g)
+    if n != 2:
+        return affine.AffineElement._trusted(a, Matrix.identity(n))
+    letters, g = _sl2_letters(), ((1, 0), (0, 1))
+    for _ in range(6):
+        g = _int_mul(g, letters[rng.below(4)])
+    return affine.AffineElement._trusted(a, Matrix._trusted(g, True))
+
+
+@functools.cache
+def _sl2_letters():
+    """Rows of S, S^-1, T and T^-1, in the order of _random_affine's draws."""
+    import exactgroups.sl2 as sl2
+    return tuple(x.data for g in (sl2.S, sl2.T) for x in (g, g.inverse()))
 
 
 def _cmd_affine_classify(doc, opts):
@@ -406,6 +417,14 @@ COMMANDS = {
 }
 
 
+# (group, command) -> {flag: (dest, type, choices, required, default)} for
+# --in and each flag of the command: what _table_parse reads of the specs.
+_FLAGS = {key: {flag: (spec.get("dest", flag[2:].replace("-", "_")), spec.get("type", str),
+                       spec.get("choices"), spec.get("required"), spec.get("default"))
+                for flag, spec in {**_IN, **flags}.items()}
+          for key, (_, _, flags) in COMMANDS.items()}
+
+
 def _table_parse(argv):
     """vars(_parser().parse_args(argv)) for a plain valid argv, else None.
 
@@ -413,10 +432,9 @@ def _table_parse(argv):
     once, as --f v or --f=v, with no value that starts with "-" other than
     "-" itself.  Each value goes through the type and choices of its spec,
     and a missing flag takes its default unless it is required."""
-    entry = COMMANDS.get(tuple(argv[:2]))
-    if entry is None:
+    flags = _FLAGS.get(tuple(argv[:2]))
+    if flags is None:
         return None
-    flags = {**_IN, **entry[2]}
     given = {}
     tokens = iter(argv[2:])
     for token in tokens:
@@ -428,19 +446,19 @@ def _table_parse(argv):
             return None
         given[flag] = text
     opts = {"group": argv[0], "command": argv[1]}
-    for flag, spec in flags.items():
+    for flag, (dest, convert, choices, required, default) in flags.items():
         if flag not in given:
-            if spec.get("required"):
+            if required:
                 return None
-            value = spec.get("default")
+            value = default
         else:
             try:
-                value = spec.get("type", str)(given[flag])
+                value = convert(given[flag])
             except Exception:   # argparse converts it again and reports it
                 return None
-            if value not in spec.get("choices", (value,)):
+            if choices is not None and value not in choices:
                 return None
-        opts[spec.get("dest", flag[2:].replace("-", "_"))] = value
+        opts[dest] = value
     return opts
 
 
@@ -502,8 +520,7 @@ def run(argv):
         return EXIT_PRECONDITION
     doc = {"version": __version__, "command": ".".join(command)}
     doc.update(result)
-    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    sys.stdout.write("\n")
+    sys.stdout.write(_encode(doc) + "\n")
     return EXIT_OK
 
 

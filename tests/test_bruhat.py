@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 from exactgroups.bruhat import (H_GENERATORS, PERM_MATRICES, PERMUTATIONS,
-                                bruhat_decompose, case3_normalize,
+                                _fact_walk, bruhat_decompose, case3_normalize,
                                 case4_witness, cell_of,
                                 fact3_display_factorization, fact_check,
                                 grid_rationals)
 from exactgroups.matrix import Matrix, PreconditionError
+from exactgroups.prng import SplitMix64
 from tests.conftest import random_sl3, rational_rank, seeded
 
 
@@ -169,6 +170,22 @@ def test_fact1_fact2_sampled():
     assert fact_check(2, seed=0, count=60)
     assert fact_check(1, seed=123456, count=60, length=10)
     assert fact_check(2, seed=123456, count=60, length=10)
+
+
+def test_fact_walk_matches_matrix_products():
+    # Facts 1 and 2 walk int rows; each walk reaches the matrix of the
+    # Matrix product over the same SplitMix64 draws, and takes as many.
+    for which, p in ((1, PERM_MATRICES["(12)"]), (2, PERM_MATRICES["(23)"])):
+        letters = [x for h in H_GENERATORS + (p,) for x in (h, h.inverse())]
+        for seed in range(50):
+            for length in (8, 10):
+                fast, slow = SplitMix64(seed), SplitMix64(seed)
+                for _ in range(3):
+                    m = Matrix.identity(3)
+                    for _ in range(length):
+                        m = m * letters[slow.below(len(letters))]
+                    assert _fact_walk(which, fast, length) == m.data, (which, seed, length)
+                assert fast.state == slow.state
 
 
 def test_h_generators_shape():

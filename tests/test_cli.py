@@ -350,6 +350,33 @@ def test_affine_aut_check_refuses_huge_L_before_any_work(tmp_path, monkeypatch):
         assert err == f"error: count too large: more than {bound} samples\n"
 
 
+def test_random_affine_matches_matrix_products():
+    # _random_affine multiplies cached int rows of S, S^-1, T and T^-1; the
+    # elements, and the draws they take, are those of Matrix products.
+    from exactgroups.affine import AffineElement
+    from exactgroups.prng import SplitMix64
+    from exactgroups.sl2 import S, T
+
+    def by_products(rng, n):
+        a = tuple(rng.int_in(-5, 5) for _ in range(n))
+        g = Matrix.identity(n)
+        if n == 2:
+            for _ in range(6):
+                r = rng.below(4)
+                base = S if r // 2 == 0 else T
+                g = g * (base.inverse() if r % 2 else base)
+        return AffineElement(a, g)
+
+    for n in (2, 3):
+        for seed in range(50):
+            fast, slow = SplitMix64(seed), SplitMix64(seed)
+            for _ in range(4):
+                got, want = cli._random_affine(fast, n), by_products(slow, n)
+                assert got == want and got.linear.integral, (n, seed)
+                assert all(type(x) is int for x in got.translation)
+            assert fast.state == slow.state
+
+
 def test_affine_aut_check_refuses_non_integer_L(tmp_path):
     # diag(2, 1/2) has det 1 and once passed as an automorphism of Z^2 x| SL2(Z).
     for L in ([[2, 0], [0, "1/2"]], [[2, 0], [0, 1]], [[1, 1, 0], [0, 1, 0]]):
