@@ -8,7 +8,9 @@ elimination.  Both run fraction-free on lam g, lam the lcm of its denominators
 (g itself when integral).  The elimination hands back A's three entries above
 its unit diagonal as (n, d) int pairs and B's rows as int rows over one
 denominator each; the factors, and the cell-(123) normalization of them, are
-built straight from those, one Fraction per non-integer entry.
+built straight from those, one Fraction per non-integer entry.  The sampled
+facts 1 and 2 multiply their random words on int rows (`_fact_walk`), with
+the letters' rows cached on first use.
 """
 
 from __future__ import annotations

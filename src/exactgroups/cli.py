@@ -20,6 +20,15 @@ exception), and calls the handler as a pure function handler(doc, opts) ->
 dict, where opts maps each flag to its value.  Integer flags follow the
 integer rule of the input documents (serialize.parse_int).
 
+A valid request does only the work its answer needs: the table parse reads
+a per-command flag table (_FLAGS) built once from COMMANDS, documents are
+read on serialize's fast integer path, the answer goes out through one
+module-level JSON encoder, and the sampling commands multiply raw int rows
+(_random_affine here, bruhat._fact_walk for fact-check --fact 1|2), with
+letter rows cached on first use and the same SplitMix64 draws as before.
+What a request still pays for besides its command is the JSON decode of its
+document, and for help and malformed argv the argparse parser.
+
 Each handler imports the library modules it calls when it runs, not when
 this module loads, so a cold call compiles only its own command's modules:
 without cached bytecode, compiling the others was about an eighth of a call.

@@ -108,6 +108,7 @@ def matrix_to_json(m):
 
 
 def parse_matrix(doc):
+    # A declared shape that disagrees is refused by the checked path.
     rows = _int_rows(doc.get("entries")) if type(doc) is dict else None
     if rows is None or "rows" in doc and (
             (len(rows), len(rows[0])) != (doc["rows"], doc.get("cols", len(rows[0])))):
@@ -132,11 +133,14 @@ def _int_rows(entries):
             if None in row:
                 return None
         else:
+            # Strings of "-" and ASCII digits alone: int() takes exactly those
+            # that parse_int takes and raises ValueError on the others ("",
+            # "-", "1-2") and past the digit limit.
             if not (text.isascii() and text.replace("-", "").isdigit()):
                 return None
             try:
                 row = tuple(map(int, row))
-            except ValueError:   # "", "-", "1-2", or past the digit limit
+            except ValueError:
                 return None
         rows.append(row)
     return tuple(rows)
