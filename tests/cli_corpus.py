@@ -326,9 +326,23 @@ def edge_requests():
             (el(("1/2", 0, 1), mul(e3, f3)), [el((0, "1/3", 0), e3), el((1, 0, -1), f3)], 4)):
         ask(["affine", "ball", "--radius", str(radius)],
             {"element": element, "generators": gens})
+    # ... and on the conjugation kernel's written-out sizes, n = 2 and 3, with
+    # det -1 letters and a "p/q" translation, and at n = 4, past them.
+    e4 = ((1, 0, 0, 1), (0, 1, 0, 0), (0, 1, 1, 0), (0, 0, 0, -1))
+    p4 = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0))
+    for element, gens, radius in (
+            (el((2, -1), ((2, 1), (1, 1))), [el((1, 0), ((0, 1), (1, 0))), el((0, 3), T)], 4),
+            (el((0, "2/3", -1), f3), [el((1, 0, 0), ((1, 0, 0), (0, 0, 1), (0, 1, 0))),
+                                      el((0, -1, 2), e3)], 3),
+            (el((1, 0, -1, 2), e4), [el((0, 1, 0, 0), p4), el((1, 1, 0, -1), e4)], 3)):
+        ask(["affine", "ball", "--radius", str(radius)],
+            {"element": element, "generators": gens})
     # sl2 decompose --alphabet st: 2|e| letters for T^e, at most 1,000,000.
     for e in (3, -40, 500001, -500001, 10 ** 30):
         ask(["sl2", "decompose", "--alphabet", "st"], mat(((1, e), (0, 1))))
+    # Words whose st letters merge in cascades: S s^1 cancels and t meets t.
+    for g in (((5, 8), (3, 5)), ((-5, -8), (-3, -5)), ((5, -23), (2, -9)), ((5, -3), (-3, 2))):
+        ask(["sl2", "decompose", "--alphabet", "st"], mat(g))
     ask(["sl2", "decompose", "--alphabet", "ST"], mat(((1, 10 ** 30), (0, 1))))
     # bruhat fact-check: at most 100,000 cases.
     for fact in (1, 2):
@@ -378,6 +392,11 @@ def edge_requests():
         ask(["lin", "hnf"], {"rows": [[text]], "dim": 1})
         ask(["lin", "snf"], entries([[text]]))
     ask(["affine", "aut-check", "--seed", "3", "--count", "0"], {"L": mat(T), "xi": ["1", "0"]})
+    # A string or an object where the entries list, a row or a window triple
+    # belongs.
+    ask(["lin", "snf"], {"entries": ["12", "34"]})
+    ask(["lin", "snf"], {"entries": {"1": 0, "2": 5}})
+    ask(["cocycle", "finf-extend"], {"n": 1, "window": ["000", [1, "0", "0"]]})
     return reqs
 
 
