@@ -1,12 +1,13 @@
 """Unit tests for the affine semidirect products Z^n x| SL_n(Z)."""
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from exactgroups.affine import (AffineElement, ClassificationReport,
                                 CyclicLinear, FullLatticeSemidirect,
-                                GraphSubgroup, affine_automorphism,
+                                GraphSubgroup, _conjugate, affine_automorphism,
                                 classify_subgroup, conj_class_ball, fc_witness,
                                 icc_affine_cyclic, invariant_lattice)
 from exactgroups.cocycle import (CocycleSpec, UnderdeterminedWitness,
@@ -346,6 +347,79 @@ def test_conj_class_ball_matches_nested_tuple_count():
     for x, gens, top in cases:
         counts = [conj_class_ball(x, gens, r) for r in range(top + 1)]
         assert counts == _nested_ball(x, gens, top), (x, gens)
+
+
+def _rows_mul(p, q):
+    return tuple(tuple(sum(map(mul, row, col)) for col in zip(*q)) for row in p)
+
+
+def _ref_conjugate(g, g_inv, c):
+    """g c g^-1 = (G a + b + G C b', G C H) on raw (translation, rows) pairs,
+    by generic row products: the form `_conjugate` keeps past n = 3."""
+    (b, G), (b_inv, H), (a, C) = g, g_inv, c
+    GC = _rows_mul(G, C)
+    t = [x + sum(map(mul, row, a)) + sum(map(mul, gc, b_inv)) for x, row, gc in zip(b, G, GC)]
+    return tuple(t), _rows_mul(GC, H)
+
+
+def test_conjugate_matches_generic_products():
+    # Letters with det +-1 and int or Fraction translations, conjugating
+    # elements with int or Fraction translations and integral or rational
+    # linear parts: equal values and equal entry types (no step normalizes).
+    rng = seeded(30)
+
+    def translation(n):
+        if rng.below(2):
+            return tuple(rng.int_in(-5, 5) for _ in range(n))
+        return tuple(Fraction(rng.int_in(-5, 5), rng.int_in(1, 3)) for _ in range(n))
+
+    def raw(el):
+        return el.translation, el.linear.data
+
+    flips = 0
+    for n in (2, 3, 4):
+        for _ in range(60):
+            g = AffineElement(translation(n), random_unimodular(rng, n))
+            flips += g.linear.det() == -1
+            if rng.below(4):
+                linear = random_unimodular(rng, n, length=4)
+            else:
+                linear = Matrix([[Fraction(rng.int_in(-4, 4), rng.int_in(1, 3))
+                                  for _ in range(n)] for _ in range(n)])
+            c = (translation(n), linear.data)
+            args = raw(g), raw(g.inverse()), c
+            got, want = _conjugate(*args), _ref_conjugate(*args)
+            assert got == want
+            assert _typed(got[0]) == _typed(want[0])
+            assert tuple(map(_typed, got[1])) == tuple(map(_typed, want[1]))
+    assert flips >= 30
+
+
+def test_automorphism_equals_conjugation_by_products():
+    # phi(el) = P el P^-1 with P = (xi, L): int elements take the one
+    # conjugation kernel, every other element the products themselves.
+    rng = seeded(31)
+    for n in (2, 3, 4):
+        for _ in range(8):
+            L = random_unimodular(rng, n)
+            xi = tuple(rng.int_in(-6, 6) for _ in range(n))
+            phi = affine_automorphism(L, xi)
+            P = AffineElement(xi, L)
+            P_inv = P.inverse()
+            for _ in range(8):
+                a = tuple(rng.int_in(-4, 4) for _ in range(n))
+                s = random_unimodular(rng, n, length=4)
+                rational = Matrix([[Fraction(rng.int_in(-4, 4), rng.int_in(1, 3))
+                                    for _ in range(n)] for _ in range(n)])
+                for el in (AffineElement(a, s),
+                           AffineElement(tuple(Fraction(x, 2) for x in a), s),
+                           AffineElement(a, Matrix._trusted(s.data)),
+                           AffineElement(a, rational)):
+                    got, want = phi(el), P * el * P_inv
+                    assert got == want
+                    assert got.linear.integral == want.linear.integral
+            with pytest.raises(ShapeError):
+                phi(AffineElement.identity(n + 1))
 
 
 def test_conj_class_ball_dimension_mismatch():

@@ -192,6 +192,50 @@ def test_decompose_tie_quotients_pinned():
         assert decompose_st(Matrix(rows)) == GenWord(tokens, central)
 
 
+def _expand_and_merge(word):
+    """to_st_word letter by letter: S^e -> s^3e, T^q -> (s t)^q or
+    (t^-1 s^-1)^-q, -I -> s^2, then each letter merged into the last one
+    kept, reduced mod 4 or 6, and dropped at 0."""
+    raw = [("s", 2)] if word.central else []
+    for gen, exp in word.tokens:
+        if gen == "S":
+            raw.append(("s", 3 * exp))
+        elif gen == "T":
+            raw.extend([("s", 1), ("t", 1)] * exp if exp >= 0 else [("t", -1), ("s", -1)] * -exp)
+        elif gen in ("s", "t"):
+            raw.append((gen, exp))
+        else:
+            raise PreconditionError(f"unknown generator {gen!r}")
+    out = []
+    for gen, exp in raw:
+        if out and out[-1][0] == gen:
+            exp += out.pop()[1]
+        exp %= 4 if gen == "s" else 6
+        if exp:
+            out.append((gen, exp))
+    return GenWord(tuple(out), 0)
+
+
+def test_to_st_word_matches_expand_and_merge():
+    # Seeded words of 0-6 tokens over S, T, s, t with exponents in [-9, 9],
+    # and fixed words for s^4, t^6, T^q S^e cascades and negative T.
+    rng = seeded(32)
+    words = [GenWord(tokens, central) for central in (0, 1) for tokens in (
+        (("s", 4),), (("t", 6),), (("t", 6), ("s", 4), ("t", 1)),
+        (("T", 2), ("S", 1), ("T", 3)), (("T", 3), ("S", -1), ("T", -3)),
+        (("T", -2), ("S", 1), ("T", -3)), (("T", -1), ("S", 3), ("T", 1)),
+        (("T", -2), ("S", -1), ("t", 1), ("s", 1)),
+        (("T", 1), ("T", -1)), (("T", -4), ("s", 1), ("t", 1), ("T", 4)), ())]
+    for _ in range(3000):
+        tokens = tuple(("STst"[rng.below(4)], rng.int_in(-9, 9)) for _ in range(rng.int_in(0, 6)))
+        words.append(GenWord(tokens, rng.below(2)))
+    for word in words:
+        assert to_st_word(word) == _expand_and_merge(word), word
+    for word in (GenWord((("X", 1),), 0), GenWord((("T", 2), ("u", 1)), 1)):
+        with pytest.raises(PreconditionError):
+            to_st_word(word)
+
+
 def test_to_st_word_rejects_unknown_generator():
     with pytest.raises(PreconditionError):
         to_st_word(GenWord((("X", 1),), 0))
