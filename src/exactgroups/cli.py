@@ -184,8 +184,11 @@ def _cmd_cocycle_central(doc, opts):
 def _cmd_cocycle_finf_extend(doc, opts):
     import exactgroups.cocycle as cocycle
     n = parse_int(doc["n"])
-    values = {parse_int(k): (parse_scalar(x), parse_scalar(y))
-              for k, x, y in doc["window"]}
+    window = doc["window"]
+    # Not a string or an object, which would iterate as characters or keys.
+    if type(window) is not list or not all(type(t) is list for t in window):
+        raise InputError("window must be a JSON array of [k, x, y] arrays")
+    values = {parse_int(k): (parse_scalar(x), parse_scalar(y)) for k, x, y in window}
     u = cocycle.finf_extend(n, values, sorted(values))
     return {"u": None if u is None else vector_to_json(u)}
 

@@ -19,7 +19,9 @@ once they are known to hold only "-" and ASCII digits).  Everything else --
 a "p/q" entry, a digit string past the interpreter's int/str digit limit, a
 ragged, empty or non-list row, a refused value -- falls back to the checked
 path (`_checked_scalar`, `_checked_matrix`), which gives the same value or
-the same InputError as it always did.
+the same InputError as it always did.  The checked path refuses a JSON
+string or object where the entries list or a row belongs, which would
+otherwise iterate as its characters or keys.
 """
 
 from __future__ import annotations
@@ -151,12 +153,21 @@ def _checked_matrix(doc):
         raise InputError('matrix must be {"rows", "cols", "entries"}')
     entries = doc["entries"]
     try:
-        m = Matrix([[_checked_scalar(x) for x in row] for row in entries])
+        m = Matrix([[_checked_scalar(x) for x in _array(row)] for row in _array(entries)])
     except Exception as exc:
         raise InputError(f"bad matrix entries: {exc}") from exc
     if "rows" in doc and (m.rows, m.cols) != (doc["rows"], doc.get("cols", m.cols)):
         raise InputError("declared shape disagrees with entries")
     return m
+
+
+def _array(x):
+    """x, refused when it is a JSON string or object: those iterate as their
+    characters or keys, so ["12", "34"] would read as [[1, 2], [3, 4]]."""
+    if isinstance(x, (str, dict)):
+        kind = "string" if isinstance(x, str) else "object"
+        raise InputError(f"expected a JSON array, got a JSON {kind}")
+    return x
 
 
 def word_to_json(word):

@@ -597,6 +597,28 @@ def test_exit_code_3_precondition(tmp_path):
     assert code == 3
 
 
+def test_strings_and_objects_are_not_read_as_arrays(tmp_path):
+    # A JSON string iterates as its characters and an object as its keys:
+    # {"entries": ["12", "34"]} once read as [[1, 2], [3, 4]], and the window
+    # triple "000" as (0, "0", "0").
+    for argv, doc in (
+            (["lin", "snf"], {"entries": ["12", "34"]}),
+            (["lin", "snf"], {"entries": {"1": 0, "2": 5}}),
+            (["lin", "snf"], {"entries": "1234"}),
+            (["lin", "snf"], {"entries": [["1", "2"], {"3": 0, "4": 0}]}),
+            (["sl2", "classify"], {"entries": [["1", "1"], "01"]}),
+            (["cocycle", "finf-extend"], {"n": 1, "window": ["000", [1, "0", "0"]]}),
+            (["cocycle", "finf-extend"], {"n": 1, "window": [{"0": 1, "1": 2, "2": 3}]}),
+            (["cocycle", "finf-extend"], {"n": 1, "window": {"000": 0}}),
+            (["cocycle", "finf-extend"], {"n": 1, "window": "000"})):
+        code, out, err = run_cli(tmp_path, argv, doc)
+        assert (code, out) == (2, ""), (argv, doc, out)
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, doc, err)
+    # An entries value that does not iterate keeps its message.
+    assert run_cli(tmp_path, ["lin", "snf"], {"entries": 5})[2] == (
+        "error: bad matrix entries: 'int' object is not iterable\n")
+
+
 def test_affine_classify_non_object_document(tmp_path):
     # `[]` once escaped run() as an AttributeError from doc.get.
     for doc in ([], "cyclic_linear", 3, None):
