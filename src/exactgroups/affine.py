@@ -25,7 +25,8 @@ class AffineElement(Record):
 
     Multiplication law: (a, g)(b, h) = (a + g b, g h).  With integral g, h
     and int translations the product is one call of `matrix._int_affine_mul`
-    on the raw rows, with no normalizing and no second shape check.
+    on the raw rows, with no normalizing and no second shape check, and the
+    result is built by `_trusted`, the one unchecked constructor.
     """
 
     __slots__ = ("translation", "linear")
@@ -35,14 +36,20 @@ class AffineElement(Record):
             raise ShapeError("translation and linear part dimensions disagree")
         Record.__init__(self, vec_norm(translation), linear)
 
-    @classmethod
-    def _trusted(cls, translation, linear):
-        """AffineElement on a translation tuple and a square Matrix of its
-        size, unchecked: the products that end here have checked both."""
-        el = object.__new__(cls)
-        set_translation, set_linear = cls._setters
-        set_translation(el, translation)
-        set_linear(el, linear)
+    @staticmethod
+    def _trusted(translation, rows):
+        """AffineElement on an int translation tuple and the int rows of a
+        square matrix of its size, unchecked, with its integral Matrix: the
+        kernels that end here have checked both."""
+        m = _new(Matrix)
+        n = len(rows)
+        _set_rows(m, n)
+        _set_cols(m, n)
+        _set_data(m, rows)
+        _set_integral(m, True)
+        el = _new(AffineElement)
+        _set_translation(el, translation)
+        _set_linear(el, m)
         return el
 
     @staticmethod
@@ -57,12 +64,19 @@ class AffineElement(Record):
         if g.integral and h.integral:
             product = _int_affine_mul(a, g.data, b, h.data)
             if product is not None:
-                return AffineElement._trusted(product[0], Matrix._trusted(product[1], True))
+                return AffineElement._trusted(*product)
         return AffineElement(vec_add(a, g.apply(b)), g * h)
 
     def inverse(self):
         g_inv = self.linear.inverse()
         return AffineElement(tuple(-x for x in g_inv.apply(self.translation)), g_inv)
+
+
+# The slot setters, bound once: `AffineElement._trusted` builds every int
+# product and automorphism image.
+_new = object.__new__
+_set_translation, _set_linear = AffineElement._setters
+_set_rows, _set_cols, _set_data, _set_integral = Matrix._setters
 
 
 # -- ICC analysis ----------------------------------------------------------
@@ -103,7 +117,9 @@ def conj_class_ball(x, gens, radius):
     One breadth-first search, `_orbit_ball`, on the conjugates c = (a, C),
     each a raw pair (translation, rows); no word is kept.  A letter g = (b, G)
     with g^-1 = (b', H) steps c by `_conjugate` to g c g^-1 = (G a + b +
-    G C b', G C H).  The letters are the conjugations by g and by g^-1,
+    G C b', G C H), the one conjugation kernel, which `affine_automorphism`
+    runs too (written out for n = 2 and 3; Fraction entries pass through it
+    unnormalized).  The letters are the conjugations by g and by g^-1,
     inverse maps, so letters 2k and 2k + 1 undo each other as `_orbit_ball`
     requires.  The conjugates by words of length <= radius are the points
     within distance radius of x in the graph c -- g c g^-1, and breadth-first
@@ -133,8 +149,39 @@ def conj_class_ball(x, gens, radius):
 
 def _conjugate(g, g_inv, c):
     """g c g^-1 = (G a + b + G C b', G C H) for the raw (translation tuple,
-    tuple of rows) pairs c = (a, C), g = (b, G) and g^-1 = (b', H)."""
+    tuple of rows) pairs c = (a, C), g = (b, G) and g^-1 = (b', H).
+
+    Written out for n = 2 and 3, generic row products past them.  The
+    arithmetic is type-agnostic and nothing is normalized: on ints the
+    result is ints, and a Fraction entry gives Fractions where it enters."""
     (b, G), (b_inv, H), (a, C) = g, g_inv, c
+    n = len(G)
+    if n == 2:
+        (g0, g1), (g2, g3) = G
+        (c0, c1), (c2, c3) = C
+        (h0, h1), (h2, h3) = H
+        (a0, a1), (d0, d1), (e0, e1) = a, b, b_inv
+        w, x, y, z = g0 * c0 + g1 * c2, g0 * c1 + g1 * c3, g2 * c0 + g3 * c2, g2 * c1 + g3 * c3
+        return ((d0 + g0 * a0 + g1 * a1 + w * e0 + x * e1,
+                 d1 + g2 * a0 + g3 * a1 + y * e0 + z * e1),
+                ((w * h0 + x * h2, w * h1 + x * h3), (y * h0 + z * h2, y * h1 + z * h3)))
+    if n == 3:
+        (g0, g1, g2), (g3, g4, g5), (g6, g7, g8) = G
+        (c0, c1, c2), (c3, c4, c5), (c6, c7, c8) = C
+        p, q, r = (g0 * c0 + g1 * c3 + g2 * c6, g0 * c1 + g1 * c4 + g2 * c7,
+                   g0 * c2 + g1 * c5 + g2 * c8)
+        s, t, u = (g3 * c0 + g4 * c3 + g5 * c6, g3 * c1 + g4 * c4 + g5 * c7,
+                   g3 * c2 + g4 * c5 + g5 * c8)
+        v, w, z = (g6 * c0 + g7 * c3 + g8 * c6, g6 * c1 + g7 * c4 + g8 * c7,
+                   g6 * c2 + g7 * c5 + g8 * c8)
+        (h0, h1, h2), (h3, h4, h5), (h6, h7, h8) = H
+        (a0, a1, a2), (d0, d1, d2), (e0, e1, e2) = a, b, b_inv
+        return ((d0 + g0 * a0 + g1 * a1 + g2 * a2 + p * e0 + q * e1 + r * e2,
+                 d1 + g3 * a0 + g4 * a1 + g5 * a2 + s * e0 + t * e1 + u * e2,
+                 d2 + g6 * a0 + g7 * a1 + g8 * a2 + v * e0 + w * e1 + z * e2),
+                ((p * h0 + q * h3 + r * h6, p * h1 + q * h4 + r * h7, p * h2 + q * h5 + r * h8),
+                 (s * h0 + t * h3 + u * h6, s * h1 + t * h4 + u * h7, s * h2 + t * h5 + u * h8),
+                 (v * h0 + w * h3 + z * h6, v * h1 + w * h4 + z * h7, v * h2 + w * h5 + z * h8)))
     GC = _int_mul(G, C)
     t = [x + sum(map(mul, row, a)) + sum(map(mul, gc, b_inv)) for x, row, gc in zip(b, G, GC)]
     return tuple(t), _int_mul(GC, H)
@@ -217,30 +264,31 @@ def affine_automorphism(L, xi):
 
     It is conjugation by P = (xi, L): P (a, s) P^-1 = (xi + L a, L s)
     (-L^-1 xi, L^-1) is the pair above, so the returned map is
-    el -> P el P^-1, two affine products, and a bijective homomorphism.
+    el -> P el P^-1 and a bijective homomorphism.
     L must be an integer matrix with det +-1; xi is an integer vector.
 
     The rows and translations of P and P^-1 are all ints, so for an el of
     the same size with an integral linear part and an int translation the
-    two products are two calls of `matrix._int_affine_mul` on raw rows, and
-    only the result is built as an AffineElement.  Any other el takes
-    P * el * P_inv.
+    image is one call of `_conjugate`, the conjugation kernel of the
+    `conj_class_ball` step, on the raw pairs of P, P^-1 and el, built by
+    `AffineElement._trusted`.  Any other el takes P * el * P_inv.
     """
     _require_unimodular(L)
     if not vec_is_integral(xi):
         raise PreconditionError("xi must be an integer vector")
     P = AffineElement(xi, L)
     P_inv = P.inverse()
-    xi, rows, xi_inv, rows_inv = P.translation, L.data, P_inv.translation, P_inv.linear.data
-    n = len(rows)
+    raw, raw_inv = (P.translation, L.data), (P_inv.translation, P_inv.linear.data)
+    n = len(L.data)
 
     def phi(el):
         s = el.linear
-        if s.integral and s.rows == n:
-            left = _int_affine_mul(xi, rows, el.translation, s.data)
-            if left is not None:
-                t, m = _int_affine_mul(left[0], left[1], xi_inv, rows_inv)
-                return AffineElement._trusted(t, Matrix._trusted(m, True))
+        a = el.translation
+        # The entries of a are ints or Fractions, and one Fraction makes the
+        # sum a Fraction: type(sum(a)) is int when every entry is an int.
+        if s.integral and s.rows == n and type(sum(a)) is int:
+            t, m = _conjugate(raw, raw_inv, (a, s.data))
+            return AffineElement._trusted(t, m)
         return P * el * P_inv
 
     return phi

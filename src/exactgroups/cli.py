@@ -259,11 +259,11 @@ def _random_affine(rng, n):
     import exactgroups.affine as affine
     a = tuple(rng.int_in(-5, 5) for _ in range(n))
     if n != 2:
-        return affine.AffineElement._trusted(a, Matrix.identity(n))
+        return affine.AffineElement._trusted(a, Matrix.identity(n).data)
     letters, g = _sl2_letters(), ((1, 0), (0, 1))
     for _ in range(6):
         g = _int_mul(g, letters[rng.below(4)])
-    return affine.AffineElement._trusted(a, Matrix._trusted(g, True))
+    return affine.AffineElement._trusted(a, g)
 
 
 @functools.cache

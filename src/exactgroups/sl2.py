@@ -148,33 +148,38 @@ def to_st_word(word):
     """Convert an {S, T} word to the torsion alphabet {s, t}.
 
     Uses S = s^3 (up to s^4 = I), T = s*t, and -I = s^2; exponents are
-    reduced modulo the generator orders (4 for s, 6 for t).
+    reduced modulo the generator orders (4 for s, 6 for t), and adjacent
+    letters of one generator merged.
+
+    Each token becomes a block of reduced letters that alternate between s
+    and t: S^e -> s^(3e mod 4), s^e and t^e reduced, T^q -> (s t)^q, or
+    (t^5 s^3)^-q for q < 0, and a letter that reduces to 0 leaves an empty
+    block.  The word kept so far alternates too, so a block can merge only
+    at its front: its first letter merges with the last letter kept, and
+    when the sum reduces to 0 both go and the block's next letter meets the
+    letter before, in a cascade.  Once a letter is appended, the rest of
+    the block follows it unmerged.
     """
-    raw = []
-    if word.central:
-        raw.append(("s", 2))
+    out = [("s", 2)] if word.central else []
     for gen, exp in word.tokens:
-        if gen == "S":
-            raw.append(("s", 3 * exp))
-        elif gen == "T":
-            if exp >= 0:
-                raw.extend([("s", 1), ("t", 1)] * exp)
-            else:  # T^-1 = t^-1 s^-1
-                raw.extend([("t", -1), ("s", -1)] * (-exp))
-        elif gen in ("s", "t"):
-            raw.append((gen, exp))
+        if gen == "T":
+            block = [("s", 1), ("t", 1)] * exp if exp >= 0 else [("t", 5), ("s", 3)] * -exp
+        elif gen in ("S", "s", "t"):
+            if gen == "S":
+                gen, exp = "s", 3 * exp
+            exp %= 4 if gen == "s" else 6
+            block = [(gen, exp)] if exp else []
         else:
             raise PreconditionError(f"unknown generator {gen!r}")
-    # Canonicalize: merge adjacent equal generators, reduce mod order, drop 0.
-    order = {"s": 4, "t": 6}
-    out = []
-    for gen, exp in raw:
-        if out and out[-1][0] == gen:
-            gen_, acc = out.pop()
-            exp = acc + exp
-        exp %= order[gen]
-        if exp:
-            out.append((gen, exp))
+        for i, (gen, exp) in enumerate(block):
+            if out and out[-1][0] == gen:
+                exp = (out.pop()[1] + exp) % (4 if gen == "s" else 6)
+                if not exp:
+                    continue   # cancelled: the next letter meets the one before
+                out.append((gen, exp))
+                i += 1
+            out.extend(block[i:])
+            break
     return GenWord(tuple(out), 0)
 
 
