@@ -153,7 +153,10 @@ def _conjugate(g, g_inv, c):
 
     Written out for n = 2 and 3, generic row products past them.  The
     arithmetic is type-agnostic and nothing is normalized: on ints the
-    result is ints, and a Fraction entry gives Fractions where it enters."""
+    result is ints, and a Fraction entry gives Fractions where it enters.
+    A translation entry adds G a and G C b' as two sums, as the generic
+    form does, so a Fraction in b, a or b' costs no Fraction addition in
+    the other two sums."""
     (b, G), (b_inv, H), (a, C) = g, g_inv, c
     n = len(G)
     if n == 2:
@@ -162,8 +165,8 @@ def _conjugate(g, g_inv, c):
         (h0, h1), (h2, h3) = H
         (a0, a1), (d0, d1), (e0, e1) = a, b, b_inv
         w, x, y, z = g0 * c0 + g1 * c2, g0 * c1 + g1 * c3, g2 * c0 + g3 * c2, g2 * c1 + g3 * c3
-        return ((d0 + g0 * a0 + g1 * a1 + w * e0 + x * e1,
-                 d1 + g2 * a0 + g3 * a1 + y * e0 + z * e1),
+        return ((d0 + (g0 * a0 + g1 * a1) + (w * e0 + x * e1),
+                 d1 + (g2 * a0 + g3 * a1) + (y * e0 + z * e1)),
                 ((w * h0 + x * h2, w * h1 + x * h3), (y * h0 + z * h2, y * h1 + z * h3)))
     if n == 3:
         (g0, g1, g2), (g3, g4, g5), (g6, g7, g8) = G
@@ -176,9 +179,9 @@ def _conjugate(g, g_inv, c):
                    g6 * c2 + g7 * c5 + g8 * c8)
         (h0, h1, h2), (h3, h4, h5), (h6, h7, h8) = H
         (a0, a1, a2), (d0, d1, d2), (e0, e1, e2) = a, b, b_inv
-        return ((d0 + g0 * a0 + g1 * a1 + g2 * a2 + p * e0 + q * e1 + r * e2,
-                 d1 + g3 * a0 + g4 * a1 + g5 * a2 + s * e0 + t * e1 + u * e2,
-                 d2 + g6 * a0 + g7 * a1 + g8 * a2 + v * e0 + w * e1 + z * e2),
+        return ((d0 + (g0 * a0 + g1 * a1 + g2 * a2) + (p * e0 + q * e1 + r * e2),
+                 d1 + (g3 * a0 + g4 * a1 + g5 * a2) + (s * e0 + t * e1 + u * e2),
+                 d2 + (g6 * a0 + g7 * a1 + g8 * a2) + (v * e0 + w * e1 + z * e2)),
                 ((p * h0 + q * h3 + r * h6, p * h1 + q * h4 + r * h7, p * h2 + q * h5 + r * h8),
                  (s * h0 + t * h3 + u * h6, s * h1 + t * h4 + u * h7, s * h2 + t * h5 + u * h8),
                  (v * h0 + w * h3 + z * h6, v * h1 + w * h4 + z * h7, v * h2 + w * h5 + z * h8)))
