@@ -1,6 +1,10 @@
 """The affine groups Z^n x| SL_n(Z): arithmetic, ICC analysis, conjugacy-class
 growth oracle, invariant-lattice closure, the unimodular-twist automorphism,
 and a classification report for canonical subgroup descriptors.
+
+`lattice`, `sl2` and `cocycle` are imported by the functions that call
+them, never in a loop, so a CLI call such as `affine ball` compiles none
+of them.
 """
 
 from __future__ import annotations
@@ -9,11 +13,8 @@ from functools import partial
 from math import gcd, prod
 from operator import mul
 
-from . import cocycle as _cocycle
-from .lattice import fixed_sublattice, hnf
-from .matrix import (Matrix, PreconditionError, Record, ShapeError, _int_affine_mul,
-                     _int_mul, vec_add, vec_is_integral, vec_norm)
-from .sl2 import _require_unimodular, classify_sl2, order_of
+from .matrix import (Matrix, PreconditionError, Record, ShapeError, _int_apply, _int_mul,
+                     _scaled, vec_add, vec_is_integral, vec_norm)
 
 
 class AffineElement(Record):
@@ -24,9 +25,9 @@ class AffineElement(Record):
     and hash alike.
 
     Multiplication law: (a, g)(b, h) = (a + g b, g h).  With integral g, h
-    and int translations the product is one call of `matrix._int_affine_mul`
-    on the raw rows, with no normalizing and no second shape check, and the
-    result is built by `_trusted`, the one unchecked constructor.
+    and int translations the product is one call of `_int_affine_mul` on the
+    raw rows, with no normalizing and no second shape check, and the result
+    is built by `_trusted`, the one unchecked constructor.
     """
 
     __slots__ = ("translation", "linear")
@@ -79,6 +80,34 @@ _set_translation, _set_linear = AffineElement._setters
 _set_rows, _set_cols, _set_data, _set_integral = Matrix._setters
 
 
+def _int_affine_mul(a, g, b, h):
+    """(a + g b, rows of g h) for int matrices given by their rows g, h, both
+    n x n, and vectors a, b of length n, when every entry of a and b is an
+    int (n = 2 and 3 written out); else None.  No entry needs normalizing."""
+    n = len(g)
+    if n == 2:
+        (a0, a1), (b0, b1) = a, b
+        if type(a0) is int and type(a1) is int and type(b0) is int and type(b1) is int:
+            (p, q), (r, s) = g
+            (e, f), (u, v) = h
+            return ((a0 + p * b0 + q * b1, a1 + r * b0 + s * b1),
+                    ((p * e + q * u, p * f + q * v), (r * e + s * u, r * f + s * v)))
+    elif n == 3:
+        (a0, a1, a2), (b0, b1, b2) = a, b
+        if (type(a0) is int and type(a1) is int and type(a2) is int
+                and type(b0) is int and type(b1) is int and type(b2) is int):
+            (p, q, r), (s, t, u), (v, w, z) = g
+            (j, k, m), (c, d, e), (x, y, f) = h
+            return ((a0 + p * b0 + q * b1 + r * b2, a1 + s * b0 + t * b1 + u * b2,
+                     a2 + v * b0 + w * b1 + z * b2),
+                    ((p * j + q * c + r * x, p * k + q * d + r * y, p * m + q * e + r * f),
+                     (s * j + t * c + u * x, s * k + t * d + u * y, s * m + t * e + u * f),
+                     (v * j + w * c + z * x, v * k + w * d + z * y, v * m + w * e + z * f)))
+    elif all(type(x) is int for x in a) and all(type(x) is int for x in b):
+        return tuple([x + sum(map(mul, row, b)) for x, row in zip(a, g)]), _int_mul(g, h)
+    return None
+
+
 # -- ICC analysis ----------------------------------------------------------
 
 def fc_witness(g):
@@ -87,8 +116,9 @@ def fc_witness(g):
     Such a v generates a finite conjugacy class of (v, e) in Z^2 x| <g, -I>.
     It is the first HNF row of the saturated lattice ker(g - sign I).
     """
+    import exactgroups.lattice as lattice
     for sign in (1, -1):
-        basis = fixed_sublattice(g, sign)
+        basis = lattice.fixed_sublattice(g, sign)
         if not basis.is_zero:
             return basis.rows[0], sign
     return None
@@ -104,7 +134,8 @@ def icc_affine_cyclic(g):
     det(g + I): an integer matrix with eigenvalue +-1 has a rational, hence
     an integer, eigenvector, so g has none in Z^2 exactly when both are nonzero.
     """
-    k = order_of(g)
+    import exactgroups.sl2 as sl2
+    k = sl2.order_of(g)
     if k is not None:
         raise PreconditionError(f"g has finite order {k}")
     ident = Matrix.identity(g.rows)
@@ -129,10 +160,16 @@ def conj_class_ball(x, gens, radius):
     the search runs on v alone, under the letters' linear parts: flat 4-tuples
     at n = 2, `Matrix.apply` otherwise.  No step normalizes: Fraction(k, 1)
     and k are equal and hash alike, so each conjugate is counted once.
+
+    With a "p/q" translation, the search runs on ints all the same:
+    conjugation by the dilation lam I maps (a, C) to (lam a, C) and is an
+    automorphism, so with lam the lcm of the denominators of the translations
+    the search uses (x's alone for a translation x, else x's and every
+    letter's), the dilated x and letters give the same count.
     """
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
-    pairs = [(g, g.inverse()) for g in gens]
+    alphabet = [h for g in gens for h in (g, g.inverse())]
     if not radius:
         return 1   # x itself; a product across dimensions would be an error
     n = len(x.translation)
@@ -140,11 +177,21 @@ def conj_class_ball(x, gens, radius):
         raise ShapeError("dimension mismatch")
     if x.linear == Matrix.identity(n):
         letters = [(*h.linear.data[0], *h.linear.data[1]) if n == 2 else h.linear.apply
-                   for pair in pairs for h in pair]
-        return _orbit_ball(x.translation, letters, radius)
-    raw = [(h.translation, h.linear.data) for pair in pairs for h in pair]
+                   for h in alphabet]
+        (start,) = _dilated([x.translation])
+        return _orbit_ball(start, letters, radius)
+    start, *shifts = _dilated([x.translation, *[h.translation for h in alphabet]])
+    raw = [(a, h.linear.data) for a, h in zip(shifts, alphabet)]
     letters = [partial(_conjugate, raw[i], raw[i ^ 1]) for i in range(len(raw))]
-    return _orbit_ball((x.translation, x.linear.data), letters, radius)
+    return _orbit_ball((start, x.linear.data), letters, radius)
+
+
+def _dilated(shifts):
+    """The translations `shifts` times lam, the lcm of their denominators, as
+    int tuples: `shifts` itself when every entry is an int."""
+    if all(type(e) is int for a in shifts for e in a):
+        return shifts
+    return [tuple(a) for a in _scaled(shifts)[0]]
 
 
 def _conjugate(g, g_inv, c):
@@ -232,7 +279,19 @@ def invariant_lattice(gens, seeds):
     PreconditionError when some generator has det != +-1 on the span of the
     closure: then the closure is not finitely generated (diag(2, 1) on the
     seed e1 gives Z[1/2] e1), and otherwise the loop ends.
+
+    An integral matrix maps an int row by `matrix._int_apply` on its rows;
+    `Matrix.apply` takes the rest.  The span V of the basis L is checked
+    once, in the first round that leaves the rank unchanged, when V is
+    invariant.  When every generator has an integral inverse, g and g^-1
+    keep both Z^n and V, so g permutes the integer points of V and
+    det(g|V) = +-1: nothing is checked.  Otherwise, at full rank V = Q^n and
+    vol g(L) = |det g| vol L, so the check reads |det g| = 1 (`det` is
+    closed form up to 3x3); below it, g(L) spans V with the pivot columns P
+    of L, so |det(g|V)| = |det(g(L)[:, P]) / det(L[:, P])|, the ratio of the
+    pivot products of the HNFs of g(L) and L.
     """
+    import exactgroups.lattice as lattice
     if not gens:
         raise PreconditionError("at least one generator required")
     n = gens[0].rows
@@ -240,20 +299,24 @@ def invariant_lattice(gens, seeds):
         if (g.rows, g.cols) != (n, n) or not g.is_integral():
             raise PreconditionError("generators must be square integer matrices of one size")
     mats = [h for g in gens for h in (g, g.inverse())]
-    basis = hnf([tuple(s) for s in seeds], dim=n)
-    span_checked = False
+    # (map, fallback): the int kernel answers None on a row with a Fraction.
+    steps = [(partial(_int_apply, h.data) if h.integral else h.apply, h.apply) for h in mats]
+    span_checked = all(h.integral for h in mats)
+    basis = lattice.hnf([tuple(s) for s in seeds], dim=n)
     while True:
-        images = [g.apply(row) for g in mats for row in basis.rows]
-        new_basis = hnf(list(basis.rows) + images, dim=n)
+        rows = basis.rows
+        images = [step(row) or apply(row) for step, apply in steps for row in rows]
+        new_basis = lattice.hnf(list(rows) + images, dim=n)
         if new_basis.rank == basis.rank and not span_checked:
-            # The span V of the basis B is invariant now, and g(B) spans it
-            # with the same pivot columns P: |det(g|V)| = |det(g(B)[:, P]) /
-            # det(B[:, P])|, and HNF makes each |det(X[:, P])| a pivot product.
-            volume = prod(basis.pivots())
-            for g in gens:
-                if prod(hnf([g.apply(r) for r in basis.rows], dim=n).pivots()) != volume:
-                    raise PreconditionError("no invariant lattice: a generator has "
-                                            "det != +-1 on the span of the closure")
+            if basis.rank == n:
+                kept = all(abs(g.det()) == 1 for g in gens)
+            else:
+                volume = prod(basis.pivots())
+                kept = all(prod(lattice.hnf([g.apply(r) for r in rows], dim=n).pivots())
+                           == volume for g in gens)
+            if not kept:
+                raise PreconditionError("no invariant lattice: a generator has "
+                                        "det != +-1 on the span of the closure")
             span_checked = True
         if new_basis == basis:
             return basis, basis.index()
@@ -276,7 +339,8 @@ def affine_automorphism(L, xi):
     `conj_class_ball` step, on the raw pairs of P, P^-1 and el, built by
     `AffineElement._trusted`.  Any other el takes P * el * P_inv.
     """
-    _require_unimodular(L)
+    import exactgroups.sl2 as sl2
+    sl2._require_unimodular(L)
     if not vec_is_integral(xi):
         raise PreconditionError("xi must be an integer vector")
     P = AffineElement(xi, L)
@@ -339,6 +403,7 @@ class ClassificationReport(Record):
 
 def _detect_gamma1_level(spec):
     """Largest N >= 2 such that the spec is the Gamma_1(N) family cocycle."""
+    import exactgroups.cocycle as cocycle
     N = 0
     for g in spec.generators:
         N = gcd(N, g[1, 0])
@@ -348,7 +413,7 @@ def _detect_gamma1_level(spec):
     if N < 2:
         return None
     for g, v in zip(spec.generators, spec.values):
-        if v != _cocycle.gamma1_cocycle(N, g):
+        if v != cocycle.gamma1_cocycle(N, g):
             return None
     return N
 
@@ -359,6 +424,7 @@ def classify_subgroup(descriptor):
     Maximality itself is never asserted; the report lists reproducible
     obstruction evidence only.
     """
+    import exactgroups.cocycle as cocycle
     checks = []
     if isinstance(descriptor, FullLatticeSemidirect):
         basis = descriptor.lattice
@@ -384,7 +450,7 @@ def classify_subgroup(descriptor):
     if isinstance(descriptor, GraphSubgroup):
         spec = descriptor.spec
         if spec.relators:
-            ok = _cocycle.verify_relations(spec)
+            ok = cocycle.verify_relations(spec)
             checks.append(Check("relators", "pass" if ok else "fail",
                                 {"count": len(spec.relators)}))
         else:
@@ -392,7 +458,7 @@ def classify_subgroup(descriptor):
         level = _detect_gamma1_level(spec)
         if level is not None:
             # xi = (1/N, 0) solves the stacked system, so a witness exists.
-            witness = _cocycle.coboundary_witness(spec)
+            witness = cocycle.coboundary_witness(spec)
             checks.append(Check("gamma1-obstruction",
                                 "fail" if witness.integral else "pass",
                                 {"level": level, "xi": witness.xi}))
@@ -400,7 +466,7 @@ def classify_subgroup(descriptor):
             # A shift that instantiates no relation is not an obstruction.
             absent = all(
                 any(k + n in values for k in values)
-                and _cocycle.finf_extend(n, values, sorted(values)) is None
+                and cocycle.finf_extend(n, values, sorted(values)) is None
                 for n in (1, -1, 2, -2))
             checks.append(Check("finf-obstruction",
                                 "pass" if absent else "fail",
@@ -413,8 +479,9 @@ def classify_subgroup(descriptor):
 
 
 def _cyclic_checks(g):
+    import exactgroups.sl2 as sl2
     checks = []
-    cls = classify_sl2(g)
+    cls = sl2.classify_sl2(g)
     checks.append(Check("linear-part-class", "pass",
                         {"kind": cls.kind, "order": cls.order, "sign": cls.sign}))
     if cls.kind == "elliptic":
@@ -452,10 +519,11 @@ def _finf_values(spec):
     """{k: c(g_k)} when every generator is a free-family generator
     g_k = b^k a b^-k and g_0 is among them, else None.  A repeated k keeps
     its last value."""
+    import exactgroups.cocycle as cocycle
     values = {}
     for g, v in zip(spec.generators, spec.values):
         k, rem = divmod(1 - g[0, 0], 4)
-        if rem or g != _cocycle.finf_generator(k):
+        if rem or g != cocycle.finf_generator(k):
             return None
         values[k] = v
     return values if 0 in values else None

@@ -15,9 +15,18 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .lattice import solve_integer
 from .matrix import Matrix, PreconditionError, Record, ShapeError, vec_norm
 from .sl2 import CongruenceKind, _require_sl2, congruence_membership
+
+
+def __getattr__(name):
+    # `lattice` loads on first use (PEP 562), as in the package __init__, so
+    # a cocycle call that solves nothing never compiles it; the benchmark's
+    # tracer test still reads `cocycle.solve_integer`.
+    if name == "solve_integer":
+        import exactgroups.lattice as lattice
+        return lattice.solve_integer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class RelatorNotIdentity(PreconditionError):
@@ -257,6 +266,7 @@ def finf_extend(n, values, window):
     integer system is unsolvable.  Checking all in-window relations is
     strictly stronger than the single necessary relation and still sound.
     """
+    import exactgroups.lattice as lattice
     if n == 0:
         raise PreconditionError("n must be nonzero")
     window = sorted(set(window))
@@ -281,4 +291,4 @@ def finf_extend(n, values, window):
         rhs.append(r)
     if not rows:
         raise PreconditionError("window instantiates no relation")
-    return solve_integer(Matrix._trusted(tuple(rows), True), rhs)
+    return lattice.solve_integer(Matrix._trusted(tuple(rows), True), rhs)

@@ -91,29 +91,35 @@ def _extgcd(a, b):
 def _echelon(W):
     """Row Hermite form of the rows W, in place; returns the rank r.
 
-    Column by column, every other nonzero entry is folded into the pivot row
-    by extended-gcd combinations of two rows, the pivot is made positive and
-    the entries above it are reduced into [0, pivot) at once (Kannan-Bachem),
-    so entries stay polynomial in size.  W[:r] is the Hermite form and the
-    rows after it are zero.  For rows A | T with T unimodular, the rows with
-    a pivot in A come first, and the rows that vanish on A follow in Hermite
-    form on T: T records the row operations and stays reduced.
+    Column by column, the pivot row is the first row from r on with a
+    nonzero entry in the column, found by a scan, and moved to row r.  Every
+    later row with a nonzero entry there is folded into it in place, in row
+    order, by extended-gcd combinations of two rows; zero entries are passed
+    over.  The pivot is made positive and the entries above it are reduced
+    into [0, pivot) at once (Kannan-Bachem), so entries stay polynomial in
+    size.  W[:r] is the Hermite form and the rows after it are zero.  For
+    rows A | T with T unimodular, the rows with a pivot in A come first, and
+    the rows that vanish on A follow in Hermite form on T: T records the row
+    operations and stays reduced.
     """
     m = len(W)
     r = 0
     for c in range(len(W[0]) if W else 0):
-        live = [i for i in range(r, m) if W[i][c]]
-        if not live:
+        k = r
+        while k < m and not W[k][c]:
+            k += 1
+        if k == m:
             continue
-        # Row r, if not live, has a zero in column c, so `live` stays valid.
-        k = live[0]
+        # Rows r..k-1 are zero in column c, so the fold starts past k.
+        piv = W[k]
         if k != r:
-            W[r], W[k] = W[k], W[r]
-        piv = W[r]
+            W[k] = W[r]
         p = piv[c]
-        for i in live[1:]:
+        for i in range(k + 1, m):
             row = W[i]
             b = row[c]
+            if not b:
+                continue
             if b % p == 0:
                 q = b // p
                 W[i] = [u - q * v for u, v in zip(row, piv)]
@@ -131,10 +137,9 @@ def _echelon(W):
         # keeps the rows above in Hermite form.
         for i in range(r):
             w = W[i]
-            if w[c]:
-                q = w[c] // p
-                if q:
-                    W[i] = [u - q * v for u, v in zip(w, piv)]
+            q = w[c] // p
+            if q:
+                W[i] = [u - q * v for u, v in zip(w, piv)]
         r += 1
         if r == m:
             break

@@ -4,9 +4,10 @@ Entries are Python ints or :class:`fractions.Fraction`; every operation is
 exact.  Matrices are immutable and hashable, so they can be used as dict keys
 and set members (the finite-closure check of `affine` keeps them in a set).
 Products, applies, determinants and inverses work on the int rows of
-lam M, lam the lcm of M's denominators (`_scaled` makes them, for `bruhat`
-and `lattice` too), and make one Fraction per non-integer output entry at
-the end (`_over` divides an int row by a denominator, for `bruhat` too).
+lam M, lam the lcm of M's denominators (`_scaled` makes them, for
+`bruhat`, `lattice` and `affine` too), and make one Fraction per
+non-integer output entry at the end (`_over` divides an int row by a
+denominator, for `bruhat` too).
 Products and applies run on small integer kernels (2x2 and 3x3 written
 out); determinants and inverses up to 3x3 by one cofactor expansion
 (`_adjugate`), past it by fraction-free elimination (`_bareiss`).
@@ -18,9 +19,9 @@ Each matrix carries an `integral` flag, True only when every entry is an
 int; False means it may hold a Fraction.  The constructor sets it exactly,
 and the operations that keep entries integral pass it on.  Products of two
 integral matrices and their applies to int vectors go to the integer
-kernels directly, with no scaling and no division.  One more kernel,
-`_int_affine_mul`, gives the affine product (a + g b, g h) of int rows in a
-single call, for `affine`.  The flag takes no part in equality or hashing.
+kernels directly, with no scaling and no division (`affine` calls
+`_int_mul` and `_int_apply` on int rows too).  The flag takes no part in
+equality or hashing.
 """
 
 from __future__ import annotations
@@ -189,8 +190,9 @@ class Matrix(Record):
     def identity(n):
         if n < 1:
             raise ShapeError("matrix must have at least one row and column")
-        return Matrix._trusted(tuple(tuple(1 if i == j else 0 for j in range(n))
-                                     for i in range(n)), True)
+        # Row i is a window of one unit vector: a slice each, no per-entry loop.
+        unit = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
+        return Matrix._trusted(tuple([unit[n - 1 - i:2 * n - 1 - i] for i in range(n)]), True)
 
     @staticmethod
     def diagonal(entries):
@@ -372,34 +374,6 @@ def _int_apply(g, b):
                     v * b0 + w * b1 + z * b2)
     elif all(type(x) is int for x in b):
         return tuple([sum(map(mul, row, b)) for row in g])
-    return None
-
-
-def _int_affine_mul(a, g, b, h):
-    """(a + g b, rows of g h) for int matrices given by their rows g, h, both
-    n x n, and vectors a, b of length n, when every entry of a and b is an
-    int (n = 2 and 3 written out); else None.  No entry needs normalizing."""
-    n = len(g)
-    if n == 2:
-        (a0, a1), (b0, b1) = a, b
-        if type(a0) is int and type(a1) is int and type(b0) is int and type(b1) is int:
-            (p, q), (r, s) = g
-            (e, f), (u, v) = h
-            return ((a0 + p * b0 + q * b1, a1 + r * b0 + s * b1),
-                    ((p * e + q * u, p * f + q * v), (r * e + s * u, r * f + s * v)))
-    elif n == 3:
-        (a0, a1, a2), (b0, b1, b2) = a, b
-        if (type(a0) is int and type(a1) is int and type(a2) is int
-                and type(b0) is int and type(b1) is int and type(b2) is int):
-            (p, q, r), (s, t, u), (v, w, z) = g
-            (j, k, m), (c, d, e), (x, y, f) = h
-            return ((a0 + p * b0 + q * b1 + r * b2, a1 + s * b0 + t * b1 + u * b2,
-                     a2 + v * b0 + w * b1 + z * b2),
-                    ((p * j + q * c + r * x, p * k + q * d + r * y, p * m + q * e + r * f),
-                     (s * j + t * c + u * x, s * k + t * d + u * y, s * m + t * e + u * f),
-                     (v * j + w * c + z * x, v * k + w * d + z * y, v * m + w * e + z * f)))
-    elif all(type(x) is int for x in a) and all(type(x) is int for x in b):
-        return tuple([x + sum(map(mul, row, b)) for x, row in zip(a, g)]), _int_mul(g, h)
     return None
 
 

@@ -189,7 +189,7 @@ def parse_index_word(doc):
 
 
 def parse_cocycle_spec(doc):
-    import exactgroups.cocycle as cocycle   # here: it loads lattice and sl2
+    import exactgroups.cocycle as cocycle   # here: it loads sl2
     if not isinstance(doc, dict):
         raise InputError("cocycle spec must be a JSON object")
     try:

@@ -95,3 +95,18 @@ def rational_rank(rows):
 
 def seeded(seed):
     return SplitMix64(seed)
+
+
+def forbidden(name):
+    """A method that fails the test when called: patched over `name`."""
+    def method(*args):
+        raise AssertionError(f"{name} called")
+    return method
+
+
+def forbid_fraction_arithmetic(patch):
+    """Make every Fraction sum, difference, product, quotient and equality
+    test fail, through the pytest monkeypatch context `patch`."""
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__eq__"):
+        patch.setattr(Fraction, name, forbidden(f"Fraction.{name}"))

@@ -1,6 +1,7 @@
 """Unit tests for the affine semidirect products Z^n x| SL_n(Z)."""
 
 from fractions import Fraction
+from math import prod
 from operator import mul
 
 import pytest
@@ -15,8 +16,8 @@ from exactgroups.cocycle import (CocycleSpec, UnderdeterminedWitness,
 from exactgroups.lattice import hnf
 from exactgroups.matrix import Matrix, PreconditionError, ShapeError, vec_norm
 from exactgroups.sl2 import CongruenceKind, S, T, congruence_membership
-from tests.conftest import (SL3_ELEMENTARIES, det1_matrices, random_sl2,
-                            random_unimodular, seeded)
+from tests.conftest import (SL3_ELEMENTARIES, det1_matrices, forbid_fraction_arithmetic,
+                            random_sl2, random_unimodular, seeded)
 
 
 # -- group arithmetic ------------------------------------------------------
@@ -218,6 +219,29 @@ def test_conj_class_ball_rational_translation():
     gens = [AffineElement((0, Fraction(-1, 3)), S), AffineElement((1, 0), T)]
     for r in range(5):
         assert conj_class_ball(x, gens, r) == _reference_ball(x, gens, r)
+
+
+def test_conj_class_ball_rational_translation_takes_no_fraction_arithmetic(monkeypatch):
+    # "p/q" translations with integral linear parts, at n = 2 and 3, for a
+    # translation x and for x with a linear part: the search runs on the
+    # lam-dilated ints and counts as the Fraction reference does.
+    rng = seeded(3203)
+
+    def shift(n):
+        return tuple(Fraction(rng.int_in(-3, 3), rng.int_in(1, 4)) for _ in range(n))
+
+    cases = []
+    for n, radius in ((2, 4), (3, 3)):
+        for linear in (Matrix.identity(n), random_unimodular(rng, n, length=2)):
+            gens = [AffineElement(shift(n), random_unimodular(rng, n, length=3))
+                    for _ in range(2)]
+            x = AffineElement(shift(n), linear)
+            cases.append((x, gens, radius, _reference_ball(x, gens, radius)))
+    with monkeypatch.context() as patch:
+        forbid_fraction_arithmetic(patch)
+        got = [conj_class_ball(x, gens, radius) for x, gens, radius, _ in cases]
+    assert got == [want for *_, want in cases]
+    assert all(want > 1 for *_, want in cases)
 
 
 def _tuple_mul(p, q):
@@ -459,6 +483,96 @@ def test_invariant_lattice_errors():
         invariant_lattice([], [(1, 0)])
     with pytest.raises(PreconditionError):
         invariant_lattice([Matrix([[1, 0], [0, 2]]).inverse()], [(1, 0)])
+
+
+def _invariant_lattice_reference(gens, seeds):
+    """The closure loop as it stood before the int-row images and the full-rank
+    det check: `Matrix.apply` images and one HNF per generator for the span
+    check at every rank.  Kept verbatim as the reference."""
+    if not gens:
+        raise PreconditionError("at least one generator required")
+    n = gens[0].rows
+    for g in gens:
+        if (g.rows, g.cols) != (n, n) or not g.is_integral():
+            raise PreconditionError("generators must be square integer matrices of one size")
+    mats = [h for g in gens for h in (g, g.inverse())]
+    basis = hnf([tuple(s) for s in seeds], dim=n)
+    span_checked = False
+    while True:
+        images = [g.apply(row) for g in mats for row in basis.rows]
+        new_basis = hnf(list(basis.rows) + images, dim=n)
+        if new_basis.rank == basis.rank and not span_checked:
+            volume = prod(basis.pivots())
+            for g in gens:
+                if prod(hnf([g.apply(r) for r in basis.rows], dim=n).pivots()) != volume:
+                    raise PreconditionError("no invariant lattice: a generator has "
+                                            "det != +-1 on the span of the closure")
+            span_checked = True
+        if new_basis == basis:
+            return basis, basis.index()
+        basis = new_basis
+
+
+def _outcome(closure, gens, seeds):
+    try:
+        return closure(gens, seeds)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def _invariant_cases():
+    """Seeded (gens, seeds) at n = 2 and 3: conjugates P B P^-1 of upper
+    triangular B with one diagonal entry in +-1, +-2, +-3 and the others 1,
+    with seeds in the span of P's first k columns, which every B keeps, so
+    closures of every rank from 0 to n, some of them below full rank under a
+    generator of det +-2 or +-3; and whole generator sets with and without a
+    generator of det +-2 or +-3."""
+    rng = seeded(3202)
+    dets = (1, -1, 1, 2, -2, 3, -3)
+    cases = []
+    for n in (2, 3):
+        for _ in range(70):
+            P = random_unimodular(rng, n, length=4)
+            P_inv = P.inverse()
+            k = rng.int_in(1, n)
+            gens = []
+            for _ in range(rng.int_in(1, 3)):
+                B = [[rng.int_in(-2, 2) if i < j else int(i == j) for j in range(n)]
+                     for i in range(n)]
+                i = rng.below(n)
+                B[i][i] = dets[rng.below(len(dets))]
+                gens.append(P * Matrix(B) * P_inv)
+            seeds = [P.apply(tuple(rng.int_in(-3, 3) if j < k else 0 for j in range(n)))
+                     for _ in range(rng.int_in(1, 2))]
+            cases.append((gens, seeds))
+        for _ in range(30):
+            gens = [random_unimodular(rng, n, length=rng.int_in(2, 5))
+                    for _ in range(rng.int_in(1, 3))]
+            if rng.below(2):
+                d = dets[3 + rng.below(4)]
+                gens.append(random_unimodular(rng, n) * Matrix.diagonal([d] + [1] * (n - 1)))
+            seeds = [tuple(rng.int_in(-4, 4) for _ in range(n)) for _ in range(rng.int_in(1, 2))]
+            cases.append((gens, seeds))
+    return cases
+
+
+def test_invariant_lattice_matches_reference_loop():
+    g = Matrix([[1, 0], [0, 2]])
+    basis, index = invariant_lattice([g], [(1, 0)])
+    assert basis.rows == ((1, 0),) and index is None
+    with pytest.raises(PreconditionError, match="^no invariant lattice: a generator has "
+                                                "det != \\+-1 on the span of the closure$"):
+        invariant_lattice([g], [(1, 0), (0, 1)])
+    outcomes = set()
+    for gens, seeds in _invariant_cases():
+        got = _outcome(invariant_lattice, gens, seeds)
+        assert got == _outcome(_invariant_lattice_reference, gens, seeds), (gens, seeds)
+        outcomes.add(got if isinstance(got, str) else (got[0].rank, got[1] is None))
+    # Every kind of outcome occurs: refusals, and closures of each rank, with
+    # and without an index.
+    assert "no invariant lattice: a generator has det != +-1 on the span of the closure" \
+        in outcomes
+    assert {(0, True), (1, True), (2, True), (2, False), (3, False)} <= outcomes
 
 
 # -- automorphisms ---------------------------------------------------------

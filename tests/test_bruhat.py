@@ -12,7 +12,8 @@ from exactgroups.bruhat import (H_GENERATORS, PERM_MATRICES, PERMUTATIONS,
                                 grid_rationals)
 from exactgroups.matrix import Matrix, PreconditionError
 from exactgroups.prng import SplitMix64
-from tests.conftest import random_sl3, rational_rank, seeded
+from tests.conftest import (forbid_fraction_arithmetic, forbidden, random_sl3, rational_rank,
+                            seeded)
 
 
 # -- representatives -------------------------------------------------------
@@ -452,18 +453,6 @@ def test_fact3_fact4_match_conjugate_cell():
         "2d3b8b2a9694238bc468d85c83f89c8ba3539ddeb9cc8ceccba03c57cc44e229")
 
 
-def forbidden(name):
-    def method(*args):
-        raise AssertionError(f"{name} called")
-    return method
-
-
-def _forbid_fraction_arithmetic(patch):
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                 "__truediv__", "__rtruediv__", "__eq__"):
-        patch.setattr(Fraction, name, forbidden(f"Fraction.{name}"))
-
-
 def test_bruhat_paths_take_no_rational_products(monkeypatch):
     g = Matrix([[Fraction(1, 2), 2, 0], [3, Fraction(-2, 3), 1], [0, 1, 5]])
     c3 = Matrix([[2, 1, 0], [1, 1, 0], [0, 3, 1]])
@@ -485,7 +474,7 @@ def test_bruhat_paths_take_no_rational_products(monkeypatch):
     # Nor any Fraction arithmetic: on Fraction inputs the three paths work on
     # the int rows of lam g and make each output entry once.
     with monkeypatch.context() as patch:
-        _forbid_fraction_arithmetic(patch)
+        forbid_fraction_arithmetic(patch)
         fac, cell = bruhat_decompose(g), cell_of(g)
         normalized, cell3 = case3_normalize(c3q), cell_of(c3q)
         with pytest.raises(PreconditionError, match="matrix is singular"):
@@ -503,7 +492,7 @@ def test_rational_3x3_product_takes_no_fraction_arithmetic(monkeypatch):
     q = Matrix([[2, Fraction(-1, 3), 0], [0, Fraction(2, 3), Fraction(1, 2)], [0, 0, 1]])
     v = (Fraction(1, 3), -2, Fraction(3, 4))
     with monkeypatch.context() as patch:
-        _forbid_fraction_arithmetic(patch)
+        forbid_fraction_arithmetic(patch)
         pq, qp, pv = p * q, q * p, p.apply(v)
     for got, a, b in ((pq, p, q), (qp, q, p)):
         assert got == Matrix([[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0))

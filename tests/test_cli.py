@@ -744,8 +744,8 @@ def test_valid_call_loads_no_argparse():
     cases = [  # (argv, document, exactgroups modules the call adds)
         (["sl2", "classify"], M_HYPERBOLIC, {"sl2", "prng"}),
         (["cocycle", "eval"], {"spec": spec, "word": [{"gen": 0, "exp": 3}]},
-         {"cocycle", "lattice", "sl2", "prng"}),
-        (["affine", "icc"], M_HYPERBOLIC, {"affine", "cocycle", "lattice", "sl2", "prng"}),
+         {"cocycle", "sl2", "prng"}),
+        (["affine", "icc"], M_HYPERBOLIC, {"affine", "sl2", "prng"}),
         (["bruhat", "cell"], mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), {"bruhat", "prng"}),
         (["lin", "snf"], mat([[2, 4], [6, 8]]), {"lattice"}),
     ]

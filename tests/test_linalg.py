@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactgroups.lattice import (LatticeBasis, content, fixed_sublattice, hnf,
-                                 kernel_basis, snf, solve_integer)
+from exactgroups.lattice import (LatticeBasis, _echelon, _extgcd, content, fixed_sublattice,
+                                 hnf, kernel_basis, snf, solve_integer)
 from exactgroups.cocycle import B_GEN, finf_extend, finf_generator
 from exactgroups.matrix import Matrix, PreconditionError, ShapeError, vec_sub
 from tests.conftest import random_unimodular, rational_rank, seeded
@@ -277,6 +277,94 @@ def test_lattice_basis_accessors():
     assert low.index() is None
     with pytest.raises(ShapeError):
         basis.contains((1, 2, 3))
+
+
+def _echelon_reference(W):
+    """The Hermite loop as it stood before the pivot scan: a per-column
+    `live` list and an `if w[c]` test above the pivot.  Kept verbatim as the
+    reference that `lattice._echelon` must match row operation for row
+    operation."""
+    m = len(W)
+    r = 0
+    for c in range(len(W[0]) if W else 0):
+        live = [i for i in range(r, m) if W[i][c]]
+        if not live:
+            continue
+        k = live[0]
+        if k != r:
+            W[r], W[k] = W[k], W[r]
+        piv = W[r]
+        p = piv[c]
+        for i in live[1:]:
+            row = W[i]
+            b = row[c]
+            if b % p == 0:
+                q = b // p
+                W[i] = [u - q * v for u, v in zip(row, piv)]
+            else:
+                g, x, y = _extgcd(p, b)
+                a, b = p // g, b // g
+                piv, W[i] = ([x * u + y * v for u, v in zip(piv, row)],
+                             [a * v - b * u for u, v in zip(piv, row)])
+                p = g
+        if p < 0:
+            piv = [-u for u in piv]
+            p = -p
+        W[r] = piv
+        for i in range(r):
+            w = W[i]
+            if w[c]:
+                q = w[c] // p
+                if q:
+                    W[i] = [u - q * v for u, v in zip(w, piv)]
+        r += 1
+        if r == m:
+            break
+    return r
+
+
+def _echelon_cases():
+    """Seeded row lists of the shapes `_echelon` is given: generator sets of
+    `hnf` up to 12 x 8 with zero rows and columns mixed in, the A | U rows of
+    an `snf` pass, [M^T | I] for rank-deficient M, a rational A | U, m = 0
+    and a single column."""
+    rng = seeded(3201)
+    cases = [[], [[0]], [[0], [0]], [[5]], [[-4], [6], [0], [9]], [[0, 0, 0]] * 3]
+    for _ in range(150):
+        m, n = rng.int_in(1, 12), rng.int_in(1, 8)
+        rows = [[rng.int_in(-9, 9) for _ in range(n)] for _ in range(m)]
+        if rng.below(3) == 0:
+            rows[rng.below(m)] = [0] * n
+        if rng.below(3) == 0:
+            j = rng.below(n)
+            for row in rows:
+                row[j] = 0
+        cases.append(rows)
+    for _ in range(60):
+        m, n = rng.int_in(1, 6), rng.int_in(1, 6)
+        unit = [0] * (m - 1) + [1] + [0] * m
+        cases.append([[rng.int_in(-9, 9) for _ in range(n)] + unit[i:i + m]
+                      for i in range(m)])
+    for _ in range(60):
+        m, n, k = rng.int_in(1, 6), rng.int_in(2, 7), rng.int_in(0, 3)
+        left = [[rng.int_in(-3, 3) for _ in range(k)] for _ in range(m)]
+        right = [[rng.int_in(-3, 3) for _ in range(n)] for _ in range(k)]
+        M = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)]
+             for i in range(m)]
+        cases.append([list(col) + [int(i == j) for i in range(n)]
+                      for j, col in enumerate(zip(*M))])
+    half = Fraction(1, 2)
+    cases.append([[Fraction(3, 2), 0, 1, 0], [half, 2, 0, 1]])
+    return cases
+
+
+def test_echelon_matches_reference_loop():
+    # Same row operations in the same order: the same final W and rank, so
+    # hnf, snf, kernel_basis and the Hermite solve answer alike.
+    for rows in _echelon_cases():
+        got, want = [list(row) for row in rows], [list(row) for row in rows]
+        assert _echelon(got) == _echelon_reference(want), rows
+        assert got == want, rows
 
 
 # -- SNF -------------------------------------------------------------------
