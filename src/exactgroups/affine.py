@@ -283,13 +283,14 @@ def invariant_lattice(gens, seeds):
     An integral matrix maps an int row by `matrix._int_apply` on its rows;
     `Matrix.apply` takes the rest.  The span V of the basis L is checked
     once, in the first round that leaves the rank unchanged, when V is
-    invariant.  When every generator has an integral inverse, g and g^-1
-    keep both Z^n and V, so g permutes the integer points of V and
-    det(g|V) = +-1: nothing is checked.  Otherwise, at full rank V = Q^n and
-    vol g(L) = |det g| vol L, so the check reads |det g| = 1 (`det` is
-    closed form up to 3x3); below it, g(L) spans V with the pivot columns P
-    of L, so |det(g|V)| = |det(g(L)[:, P]) / det(L[:, P])|, the ratio of the
-    pivot products of the HNFs of g(L) and L.
+    invariant.  An integral g has an integral inverse exactly when
+    |det g| = 1, and then g and g^-1 keep both Z^n and V, so g permutes the
+    integer points of V and det(g|V) = +-1.  So when every generator has an
+    integral inverse, nothing is checked, at any rank; at full rank, where
+    V = Q^n and vol g(L) = |det g| vol L, this det read is the whole check.
+    Otherwise g(L) spans V with the pivot columns P of L, so
+    |det(g|V)| = |det(g(L)[:, P]) / det(L[:, P])|, the ratio of the pivot
+    products of the HNFs of g(L) and L.
     """
     import exactgroups.lattice as lattice
     if not gens:
@@ -301,6 +302,7 @@ def invariant_lattice(gens, seeds):
     mats = [h for g in gens for h in (g, g.inverse())]
     # (map, fallback): the int kernel answers None on a row with a Fraction.
     steps = [(partial(_int_apply, h.data) if h.integral else h.apply, h.apply) for h in mats]
+    # |det g| = 1 for every generator: the span check cannot fail.
     span_checked = all(h.integral for h in mats)
     basis = lattice.hnf([tuple(s) for s in seeds], dim=n)
     while True:
@@ -308,15 +310,11 @@ def invariant_lattice(gens, seeds):
         images = [step(row) or apply(row) for step, apply in steps for row in rows]
         new_basis = lattice.hnf(list(rows) + images, dim=n)
         if new_basis.rank == basis.rank and not span_checked:
-            if basis.rank == n:
-                kept = all(abs(g.det()) == 1 for g in gens)
-            else:
-                volume = prod(basis.pivots())
-                kept = all(prod(lattice.hnf([g.apply(r) for r in rows], dim=n).pivots())
-                           == volume for g in gens)
-            if not kept:
-                raise PreconditionError("no invariant lattice: a generator has "
-                                        "det != +-1 on the span of the closure")
+            volume = prod(basis.pivots())
+            for g in gens:
+                if prod(lattice.hnf([g.apply(r) for r in rows], dim=n).pivots()) != volume:
+                    raise PreconditionError("no invariant lattice: a generator has "
+                                            "det != +-1 on the span of the closure")
             span_checked = True
         if new_basis == basis:
             return basis, basis.index()

@@ -190,9 +190,8 @@ class Matrix(Record):
     def identity(n):
         if n < 1:
             raise ShapeError("matrix must have at least one row and column")
-        # Row i is a window of one unit vector: a slice each, no per-entry loop.
-        unit = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
-        return Matrix._trusted(tuple([unit[n - 1 - i:2 * n - 1 - i] for i in range(n)]), True)
+        return Matrix._trusted(tuple(tuple(1 if i == j else 0 for j in range(n))
+                                     for i in range(n)), True)
 
     @staticmethod
     def diagonal(entries):
