@@ -119,6 +119,26 @@ def test_affine_product_fast_path_matches_generic_path():
     assert int_path >= 60
 
 
+def test_integral_products_past_n3_match_reference():
+    # Integral linear parts and int translations at n = 1, 4 and 5 (no
+    # written-out kernel): the product is (a + g b, g h) on ints, with an
+    # integral linear part.
+    rng = seeded(4455)
+    for n in (1, 4, 5):
+        for _ in range(30):
+            (g, a), (h, b) = ((Matrix([[rng.int_in(-1, 1) | 1]]) if n == 1
+                               else random_unimodular(rng, n),
+                               tuple(rng.int_in(-9, 9) for _ in range(n))) for _ in range(2))
+            got = AffineElement(a, g) * AffineElement(b, h)
+            want_t = tuple(x + sum(map(mul, row, b)) for x, row in zip(a, g.data))
+            want_m = tuple(tuple(sum(map(mul, row, col)) for col in zip(*h.data))
+                           for row in g.data)
+            assert got.translation == want_t and got.linear.data == want_m
+            assert got.linear.integral
+            assert all(type(x) is int for x in got.translation)
+            assert all(type(x) is int for row in got.linear.data for x in row)
+
+
 def test_affine_shape_errors():
     with pytest.raises(ShapeError):
         AffineElement((1, 2, 3), T)

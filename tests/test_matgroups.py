@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import exactgroups.sl2 as sl2
 from exactgroups.matrix import Matrix, PreconditionError
+from exactgroups.prng import SplitMix64
 from exactgroups.sl2 import (GENERATORS, MINUS_I, S, S_ALT, T, T_ALT,
                              CongruenceKind, GenWord, OrderCapExceeded,
                              classify_sl2, congruence_membership, decompose_st,
@@ -301,6 +303,36 @@ def test_sampling_deterministic_and_members():
     assert sample_subgroup_element("full", 0, seed=1) == Matrix.identity(2)
     with pytest.raises(PreconditionError):
         sample_subgroup_element("full", -1, seed=1)
+
+
+def test_sampling_matches_matrix_products(monkeypatch):
+    # Each step draws r = below(2k) and multiplies by generator r // 2, or its
+    # inverse for odd r: the sample is that Matrix product over the same
+    # SplitMix64 draws, with an integral flag, and its generator ends in the
+    # reference's state.
+    made = []
+
+    class Recorded(SplitMix64):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(sl2, "SplitMix64", Recorded)
+    kinds = ["full"] + [CongruenceKind(family, N) for family in ("gamma", "gamma0", "gamma1")
+                        for N in (1, 2, 3, 4)]
+    for kind in kinds:
+        gens = subgroup_generators(kind)
+        for seed in (0, 1, 42, 2**64 - 1):
+            for length in range(13):
+                slow = SplitMix64(seed)
+                m = Matrix.identity(2)
+                for _ in range(length):
+                    r = slow.below(2 * len(gens))
+                    g = gens[r // 2]
+                    m = m * (g.inverse() if r % 2 else g)
+                got = sample_subgroup_element(kind, length, seed)
+                assert got == m and got.integral, (kind, seed, length)
+                assert made[-1].state == slow.state, (kind, seed, length)
 
 
 def test_subgroup_generators_are_members():
