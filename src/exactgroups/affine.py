@@ -25,9 +25,10 @@ class AffineElement(Record):
     and hash alike.
 
     Multiplication law: (a, g)(b, h) = (a + g b, g h).  With integral g, h
-    and int translations the product is one call of `_int_affine_mul` on the
-    raw rows, with no normalizing and no second shape check, and the result
-    is built by `_trusted`, the one unchecked constructor.
+    of size 2 or 3 and int translations the product is one call of
+    `_int_affine_mul` on the raw rows, with no normalizing and no second
+    shape check, and the result is built by `_trusted`, the one unchecked
+    constructor; every other product goes through `Matrix`.
     """
 
     __slots__ = ("translation", "linear")
@@ -82,8 +83,8 @@ _set_rows, _set_cols, _set_data, _set_integral = Matrix._setters
 
 def _int_affine_mul(a, g, b, h):
     """(a + g b, rows of g h) for int matrices given by their rows g, h, both
-    n x n, and vectors a, b of length n, when every entry of a and b is an
-    int (n = 2 and 3 written out); else None.  No entry needs normalizing."""
+    n x n with n = 2 or 3, and vectors a, b of length n, when every entry of
+    a and b is an int; else None.  No entry needs normalizing."""
     n = len(g)
     if n == 2:
         (a0, a1), (b0, b1) = a, b
@@ -103,8 +104,6 @@ def _int_affine_mul(a, g, b, h):
                     ((p * j + q * c + r * x, p * k + q * d + r * y, p * m + q * e + r * f),
                      (s * j + t * c + u * x, s * k + t * d + u * y, s * m + t * e + u * f),
                      (v * j + w * c + z * x, v * k + w * d + z * y, v * m + w * e + z * f)))
-    elif all(type(x) is int for x in a) and all(type(x) is int for x in b):
-        return tuple([x + sum(map(mul, row, b)) for x, row in zip(a, g)]), _int_mul(g, h)
     return None
 
 
@@ -149,12 +148,12 @@ def conj_class_ball(x, gens, radius):
     each a raw pair (translation, rows); no word is kept.  A letter g = (b, G)
     with g^-1 = (b', H) steps c by `_conjugate` to g c g^-1 = (G a + b +
     G C b', G C H), the one conjugation kernel, which `affine_automorphism`
-    runs too (written out for n = 2 and 3; Fraction entries pass through it
-    unnormalized).  The letters are the conjugations by g and by g^-1,
-    inverse maps, so letters 2k and 2k + 1 undo each other as `_orbit_ball`
-    requires.  The conjugates by words of length <= radius are the points
-    within distance radius of x in the graph c -- g c g^-1, and breadth-first
-    distance is the least word length, so the count is exact.
+    runs too (written out for n = 2 and 3; the entries of a rational linear
+    part pass through it unnormalized).  The letters are the conjugations by
+    g and by g^-1, inverse maps, so letters 2k and 2k + 1 undo each other as
+    `_orbit_ball` requires.  The conjugates by words of length <= radius are
+    the points within distance radius of x in the graph c -- g c g^-1, and
+    breadth-first distance is the least word length, so the count is exact.
 
     A translation x = (v, I) has w x w^-1 = (W v, I) for w = (a, W), so there
     the search runs on v alone, under the letters' linear parts: flat 4-tuples
@@ -201,9 +200,9 @@ def _conjugate(g, g_inv, c):
     Written out for n = 2 and 3, generic row products past them.  The
     arithmetic is type-agnostic and nothing is normalized: on ints the
     result is ints, and a Fraction entry gives Fractions where it enters.
-    A translation entry adds G a and G C b' as two sums, as the generic
-    form does, so a Fraction in b, a or b' costs no Fraction addition in
-    the other two sums."""
+    The library's callers pass int translations (`conj_class_ball` dilates
+    them, `phi` takes only int ones), so only a rational linear part brings
+    Fractions in."""
     (b, G), (b_inv, H), (a, C) = g, g_inv, c
     n = len(G)
     if n == 2:
@@ -304,7 +303,7 @@ def invariant_lattice(gens, seeds):
     steps = [(partial(_int_apply, h.data) if h.integral else h.apply, h.apply) for h in mats]
     # |det g| = 1 for every generator: the span check cannot fail.
     span_checked = all(h.integral for h in mats)
-    basis = lattice.hnf([tuple(s) for s in seeds], dim=n)
+    basis = lattice.hnf(seeds, dim=n)
     while True:
         rows = basis.rows
         images = [step(row) or apply(row) for step, apply in steps for row in rows]

@@ -9,16 +9,15 @@ elimination.  Both run fraction-free on lam g, lam the lcm of its denominators
 its unit diagonal as (n, d) int pairs and B's rows as int rows over one
 denominator each; the factors, and the cell-(123) normalization of them, are
 built straight from those, one Fraction per non-integer entry.  The sampled
-facts 1 and 2 multiply their random words on int rows (`_fact_walk`), with
-the letters' rows cached on first use.
+facts 1 and 2 multiply their random words on int rows (`matrix._walk`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
-from .matrix import Matrix, PreconditionError, Record, _int_mul, _over, _scaled as _scaled_rows
+from .matrix import (Matrix, PreconditionError, Record, _letters, _over, _walk,
+                     _scaled as _scaled_rows)
 from .prng import SplitMix64
 
 # Signed permutation representatives; p_sigma has its column-j entry in
@@ -139,6 +138,10 @@ H_GENERATORS = (
     Matrix([[1, 0, 0], [0, -1, 0], [0, 0, -1]]),
 )
 
+# The `matrix._walk` letters of facts 1 and 2: H with p_(12), resp. p_(23).
+_FACT_LETTERS = {which: _letters(H_GENERATORS + (PERM_MATRICES[p],))
+                 for which, p in ((1, "(12)"), (2, "(23)"))}
+
 
 def _require_upper(g):
     """The rows of g, an invertible upper-triangular 3x3 matrix."""
@@ -189,7 +192,7 @@ def fact_check(which, g=None, seed=0, count=50, length=8):
         rng = SplitMix64(seed)
         zero_at = ((2, 0), (2, 1)) if which == 1 else ((1, 0), (2, 0))
         for _ in range(count):
-            m = _fact_walk(which, rng, length)
+            m = _walk(_FACT_LETTERS[which], rng, length)
             if any(m[i][j] != 0 for i, j in zero_at):
                 return False
         return True
@@ -202,22 +205,6 @@ def fact_check(which, g=None, seed=0, count=50, length=8):
         cell = _cell(c, 0, z, x)
         return ((cell == "(123)") == (z == 0)) and ((cell == "(13)") == (z != 0))
     raise PreconditionError(f"unknown fact {which!r}")
-
-
-@cache
-def _fact_letters(which):
-    """Rows of the letters of fact 1 or 2: each H generator and p, then its inverse."""
-    p = PERM_MATRICES["(12)" if which == 1 else "(23)"]
-    return tuple(x.data for h in H_GENERATORS + (p,) for x in (h, h.inverse()))
-
-
-def _fact_walk(which, rng, length):
-    """Rows of the product of `length` letters of fact 1 or 2, each drawn in
-    turn by rng.below, multiplied on int rows from the identity."""
-    letters, m = _fact_letters(which), ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    for _ in range(length):
-        m = _int_mul(m, letters[rng.below(len(letters))])
-    return m
 
 
 def case3_normalize(g):

@@ -24,8 +24,8 @@ A valid request does only the work its answer needs: the table parse reads
 a per-command flag table (_FLAGS) built once from COMMANDS, documents are
 read on serialize's fast integer path, the answer goes out through one
 module-level JSON encoder, and the sampling commands multiply raw int rows
-(_random_affine here, bruhat._fact_walk for fact-check --fact 1|2), with
-letter rows cached on first use and the same SplitMix64 draws as before.
+(matrix._walk, for affine aut-check and fact-check --fact 1|2) with the
+same SplitMix64 draws as before.
 What a request still pays for besides its command is the JSON decode of its
 document, and for help and malformed argv the argparse parser.
 
@@ -49,7 +49,7 @@ import json
 import sys
 
 from . import __version__
-from .matrix import ExactError, Matrix, PreconditionError, _int_mul
+from .matrix import ExactError, Matrix, PreconditionError, _letters, _walk
 from .serialize import (InputError, matrix_to_json, parse_cocycle_spec,
                         parse_index_word, parse_int, parse_matrix,
                         parse_scalar, parse_vector, scalar_to_str,
@@ -233,6 +233,7 @@ def _cmd_affine_lattice(doc, opts):
 def _cmd_affine_aut_check(doc, opts):
     import exactgroups.affine as affine
     import exactgroups.prng as prng
+    import exactgroups.sl2 as sl2
     L = parse_matrix(doc["L"])
     xi = parse_vector(doc["xi"])
     if opts["count"] < 0:
@@ -243,34 +244,24 @@ def _cmd_affine_aut_check(doc, opts):
     phi = affine.affine_automorphism(L, xi)
     rng = prng.SplitMix64(opts["seed"])
     n = L.rows
+    letters = _letters((sl2.S, sl2.T))
     checked = 0
     for _ in range(opts["count"]):
-        x = _random_affine(rng, n)
-        y = _random_affine(rng, n)
+        x = _random_affine(rng, n, letters)
+        y = _random_affine(rng, n, letters)
         if phi(x * y) != phi(x) * phi(y):
             return {"homomorphism": False, "samples": checked}
         checked += 1
     return {"homomorphism": True, "samples": checked}
 
 
-def _random_affine(rng, n):
-    """(a, g): a drawn from [-5, 5]^n, then for n = 2 a product of six
-    letters, each drawn from S, S^-1, T, T^-1 (for other n, g = I)."""
+def _random_affine(rng, n, letters):
+    """(a, g): a drawn from [-5, 5]^n, then for n = 2 a `_walk` of six of the
+    `letters` S, S^-1, T, T^-1 (for other n, g = I)."""
     import exactgroups.affine as affine
     a = tuple(rng.int_in(-5, 5) for _ in range(n))
-    if n != 2:
-        return affine.AffineElement._trusted(a, Matrix.identity(n).data)
-    letters, g = _sl2_letters(), ((1, 0), (0, 1))
-    for _ in range(6):
-        g = _int_mul(g, letters[rng.below(4)])
+    g = _walk(letters, rng, 6) if n == 2 else Matrix.identity(n).data
     return affine.AffineElement._trusted(a, g)
-
-
-@functools.cache
-def _sl2_letters():
-    """Rows of S, S^-1, T and T^-1, in the order of _random_affine's draws."""
-    import exactgroups.sl2 as sl2
-    return tuple(x.data for g in (sl2.S, sl2.T) for x in (g, g.inverse()))
 
 
 def _cmd_affine_classify(doc, opts):

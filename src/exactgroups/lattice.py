@@ -152,19 +152,19 @@ def hnf(rows, dim=None):
     Canonical: two generating sets of the same lattice give identical output.
     Empty input (with `dim` supplied) yields the zero lattice.
     """
-    rows = [tuple(r) for r in rows]
-    if rows:
-        dims = {len(r) for r in rows}
-        if len(dims) != 1:
-            raise ShapeError("vectors have mixed dimensions")
-        dim = dims.pop() if dim is None else dim
-        if dim != len(rows[0]):
+    work = [list(r) for r in rows]
+    if work:
+        n = len(work[0])
+        for w in work:
+            if len(w) != n:
+                raise ShapeError("vectors have mixed dimensions")
+        dim = n if dim is None else dim
+        if dim != n:
             raise ShapeError("explicit dim disagrees with vectors")
     elif dim is None:
         raise ShapeError("empty input requires an explicit ambient dimension")
     if dim < 0:
         raise ShapeError("lattice dimension must be nonnegative")
-    work = [list(r) for r in rows]
     r = _echelon(work)
     return LatticeBasis(dim, work[:r])
 

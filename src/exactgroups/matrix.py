@@ -21,7 +21,8 @@ and the operations that keep entries integral pass it on.  Products of two
 integral matrices and their applies to int vectors go to the integer
 kernels directly, with no scaling and no division (`affine` calls
 `_int_mul` and `_int_apply` on int rows too).  The flag takes no part in
-equality or hashing.
+equality or hashing.  Every seeded word of the package (`sl2`, `bruhat`
+and `cli` sample them) is one `_walk` on int rows.
 """
 
 from __future__ import annotations
@@ -71,27 +72,8 @@ class Record:
         setters = self._setters
         if named or len(values) != len(setters):
             values = self._complete(values, named)
-        # The setter calls written out for two to four fields: a zip loop
-        # over them costs about twice as much.
-        n = len(setters)
-        if n == 2:
-            (set_a, set_b), (a, b) = setters, values
-            set_a(self, a)
-            set_b(self, b)
-        elif n == 4:
-            (set_a, set_b, set_c, set_d), (a, b, c, d) = setters, values
-            set_a(self, a)
-            set_b(self, b)
-            set_c(self, c)
-            set_d(self, d)
-        elif n == 3:
-            (set_a, set_b, set_c), (a, b, c) = setters, values
-            set_a(self, a)
-            set_b(self, b)
-            set_c(self, c)
-        else:
-            for set_field, value in zip(setters, values):
-                set_field(self, value)
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
 
     @classmethod
     def _complete(cls, values, named):
@@ -374,6 +356,27 @@ def _int_apply(g, b):
     elif all(type(x) is int for x in b):
         return tuple([sum(map(mul, row, b)) for row in g])
     return None
+
+
+def _letters(gens):
+    """The letters of `_walk` for the integral matrices `gens`: the rows of
+    each generator, then of its inverse."""
+    return tuple(x.data for g in gens for x in (g, g.inverse()))
+
+
+def _walk(letters, rng, length):
+    """Rows of a seeded word of `length` letters (the identity for none),
+    multiplied left to right by `_int_mul`: the word contract of every
+    sampler in the package.
+
+    Each step draws r = rng.below(len(letters)) and takes letter r, which
+    for `_letters(gens)` is generator r // 2, or its inverse when r is odd
+    (rng a `prng.SplitMix64`, so the words are reproducible)."""
+    k = len(letters)
+    m = letters[rng.below(k)] if length > 0 else Matrix.identity(len(letters[0])).data
+    for _ in range(length - 1):
+        m = _int_mul(m, letters[rng.below(k)])
+    return m
 
 
 def _bareiss(m, n):

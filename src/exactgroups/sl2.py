@@ -9,7 +9,7 @@ They are related by s = S^-1 and t = S*T, so T = s*t.
 
 from __future__ import annotations
 
-from .matrix import Matrix, PreconditionError, Record
+from .matrix import Matrix, PreconditionError, Record, _letters, _walk
 from .prng import SplitMix64
 
 S = Matrix([[0, -1], [1, 0]])
@@ -222,18 +222,11 @@ def subgroup_generators(kind):
 def sample_subgroup_element(kind, word_length, seed):
     """Deterministic pseudo-random product of the subgroup's generators.
 
-    Membership in the requested subgroup holds by construction.  The PRNG
-    contract is SplitMix64 (see prng module); each step draws one value
-    r = below(2 * ngens) selecting generator r // 2 and, for odd r, its
-    inverse.
+    Membership in the requested subgroup holds by construction.  The word
+    is `matrix._walk` over the generators and their inverses, drawn by
+    SplitMix64 (see prng module) from `seed`.
     """
     if word_length < 0:
         raise PreconditionError("word_length must be >= 0")
-    gens = subgroup_generators(kind)
-    rng = SplitMix64(seed)
-    m = Matrix.identity(2)
-    for _ in range(word_length):
-        r = rng.below(2 * len(gens))
-        g = gens[r // 2]
-        m = m * (g.inverse() if r % 2 else g)
-    return m
+    letters = _letters(subgroup_generators(kind))
+    return Matrix._trusted(_walk(letters, SplitMix64(seed), word_length), True)

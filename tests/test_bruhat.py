@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from exactgroups.bruhat import (H_GENERATORS, PERM_MATRICES, PERMUTATIONS,
-                                _fact_walk, bruhat_decompose, case3_normalize,
+from exactgroups.bruhat import (_FACT_LETTERS, H_GENERATORS, PERM_MATRICES, PERMUTATIONS,
+                                bruhat_decompose, case3_normalize,
                                 case4_witness, cell_of,
                                 fact3_display_factorization, fact_check,
                                 grid_rationals)
-from exactgroups.matrix import Matrix, PreconditionError
+from exactgroups.matrix import Matrix, PreconditionError, _walk
 from exactgroups.prng import SplitMix64
 from tests.conftest import (forbid_fraction_arithmetic, forbidden, random_sl3, rational_rank,
                             seeded)
@@ -174,8 +174,9 @@ def test_fact1_fact2_sampled():
 
 
 def test_fact_walk_matches_matrix_products():
-    # Facts 1 and 2 walk int rows; each walk reaches the matrix of the
-    # Matrix product over the same SplitMix64 draws, and takes as many.
+    # Facts 1 and 2 walk int rows (`matrix._walk`); each walk reaches the
+    # matrix of the Matrix product over the same SplitMix64 draws, and takes
+    # as many.
     for which, p in ((1, PERM_MATRICES["(12)"]), (2, PERM_MATRICES["(23)"])):
         letters = [x for h in H_GENERATORS + (p,) for x in (h, h.inverse())]
         for seed in range(50):
@@ -185,7 +186,8 @@ def test_fact_walk_matches_matrix_products():
                     m = Matrix.identity(3)
                     for _ in range(length):
                         m = m * letters[slow.below(len(letters))]
-                    assert _fact_walk(which, fast, length) == m.data, (which, seed, length)
+                    got = _walk(_FACT_LETTERS[which], fast, length)
+                    assert got == m.data, (which, seed, length)
                 assert fast.state == slow.state
 
 

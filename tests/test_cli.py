@@ -351,9 +351,10 @@ def test_affine_aut_check_refuses_huge_L_before_any_work(tmp_path, monkeypatch):
 
 
 def test_random_affine_matches_matrix_products():
-    # _random_affine multiplies cached int rows of S, S^-1, T and T^-1; the
+    # _random_affine multiplies the int rows of S, S^-1, T and T^-1; the
     # elements, and the draws they take, are those of Matrix products.
     from exactgroups.affine import AffineElement
+    from exactgroups.matrix import _letters
     from exactgroups.prng import SplitMix64
     from exactgroups.sl2 import S, T
 
@@ -367,11 +368,12 @@ def test_random_affine_matches_matrix_products():
                 g = g * (base.inverse() if r % 2 else base)
         return AffineElement(a, g)
 
+    letters = _letters((S, T))
     for n in (2, 3):
         for seed in range(50):
             fast, slow = SplitMix64(seed), SplitMix64(seed)
             for _ in range(4):
-                got, want = cli._random_affine(fast, n), by_products(slow, n)
+                got, want = cli._random_affine(fast, n, letters), by_products(slow, n)
                 assert got == want and got.linear.integral, (n, seed)
                 assert all(type(x) is int for x in got.translation)
             assert fast.state == slow.state
