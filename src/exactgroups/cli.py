@@ -22,7 +22,7 @@ integer rule of the input documents (serialize.parse_int).
 
 A valid request does only the work its answer needs: the table parse reads
 a per-command flag table (_FLAGS) built once from COMMANDS, documents are
-read on serialize's fast integer path, the answer goes out through one
+read in one pass by serialize's readers, the answer goes out through one
 module-level JSON encoder, and the sampling commands multiply raw int rows
 (matrix._walk, for affine aut-check and fact-check --fact 1|2) with the
 same SplitMix64 draws as before.

@@ -28,6 +28,7 @@ and `cli` sample them) is one `_walk` on int rows.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import add, attrgetter, mul, sub
 
@@ -169,7 +170,10 @@ class Matrix(Record):
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    @lru_cache(maxsize=16, typed=True)
     def identity(n):
+        """The n x n identity, built once per size: a Matrix is immutable.
+        typed=True keeps identity(2.0) from being answered by identity(2)."""
         if n < 1:
             raise ShapeError("matrix must have at least one row and column")
         return Matrix._trusted(tuple(tuple(1 if i == j else 0 for j in range(n))

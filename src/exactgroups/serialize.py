@@ -11,17 +11,16 @@ a "p/q" string of two such integers.  Every other JSON value -- a float,
 true/false, null, an array, an object, or a string with spaces, underscores
 or a "+" sign -- is refused with InputError rather than coerced.
 
-Integers are read on a fast path: `parse_scalar` turns a non-bool JSON
-integer or a decimal string straight into an int, and `parse_matrix` reads a
-rectangular list of rows of such entries in one pass into an unchecked,
-integral Matrix (a row of strings at once: int() reads exactly those strings
-once they are known to hold only "-" and ASCII digits).  Everything else --
-a "p/q" entry, a digit string past the interpreter's int/str digit limit, a
-ragged, empty or non-list row, a refused value -- falls back to the checked
-path (`_checked_scalar`, `_checked_matrix`), which gives the same value or
-the same InputError as it always did.  The checked path refuses a JSON
-string or object where the entries list or a row belongs, which would
-otherwise iterate as its characters or keys.
+Each kind of value has one reader.  `parse_int` reads an integer field and
+`parse_scalar` a matrix or vector entry.  `parse_matrix` reads the entries
+one row at a time: a row of strings of "-" and ASCII digits alone at once,
+any other row entry by entry with `parse_scalar`, so a refused entry is
+named in row-major order.  A non-empty rectangular result of ints becomes
+an integral Matrix with no second check; anything else goes through the
+Matrix constructor, which refuses ragged and empty shapes.  A JSON string or
+object where the entries list or a row belongs is refused, as it would
+otherwise iterate as its characters or keys.  A declared "rows" or "cols"
+must be a JSON integer equal to the entries' shape.
 """
 
 from __future__ import annotations
@@ -56,35 +55,17 @@ def parse_int(x):
     by ASCII digits.  Anything else raises InputError."""
     if type(x) is int:   # not bool, which is an int subclass
         return x
-    if isinstance(x, str):
-        digits = x[1:] if x[:1] == "-" else x
-        if digits.isascii() and digits.isdigit():
-            try:
-                return int(x)
-            except ValueError as exc:   # past the int/str digit limit
-                raise InputError(f"bad integer: {exc}") from exc
+    if isinstance(x, str) and (x.isdigit() or x.removeprefix("-").isdigit()) and x.isascii():
+        try:
+            return int(x)
+        except ValueError as exc:   # past the int/str digit limit
+            raise InputError(f"bad integer: {exc}") from exc
     raise InputError(f"bad integer {x!r}: expected a JSON integer or a decimal string")
 
 
-def _int(x):
-    """x as an int when it is a non-bool int or a string that parse_int takes
-    and the int/str digit limit allows; else None."""
-    if type(x) is int:
-        return x
-    if type(x) is str and x.isascii() and x.lstrip("-").isdigit():
-        try:
-            return int(x)
-        except ValueError:   # "--1", or past the int/str digit limit
-            pass
-    return None
-
-
 def parse_scalar(s):
-    x = _int(s)
-    return _checked_scalar(s) if x is None else x
-
-
-def _checked_scalar(s):
+    """A matrix or vector entry: an integer field, or a "p/q" string of two
+    of them with q != 0, read as a Fraction."""
     if isinstance(s, str) and "/" in s:
         num, _, den = s.partition("/")
         den = parse_int(den)
@@ -110,53 +91,39 @@ def matrix_to_json(m):
 
 
 def parse_matrix(doc):
-    # A declared shape that disagrees is refused by the checked path.
-    rows = _int_rows(doc.get("entries")) if type(doc) is dict else None
-    if rows is None or "rows" in doc and (
-            (len(rows), len(rows[0])) != (doc["rows"], doc.get("cols", len(rows[0])))):
-        return _checked_matrix(doc)
-    return Matrix._trusted(rows, True)
-
-
-def _int_rows(entries):
-    """The rows of a matrix's entries as int tuples when they are a non-empty
-    list of non-empty lists of one length holding integers only; else None."""
-    if type(entries) is not list or not entries or type(entries[0]) is not list:
-        return None
-    width = len(entries[0])
-    rows = []
-    for row in entries:
-        if type(row) is not list or len(row) != width or not width:
-            return None
-        try:
-            text = "".join(row)
-        except TypeError:   # not all strings: entry by entry
-            row = tuple(map(_int, row))
-            if None in row:
-                return None
-        else:
-            # Strings of "-" and ASCII digits alone: int() takes exactly those
-            # that parse_int takes and raises ValueError on the others ("",
-            # "-", "1-2") and past the digit limit.
-            if not (text.isascii() and text.replace("-", "").isdigit()):
-                return None
-            try:
-                row = tuple(map(int, row))
-            except ValueError:
-                return None
-        rows.append(row)
-    return tuple(rows)
-
-
-def _checked_matrix(doc):
     if not isinstance(doc, dict) or "entries" not in doc:
         raise InputError('matrix must be {"rows", "cols", "entries"}')
-    entries = doc["entries"]
     try:
-        m = Matrix([[_checked_scalar(x) for x in _array(row)] for row in _array(entries)])
+        rows, integral = [], True
+        for row in _array(doc["entries"]):
+            # A row of strings of "-" and ASCII digits alone is read at once:
+            # int() takes exactly those that parse_int takes, and raises
+            # ValueError on the others ("", "-", "1-2") and past the digit
+            # limit.  Any other row is read entry by entry, so the first bad
+            # entry in row-major order names the error.
+            text = ""
+            if type(row) is list and row and type(row[0]) is str:
+                try:
+                    text = "".join(row)
+                except TypeError:   # not all strings
+                    pass
+            if text.isascii() and text.replace("-", "").isdigit():
+                try:
+                    rows.append(tuple(map(int, row)))
+                    continue
+                except ValueError:
+                    pass
+            row = tuple(map(parse_scalar, _array(row)))
+            integral = integral and Fraction not in map(type, row)
+            rows.append(row)
+        if integral and len(set(map(len, rows))) == 1 and rows[0]:
+            m = Matrix._trusted(tuple(rows), True)
+        else:   # a p/q entry, which Matrix normalizes, or a shape it refuses
+            m = Matrix(rows)
     except Exception as exc:
         raise InputError(f"bad matrix entries: {exc}") from exc
-    if "rows" in doc and (m.rows, m.cols) != (doc["rows"], doc.get("cols", m.cols)):
+    n_rows, n_cols = doc.get("rows", m.rows), doc.get("cols", m.cols)
+    if type(n_rows) is not int or type(n_cols) is not int or (n_rows, n_cols) != (m.rows, m.cols):
         raise InputError("declared shape disagrees with entries")
     return m
 

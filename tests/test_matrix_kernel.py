@@ -125,6 +125,18 @@ def test_empty_matrix_refused_alike():
             build()
 
 
+def test_identity_is_built_once_per_size():
+    for n in (1, 2, 3, 7):
+        ident = Matrix.identity(n)
+        assert Matrix.identity(n) is ident
+        assert ident.data == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        with pytest.raises(AttributeError, match="^Matrix is immutable$"):
+            ident.data = ((2,),)
+    assert Matrix.identity(2) is not Matrix.identity(3)
+    with pytest.raises(TypeError):   # not answered from identity(2)'s entry
+        Matrix.identity(2.0)
+
+
 def test_mul_and_apply_against_fraction_reference():
     rng = seeded(1902)
     pool = list(operands(rng))
