@@ -13,9 +13,8 @@ or a "+" sign -- is refused with InputError rather than coerced.
 
 Each kind of value has one reader.  `parse_int` reads an integer field and
 `parse_scalar` a matrix or vector entry.  `parse_matrix` reads the entries
-one row at a time: a row of strings of "-" and ASCII digits alone at once,
-any other row entry by entry with `parse_scalar`, so a refused entry is
-named in row-major order.  A non-empty rectangular result of ints becomes
+one by one with `parse_scalar`, so the first refused entry in row-major
+order names the error.  A non-empty rectangular result of ints becomes
 an integral Matrix with no second check; anything else goes through the
 Matrix constructor, which refuses ragged and empty shapes.  A JSON string or
 object where the entries list or a row belongs is refused, as it would
@@ -96,23 +95,6 @@ def parse_matrix(doc):
     try:
         rows, integral = [], True
         for row in _array(doc["entries"]):
-            # A row of strings of "-" and ASCII digits alone is read at once:
-            # int() takes exactly those that parse_int takes, and raises
-            # ValueError on the others ("", "-", "1-2") and past the digit
-            # limit.  Any other row is read entry by entry, so the first bad
-            # entry in row-major order names the error.
-            text = ""
-            if type(row) is list and row and type(row[0]) is str:
-                try:
-                    text = "".join(row)
-                except TypeError:   # not all strings
-                    pass
-            if text.isascii() and text.replace("-", "").isdigit():
-                try:
-                    rows.append(tuple(map(int, row)))
-                    continue
-                except ValueError:
-                    pass
             row = tuple(map(parse_scalar, _array(row)))
             integral = integral and Fraction not in map(type, row)
             rows.append(row)
