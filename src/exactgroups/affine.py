@@ -401,12 +401,8 @@ class ClassificationReport(Record):
 def _detect_gamma1_level(spec):
     """Largest N >= 2 such that the spec is the Gamma_1(N) family cocycle."""
     import exactgroups.cocycle as cocycle
-    N = 0
-    for g in spec.generators:
-        N = gcd(N, g[1, 0])
-        N = gcd(N, g[0, 0] - 1)
-        N = gcd(N, g[1, 1] - 1)
-    N = abs(N)
+    # g22 - 1 adds nothing: det g = 1 (see sl2.congruence_membership).
+    N = gcd(*(x for g in spec.generators for x in (g[1, 0], g[0, 0] - 1)))
     if N < 2:
         return None
     for g, v in zip(spec.generators, spec.values):

@@ -188,7 +188,11 @@ def _cmd_cocycle_finf_extend(doc, opts):
     # Not a string or an object, which would iterate as characters or keys.
     if type(window) is not list or not all(type(t) is list for t in window):
         raise InputError("window must be a JSON array of [k, x, y] arrays")
-    values = {parse_int(k): (parse_scalar(x), parse_scalar(y)) for k, x, y in window}
+    values = {}
+    for k, x, y in window:
+        if (k := parse_int(k)) in values:   # keeping either lets their order decide
+            raise InputError(f"window index {k} is repeated")
+        values[k] = (parse_scalar(x), parse_scalar(y))
     u = cocycle.finf_extend(n, values, sorted(values))
     return {"u": None if u is None else vector_to_json(u)}
 

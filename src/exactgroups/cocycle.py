@@ -13,7 +13,6 @@ singular extension system.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .matrix import Matrix, PreconditionError, Record, ShapeError, vec_norm
 from .sl2 import CongruenceKind, _require_sl2, congruence_membership
@@ -156,28 +155,24 @@ def solve_full_coboundary(c_t):
 def coboundary_witness(spec):
     """Solve xi - g xi = c(g) over Q for all generators jointly.
 
-    xi comes by Cramer's rule from the first pair of rows (a, b | r) of the
-    stacked [I - g | c(g)] with a nonzero 2x2 minor and is checked on every
-    row.  Returns None when the system is inconsistent; raises
-    UnderdeterminedWitness when the joint kernel is nontrivial.
+    The stacked rows [I - g | c(g)], rational entries and all, go through
+    `lattice.hnf`: a last row with its pivot in the right-hand column means
+    an inconsistent system (None), fewer than two rows a nontrivial joint
+    kernel (UnderdeterminedWitness); else xi comes by back-substitution.
     """
+    import exactgroups.lattice as lattice
     rows = []
     for g, (c0, c1) in zip(spec.generators, spec.values):
         (a, b), (c, d) = g.data
         rows += [(1 - a, -b, c0), (-c, 1 - d, c1)]
-    for (a, b, r), (c, d, s) in combinations(rows, 2):
-        det = a * d - b * c
-        if det:
-            x, y = Fraction(r * d - b * s, det), Fraction(a * s - r * c, det)
-            if any(u * x + v * y != w for u, v, w in rows):
-                return None
-            return CoboundaryWitness((x, y))
-    # Rank <= 1: consistent iff [rows | rhs] has rank <= 1 too, and no zero
-    # row has a nonzero right-hand side (rank 0 has no 2x2 minor to show it).
-    if any(r for a, b, r in rows if not (a or b)) or any(
-            a * s - r * c or b * s - r * d for (a, b, r), (c, d, s) in combinations(rows, 2)):
+    echelon = lattice.hnf(rows, dim=3).rows
+    if echelon and not any(echelon[-1][:2]):
         return None
-    raise UnderdeterminedWitness("joint system has a nontrivial kernel")
+    if len(echelon) < 2:
+        raise UnderdeterminedWitness("joint system has a nontrivial kernel")
+    (p, q, r), (_, s, t) = echelon
+    y = Fraction(t, s)
+    return CoboundaryWitness((Fraction(r - q * y, p), y))
 
 
 # -- the Gamma_1(N) family -------------------------------------------------
@@ -193,44 +188,46 @@ def gamma1_cocycle(N, g):
 def gamma1_obstruction(N, s):
     """Whether xi - s xi lies in Z^2 for xi = (1/N, 0).
 
-    Integrality holds exactly for members of Gamma_1(N), which is the
-    non-extendability obstruction for the family.  Since xi - s xi =
-    ((1 - s11)/N, -s21/N), it is read as two divisibilities by N.
+    Since xi - s xi = ((1 - s11)/N, -s21/N), integrality is N | 1 - s11 and
+    N | s21, which for det s = 1 is membership of s in Gamma_1(N) (see
+    `congruence_membership`): the non-extendability obstruction for the
+    family.  A level below 1 is refused before s is checked.
     """
-    if N < 1:
-        raise PreconditionError("level must be >= 1")
-    _require_sl2(s)
-    return (1 - s[0, 0]) % N == 0 and s[1, 0] % N == 0
+    return congruence_membership(CongruenceKind("gamma1", N), s)
 
 
 # -- cocycles with -I in the domain ----------------------------------------
+
+def _halved(m, n, g):
+    """(I - g)(m, n)/2 for a 2x2 g, unchecked, or None when (I - g)(m, n) has
+    an odd entry: the parity test of `central_cocycle` and `ParityCase`."""
+    (a, b), (c, d) = g.data
+    x, y = m - a * m - b * n, n - c * m - d * n
+    if x % 2 or y % 2:
+        return None
+    return (x // 2, y // 2)
+
 
 def central_cocycle(m, n, g):
     """(I - g)(m, n)/2 when all components are even, else None.
 
     This is the unique candidate value at g for a cocycle taking (m, n)
-    at the central element -I.
+    at the central element -I.  m and n must be ints or Fractions.
     """
     _require_sl2(g)
-    w = (Matrix.identity(2) - g).apply((m, n))
-    if w[0] % 2 or w[1] % 2:
-        return None
-    return (w[0] // 2, w[1] // 2)
+    return _halved(*vec_norm((m, n)), g)
 
 
 class ParityCase(Record):
-    """One of the four parity classes of the central value (m, n)."""
+    """One of the four parity classes of the central value (m, n): case k is
+    (m, n) = ((k - 1) % 2, (k - 1) // 2) mod 2, and accepts g when (I - g)(m, n)
+    is even, the test of `central_cocycle` (the descriptions spell it out)."""
 
     __slots__ = ("case_id", "description")
 
     def accepts(self, g):
-        if self.case_id == 1:
-            return True
-        if self.case_id == 2:
-            return g[0, 0] % 2 == 1 and g[1, 0] % 2 == 0
-        if self.case_id == 3:
-            return g[1, 1] % 2 == 1 and g[0, 1] % 2 == 0
-        return (g[0, 0] + g[0, 1]) % 2 == 1 and (g[1, 0] + g[1, 1]) % 2 == 1
+        k = self.case_id - 1
+        return _halved(k % 2, k // 2, g) is not None
 
 
 _PARITY_CASES = {

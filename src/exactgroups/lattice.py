@@ -150,7 +150,8 @@ def hnf(rows, dim=None):
     """Row Hermite normal form of the lattice generated by `rows`.
 
     Canonical: two generating sets of the same lattice give identical output.
-    Empty input (with `dim` supplied) yields the zero lattice.
+    Empty input (with `dim` supplied) yields the zero lattice.  Rational rows
+    give the form of the Z-module they span in Q^dim, with the rank over Q.
     """
     work = [list(r) for r in rows]
     if work:
@@ -228,7 +229,7 @@ def snf(M):
     # A rational M can leave a Fraction of denominator 1 in D, which Matrix
     # normalizes.  Row n-1-j of V is column j of the stored Vt.
     return (Matrix._trusted(tuple(map(tuple, U)), True),
-            Matrix._trusted(tuple(map(tuple, D))) if all(type(x) is int for x in d)
+            Matrix._trusted(tuple(map(tuple, D)), True) if all(type(x) is int for x in d)
             else Matrix(D),
             Matrix._trusted(tuple(zip(*Vt))[::-1], True))
 

@@ -197,16 +197,14 @@ class CongruenceKind(Record):
 
 
 def congruence_membership(kind, g):
-    """Membership of g in Gamma(N), Gamma_0(N) or Gamma_1(N)."""
+    """Membership of g in Gamma(N), Gamma_0(N) or Gamma_1(N): N | g21, then
+    N | 1 - g11 unless Gamma_0(N), then N | g12 for Gamma(N).  g22 is not
+    tested: det g = 1 gives g11 g22 = 1 + g12 g21, so g22 = 1 mod N follows."""
     _require_sl2(g)
-    N = kind.level
-    if kind.family == "gamma0":
-        return g[1, 0] % N == 0
-    one = 1 % N  # so that level 1 means the full group
-    if kind.family == "gamma1":
-        return g[1, 0] % N == 0 and g[0, 0] % N == one and g[1, 1] % N == one
-    return (g[1, 0] % N == 0 and g[0, 1] % N == 0
-            and g[0, 0] % N == one and g[1, 1] % N == one)
+    N, family = kind.level, kind.family
+    (a, b), (c, _) = g.data
+    return (c % N == 0 and (family == "gamma0" or (1 - a) % N == 0)
+            and (family != "gamma" or b % N == 0))
 
 
 def subgroup_generators(kind):

@@ -211,6 +211,19 @@ def test_cocycle_finf_extend(tmp_path):
     assert doc["u"] is None
 
 
+def test_cocycle_finf_extend_refuses_a_repeated_index(tmp_path):
+    # The last entry of a repeated index was kept, so the order of the two
+    # decided the answer: "u" null one way round and ["0", "0"] the other.
+    # 0 and "0" are the same index.
+    first, second, one = [0, "0", "0"], [0, "1", "0"], [1, "0", "0"]
+    for window, index in (([first, second, one], 0), ([second, first, one], 0),
+                          ([first, ["0", "0", "0"], one], 0),
+                          ([one, first, ["1", "2", "3"]], 1)):
+        code, out, err = run_cli(tmp_path, ["cocycle", "finf-extend"],
+                                 {"n": 1, "window": window})
+        assert (code, out, err) == (2, "", f"error: window index {index} is repeated\n"), window
+
+
 def test_affine_icc(tmp_path):
     doc = run_ok(tmp_path, ["affine", "icc"], M_HYPERBOLIC)
     assert doc["icc"] is True and doc["trace"] == "3"

@@ -2,9 +2,12 @@
 
 import hashlib
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
+from exactgroups.affine import _detect_gamma1_level
 from exactgroups.cocycle import (A_GEN, B_GEN, CoboundaryWitness, CocycleSpec,
                                  RelatorNotIdentity, UnderdeterminedWitness,
                                  central_cocycle, coboundary_witness,
@@ -14,7 +17,9 @@ from exactgroups.cocycle import (A_GEN, B_GEN, CoboundaryWitness, CocycleSpec,
                                  verify_relations, _evaluate)
 from exactgroups.lattice import solve_integer
 from exactgroups.matrix import Matrix, PreconditionError, vec_add, vec_sub
-from exactgroups.sl2 import MINUS_I, S_ALT, T, T_ALT
+from exactgroups.sl2 import (MINUS_I, S_ALT, T, T_ALT, CongruenceKind,
+                             _require_sl2, congruence_membership,
+                             sample_subgroup_element)
 from tests.conftest import det1_matrices, random_sl2, seeded
 
 
@@ -459,3 +464,190 @@ def test_finf_extend_window_errors():
         finf_extend(1, {0: (0, 0)}, (0, 5))     # missing value at 5
     with pytest.raises(PreconditionError):
         finf_extend(10, values, sorted(values))  # no relation instantiable
+
+
+# -- differential census against the earlier forms -------------------------
+#
+# Each fact below was once written out twice.  These are test-local copies
+# of the earlier forms: three congruences for Gamma_1(N) membership (g22
+# included), two divisibilities for the obstruction, four parity branches
+# and the pairwise Cramer witness.  The library must give what they give:
+# the same answer, or the same exception class and message.
+
+def _membership_reference(kind, g):
+    _require_sl2(g)
+    N = kind.level
+    if kind.family == "gamma0":
+        return g[1, 0] % N == 0
+    one = 1 % N  # so that level 1 means the full group
+    if kind.family == "gamma1":
+        return g[1, 0] % N == 0 and g[0, 0] % N == one and g[1, 1] % N == one
+    return (g[1, 0] % N == 0 and g[0, 1] % N == 0
+            and g[0, 0] % N == one and g[1, 1] % N == one)
+
+
+def _obstruction_reference(N, s):
+    if N < 1:
+        raise PreconditionError("level must be >= 1")
+    _require_sl2(s)
+    return (1 - s[0, 0]) % N == 0 and s[1, 0] % N == 0
+
+
+def _central_reference(m, n, g):
+    _require_sl2(g)
+    w = (Matrix.identity(2) - g).apply((m, n))
+    if w[0] % 2 or w[1] % 2:
+        return None
+    return (w[0] // 2, w[1] // 2)
+
+
+def _accepts_reference(case_id, g):
+    if case_id == 1:
+        return True
+    if case_id == 2:
+        return g[0, 0] % 2 == 1 and g[1, 0] % 2 == 0
+    if case_id == 3:
+        return g[1, 1] % 2 == 1 and g[0, 1] % 2 == 0
+    return (g[0, 0] + g[0, 1]) % 2 == 1 and (g[1, 0] + g[1, 1]) % 2 == 1
+
+
+def _witness_reference(spec):
+    rows = []
+    for g, (c0, c1) in zip(spec.generators, spec.values):
+        (a, b), (c, d) = g.data
+        rows += [(1 - a, -b, c0), (-c, 1 - d, c1)]
+    for (a, b, r), (c, d, s) in combinations(rows, 2):
+        det = a * d - b * c
+        if det:
+            x, y = Fraction(r * d - b * s, det), Fraction(a * s - r * c, det)
+            if any(u * x + v * y != w for u, v, w in rows):
+                return None
+            return CoboundaryWitness((x, y))
+    if any(r for a, b, r in rows if not (a or b)) or any(
+            a * s - r * c or b * s - r * d for (a, b, r), (c, d, s) in combinations(rows, 2)):
+        return None
+    raise UnderdeterminedWitness("joint system has a nontrivial kernel")
+
+
+def _gamma1_level_reference(spec):
+    N = 0
+    for g in spec.generators:
+        N = gcd(N, g[1, 0])
+        N = gcd(N, g[0, 0] - 1)
+        N = gcd(N, g[1, 1] - 1)
+    N = abs(N)
+    if N < 2:
+        return None
+    for g, v in zip(spec.generators, spec.values):
+        if v != gamma1_cocycle(N, g):
+            return None
+    return N
+
+
+def _outcome(f, *args):
+    """("value", f(*args)), or ("raised", class, message) of what it raised."""
+    try:
+        return ("value", f(*args))
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+
+
+NOT_SL2 = (Matrix([[1, 0], [0, 2]]), Matrix([[2, 1], [1, 1]]) * Matrix([[1, 0], [0, -1]]),
+           Matrix([[Fraction(1, 2), 0], [0, 2]]), Matrix.identity(3))
+
+
+def test_census_congruence_and_obstruction():
+    # Every SL2(Z) matrix with entries in [-7, 7], each family, N = 1..8;
+    # levels below 1 and matrices outside SL2(Z) for the errors, whose order
+    # (level first) must not change.
+    mats = det1_matrices(7)
+    assert len(mats) == 564
+    members = 0
+    for N in range(-1, 9):
+        for g in mats + list(NOT_SL2):
+            assert (_outcome(gamma1_obstruction, N, g)
+                    == _outcome(_obstruction_reference, N, g)), (N, g)
+            if N < 1:
+                continue
+            for family in ("gamma", "gamma0", "gamma1"):
+                kind = CongruenceKind(family, N)
+                got = _outcome(congruence_membership, kind, g)
+                assert got == _outcome(_membership_reference, kind, g), (kind, g)
+                members += got == ("value", True)
+    assert members == 2908
+
+
+def test_census_central_value_and_parity():
+    # central_cocycle on (m, n) in [-3, 3]^2 and on non-integer m, and
+    # ParityCase.accepts on every 2x2 matrix here, SL2(Z) or not.
+    mats = det1_matrices(7)
+    for g in mats + list(NOT_SL2):
+        for m in range(-3, 4):
+            for n in range(-3, 4):
+                assert (_outcome(central_cocycle, m, n, g)
+                        == _outcome(_central_reference, m, n, g)), (m, n, g)
+        for m in (Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2), True, 1.0, "1", None):
+            assert (_outcome(central_cocycle, m, 1, g)
+                    == _outcome(_central_reference, m, 1, g)), (m, g)
+            assert (_outcome(central_cocycle, 0, m, g)
+                    == _outcome(_central_reference, 0, m, g)), (m, g)
+    rational = [Matrix([[Fraction(p, q), b], [c, Fraction(r, q)]])
+                for p in (-3, -1, 1, 3) for r in (-2, 1, 3) for q in (1, 2, 3)
+                for b in (0, 1, Fraction(1, 2)) for c in (-2, 0, Fraction(3, 2))]
+    for g in mats + list(NOT_SL2[:3]) + rational:
+        for case_id in (1, 2, 3, 4):
+            case = parity_domain((case_id - 1) % 2, (case_id - 1) // 2)
+            assert case.case_id == case_id
+            assert case.accepts(g) == _accepts_reference(case_id, g), (case_id, g)
+
+
+def _census_specs(count, seed):
+    """`count` seeded specs in three kinds: zero to three draws from the
+    SL2(Z) matrices with entries in [-3, 3], one to three conjugates
+    h T^e h^-1 that share one fixed line (e = 0 gives I), and one to three
+    seeded words in Gamma_1(N) with the family values.  The first two take
+    values xi - g xi for a rational xi, one entry moved by an int or a "p/q"
+    in a third of the rest, or values drawn at random in every fifth."""
+    rng = seeded(seed)
+    pool = det1_matrices(3)
+    specs = []
+    for i in range(count):
+        kind = i % 3
+        k = rng.below(4) if kind == 0 else 1 + rng.below(3)
+        if kind == 2:
+            level = CongruenceKind("gamma1", 2 + rng.below(4))
+            gens = [sample_subgroup_element(level, 1 + rng.below(4), rng.below(1 << 30))
+                    for _ in range(k)]
+            specs.append(CocycleSpec(gens, [gamma1_cocycle(level.level, g) for g in gens]))
+            continue
+        if kind == 0:
+            gens = [pool[rng.below(len(pool))] for _ in range(k)]
+        else:
+            h = pool[rng.below(len(pool))]
+            gens = [h * T ** rng.int_in(-2, 2) * h.inverse() for _ in range(k)]
+        xi = (Fraction(rng.int_in(-6, 6), rng.int_in(1, 3)),
+              Fraction(rng.int_in(-6, 6), rng.int_in(1, 3)))
+        values = [vec_sub(xi, g.apply(xi)) for g in gens]
+        if i % 5 == 0:
+            values = [(Fraction(rng.int_in(-4, 4), rng.int_in(1, 3)), rng.int_in(-4, 4))
+                      for _ in gens]
+        elif values and rng.below(3) == 0:
+            j, c = rng.below(len(values)), rng.below(2)
+            bump = Fraction(1, rng.int_in(2, 3)) if rng.below(2) else rng.int_in(1, 2)
+            values[j] = tuple(x + bump * (e == c) for e, x in enumerate(values[j]))
+        specs.append(CocycleSpec(gens, values))
+    return specs
+
+
+def test_census_coboundary_witness():
+    # 20,000 specs: the witness in value, None, exception class and message,
+    # and the Gamma_1(N) level the classifier reads from each spec.
+    tally = {"none": 0, "xi": 0, "refused": 0, "level": 0}
+    for spec in _census_specs(20000, 35):
+        got = _outcome(coboundary_witness, spec)
+        assert got == _outcome(_witness_reference, spec), spec
+        tally["refused" if got[0] == "raised" else "none" if got[1] is None else "xi"] += 1
+        level = _detect_gamma1_level(spec)
+        assert level == _gamma1_level_reference(spec), spec
+        tally["level"] += level is not None
+    assert tally == {"none": 4694, "xi": 7821, "refused": 7485, "level": 5074}, tally

@@ -6,8 +6,8 @@ so each result must match in value and in entry type.  Wherever the code
 promises the flag (the constructor, `identity`, negation, a product, sum or
 difference of two integral matrices, an integral matrix times an int, the
 transpose of an integral matrix, the inverse of an integral matrix of
-determinant +-1, the U and V of `snf`), it must be exact; everywhere a True
-flag must be true.
+determinant +-1, the U and V of `snf`, and its D for an integral input), it
+must be exact; everywhere a True flag must be true.
 """
 
 import copy
@@ -335,6 +335,18 @@ def test_snf_transforms_flagged():
             U, D, V = snf(m)
             assert U.integral and V.integral and all_int(U.data) and all_int(V.data)
             assert U * m * V == D
+
+
+def test_snf_diagonal_flagged_for_integer_input():
+    # D was built unflagged although its diagonal had been checked all-int.
+    rng = seeded(1906)
+    for rows, cols in SHAPES:
+        for kind in ("int", "unit"):
+            m = Matrix(raw(rng, rows, cols, kind))
+            D = snf(m)[1]
+            assert m.integral and D.integral and all_int(D.data), m
+    _, D, _ = snf(Matrix([[Fraction(3, 2), 0], [0, 2]]))
+    assert not D.integral and sound(D)
 
 
 def test_flag_outside_equality_and_hash():

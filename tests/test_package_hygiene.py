@@ -1,6 +1,6 @@
 """Static checks on the package source, by the standard library's `ast` alone:
-no module-level import goes unused, and no private module-level name is
-left without a reference in the package."""
+no import goes unused, at module level or inside a function, and no private
+module-level name is left without a reference in the package."""
 
 import ast
 from pathlib import Path
@@ -56,6 +56,40 @@ def test_every_module_level_import_is_used():
                 bound = alias.asname or alias.name.split(".")[0]
                 if bound not in used:
                     unused.append(f"{name}:{stmt.lineno} {bound}")
+    assert not unused, unused
+
+
+def _local_imports(func):
+    """The import statements of a function, outside the functions and
+    classes nested in it."""
+    found, todo = [], list(func.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_function_local_import_is_used():
+    # The CLI handlers, affine, cocycle and serialize import inside
+    # functions, so that a call loads only the modules it needs; each such
+    # import must be read in its function (or in a function nested in it).
+    unused, seen = [], 0
+    for name, tree in MODULES.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            reads = {sub.id for sub in ast.walk(func)
+                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            for stmt in _local_imports(func):
+                for alias in stmt.names:
+                    seen += 1
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in reads:
+                        unused.append(f"{name}:{stmt.lineno} {func.name} {bound}")
+    assert seen >= 30, seen
     assert not unused, unused
 
 
