@@ -47,7 +47,8 @@ class AffineElement(Record):
         n = len(rows)
         _set_rows(m, n)
         _set_cols(m, n)
-        _set_data(m, rows)
+        _set_num(m, rows)
+        _set_lam(m, 1)
         _set_integral(m, True)
         el = _new(AffineElement)
         _set_translation(el, translation)
@@ -64,7 +65,7 @@ class AffineElement(Record):
             raise ShapeError("dimension mismatch")
         a, b = self.translation, other.translation
         if g.integral and h.integral:
-            product = _int_affine_mul(a, g.data, b, h.data)
+            product = _int_affine_mul(a, g.num, b, h.num)
             if product is not None:
                 return AffineElement._trusted(*product)
         return AffineElement(vec_add(a, g.apply(b)), g * h)
@@ -78,7 +79,7 @@ class AffineElement(Record):
 # product and automorphism image.
 _new = object.__new__
 _set_translation, _set_linear = AffineElement._setters
-_set_rows, _set_cols, _set_data, _set_integral = Matrix._setters
+_set_rows, _set_cols, _set_num, _set_lam, _set_integral = Matrix._setters[:5]
 
 
 def _int_affine_mul(a, g, b, h):
@@ -188,9 +189,7 @@ def conj_class_ball(x, gens, radius):
 def _dilated(shifts):
     """The translations `shifts` times lam, the lcm of their denominators, as
     int tuples: `shifts` itself when every entry is an int."""
-    if all(type(e) is int for a in shifts for e in a):
-        return shifts
-    return [tuple(a) for a in _scaled(shifts)[0]]
+    return _scaled(shifts)[0]
 
 
 def _conjugate(g, g_inv, c):
@@ -296,11 +295,11 @@ def invariant_lattice(gens, seeds):
         raise PreconditionError("at least one generator required")
     n = gens[0].rows
     for g in gens:
-        if (g.rows, g.cols) != (n, n) or not g.is_integral():
+        if (g.rows, g.cols) != (n, n) or not g.integral:
             raise PreconditionError("generators must be square integer matrices of one size")
     mats = [h for g in gens for h in (g, g.inverse())]
     # (map, fallback): the int kernel answers None on a row with a Fraction.
-    steps = [(partial(_int_apply, h.data) if h.integral else h.apply, h.apply) for h in mats]
+    steps = [(partial(_int_apply, h.num) if h.integral else h.apply, h.apply) for h in mats]
     # |det g| = 1 for every generator: the span check cannot fail.
     span_checked = all(h.integral for h in mats)
     basis = lattice.hnf(seeds, dim=n)
@@ -342,8 +341,8 @@ def affine_automorphism(L, xi):
         raise PreconditionError("xi must be an integer vector")
     P = AffineElement(xi, L)
     P_inv = P.inverse()
-    raw, raw_inv = (P.translation, L.data), (P_inv.translation, P_inv.linear.data)
-    n = len(L.data)
+    raw, raw_inv = (P.translation, L.num), (P_inv.translation, P_inv.linear.num)
+    n = L.rows
 
     def phi(el):
         s = el.linear
@@ -351,7 +350,7 @@ def affine_automorphism(L, xi):
         # The entries of a are ints or Fractions, and one Fraction makes the
         # sum a Fraction: type(sum(a)) is int when every entry is an int.
         if s.integral and s.rows == n and type(sum(a)) is int:
-            t, m = _conjugate(raw, raw_inv, (a, s.data))
+            t, m = _conjugate(raw, raw_inv, (a, s.num))
             return AffineElement._trusted(t, m)
         return P * el * P_inv
 

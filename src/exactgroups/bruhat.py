@@ -4,20 +4,22 @@ the upper-triangular Borel subgroup.
 Cells are double cosets B p_sigma B indexed by Sym(3); the signed permutation
 representatives p_sigma all lie in SL3(Z).  The cell is read from three zero
 tests and one 2x2 minor; the factorization is a deterministic Gaussian
-elimination.  Both run fraction-free on lam g, lam the lcm of its denominators
-(g itself when integral).  The elimination hands back A's three entries above
+elimination.  Both run fraction-free on g's int rows `num` = lam g (g's own
+rows when integral).  The elimination hands back A's three entries above
 its unit diagonal as (n, d) int pairs and B's rows as int rows over one
 denominator each; the factors, and the cell-(123) normalization of them, are
-built straight from those, one Fraction per non-integer entry.  The sampled
-facts 1 and 2 multiply their random words on int rows (`matrix._walk`).
+built from those over one common denominator by `Matrix._of`, so no
+Fraction is made.  Facts 3 and 4 read the zero pattern of `num` alone.  The
+sampled facts 1 and 2 multiply their random words on int rows
+(`matrix._walk`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .matrix import (Matrix, PreconditionError, Record, _letters, _over, _walk,
-                     _scaled as _scaled_rows)
+from .matrix import Matrix, PreconditionError, Record, _letters, _walk
 from .prng import SplitMix64
 
 # Signed permutation representatives; p_sigma has its column-j entry in
@@ -55,7 +57,7 @@ def cell_of(g):
     are those of g[3, 1], g[3, 1..2], g[2..3, 1] and g[2..3, 1..2], so the
     cell is read from three zero tests and the lower-left 2x2 minor (of lam g).
     """
-    (a, b, c), (d, e, f), (h, i, j) = _scaled(g)[0]
+    (a, b, c), (d, e, f), (h, i, j) = _num3(g)
     if a * (e * j - f * i) - b * (d * j - f * h) + c * (d * i - e * h) == 0:
         raise PreconditionError("matrix is singular")
     return _cell(d, e, h, i)
@@ -69,11 +71,11 @@ def _cell(g21, g22, g31, g32):   # cell_of of an invertible g from four entries
     return "(23)" if g32 else "id"
 
 
-def _scaled(g):
-    """(int rows of lam g, lam) for a 3x3 g, lam the lcm of its denominators."""
+def _num3(g):
+    """The int rows of lam g for a 3x3 g, lam its denominator."""
     if (g.rows, g.cols) != (3, 3):
         raise PreconditionError("expected a 3x3 matrix")
-    return (list(g.data), 1) if g.integral else _scaled_rows(g.data)
+    return g.num
 
 
 def bruhat_decompose(g):
@@ -86,13 +88,17 @@ def bruhat_decompose(g):
 def _unit_upper(a01, a02, a12):
     """The unit upper-triangular Matrix with entries given as (n, d) int pairs."""
     (n01, d01), (n02, d02), (n12, d12) = a01, a02, a12
-    return Matrix._trusted(((1,) + _over((n01 * d02, n02 * d01), d01 * d02),
-                            (0, 1) + _over((n12,), d12), (0, 0, 1)))
+    d = lcm(d01, d02, d12)
+    return Matrix._of(((d, n01 * (d // d01), n02 * (d // d02)), (0, d, n12 * (d // d12)),
+                       (0, 0, d)), d)
 
 
 def _factors(B):
-    """The Matrix of rows given as (int row, denominator) pairs."""
-    return Matrix._trusted(tuple([_over(row, d) for row, d in B]))
+    """The upper-triangular Matrix of rows given as (int row, denominator) pairs."""
+    ((a, b, c), d0), ((_, e, f), d1), ((_, _, i), d2) = B
+    d = lcm(d0, d1, d2)
+    p, q, r = d // d0, d // d1, d // d2
+    return Matrix._of(((a * p, b * p, c * p), (0, e * q, f * q), (0, 0, i * r)), d)
 
 
 def _eliminate(g):
@@ -107,7 +113,7 @@ def _eliminate(g):
     s_i of lam g, m_i integer, a step is m_i <- p m_i - a m_piv, s_i <- p s_i,
     and B's row j is m_piv over p_sigma[piv][j] s_piv lam.
     """
-    (m, lam), s = _scaled(g), [1, 1, 1]
+    m, lam, s = list(_num3(g)), g.lam, [1, 1, 1]
     A = [(0, 1), (0, 1), (0, 1)]   # A[i + piv - 1] is A's entry (i, piv)
     pivots = []  # pivots[col] is the pivot row of column col
     for col in range(3):
@@ -124,7 +130,7 @@ def _eliminate(g):
             s[i] *= p
         pivots.append(piv)
     name = _NAMES[tuple(piv + 1 for piv in pivots)]
-    p = PERM_MATRICES[name].data
+    p = PERM_MATRICES[name].num
     return name, A, [(m[piv], p[piv][j] * s[piv] * lam) for j, piv in enumerate(pivots)]
 
 
@@ -144,9 +150,9 @@ _FACT_LETTERS = {which: _letters(H_GENERATORS + (PERM_MATRICES[p],))
 
 
 def _require_upper(g):
-    """The rows of g, an invertible upper-triangular 3x3 matrix."""
+    """The int rows of lam g, g an invertible upper-triangular 3x3 matrix."""
     if (g.rows, g.cols) == (3, 3):
-        (x, _, _), (d, a, _), (h, i, c) = rows = g.data
+        (x, _, _), (d, a, _), (h, i, c) = rows = g.num
         if x and a and c and not (d or h or i):
             return rows
     raise PreconditionError("expected an invertible upper-triangular 3x3 matrix")
@@ -197,7 +203,8 @@ def fact_check(which, g=None, seed=0, count=50, length=8):
                 return False
         return True
     if which in (3, 4):
-        # p g p, invertible with g (no det), reads g: for g = [[x,y,z],[0,a,b],[0,0,c]],
+        # p g p, invertible with g (no det), is read off lam g, which has g's
+        # zero pattern and cells: for g = [[x,y,z],[0,a,b],[0,0,c]],
         # p13 g p13 = [[-c,0,0],[b,a,0],[z,y,-x]], p132 g p132 = [[b,0,a],[c,0,0],[z,x,y]].
         (x, y, z), (_, a, b), (_, _, c) = _require_upper(g)
         if which == 3:

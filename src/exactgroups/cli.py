@@ -264,7 +264,7 @@ def _random_affine(rng, n, letters):
     `letters` S, S^-1, T, T^-1 (for other n, g = I)."""
     import exactgroups.affine as affine
     a = tuple(rng.int_in(-5, 5) for _ in range(n))
-    g = _walk(letters, rng, 6) if n == 2 else Matrix.identity(n).data
+    g = _walk(letters, rng, 6) if n == 2 else Matrix.identity(n).num
     return affine.AffineElement._trusted(a, g)
 
 
@@ -367,7 +367,7 @@ def _cmd_lin_hnf(doc, opts):
 def _cmd_lin_snf(doc, opts):
     import exactgroups.lattice as lattice
     m = parse_matrix(doc)
-    if not m.is_integral():
+    if not m.integral:
         raise PreconditionError("Smith normal form needs an integer matrix")
     U, D, V = lattice.snf(m)
     return {"U": matrix_to_json(U), "D": matrix_to_json(D), "V": matrix_to_json(V)}

@@ -42,7 +42,8 @@ class CocycleSpec(Record):
     Relators (optional) are words that must evaluate to the identity matrix;
     words are tuples of (generator index, integer exponent).  Every field is
     kept as tuples, values with normalized entries, so specs built from
-    lists or tuples are equal and hash alike.
+    lists or tuples are equal and hash alike.  A value whose length is not
+    its generator's size is refused here, so no report is made of it.
     """
 
     __slots__ = ("generators", "values", "relators")
@@ -50,8 +51,10 @@ class CocycleSpec(Record):
     def __init__(self, generators, values, relators=()):
         if len(generators) != len(values):
             raise PreconditionError("generator and value lists differ in length")
-        for g in generators:
+        for g, v in zip(generators, values):
             _require_sl2(g)
+            if len(v) != g.rows:
+                raise PreconditionError("vector length mismatch")
         Record.__init__(self, tuple(generators), tuple(map(vec_norm, values)),
                         tuple(tuple(map(tuple, word)) for word in relators))
 
@@ -102,9 +105,7 @@ def _evaluate(spec, word):
             raise PreconditionError(f"unknown generator index {idx}")
         if not exp:
             continue
-        if len(spec.values[idx]) != 2:
-            raise ShapeError("vector length mismatch")
-        (p, q), (r, s) = spec.generators[idx].data
+        (p, q), (r, s) = spec.generators[idx].num
         x, y = spec.values[idx]
         if exp < 0:
             p, q, r, s = s, -q, -r, p
@@ -121,7 +122,7 @@ def _evaluate(spec, word):
             if exp:
                 x, y = x + p * x + q * y, y + r * x + s * y
                 p, q, r, s = p * p + q * r, p * q + q * s, r * p + s * r, r * q + s * s
-    return vec_norm((v0, v1)), Matrix._trusted(((a, b), (c, d)), True)
+    return vec_norm((v0, v1)), Matrix._of(((a, b), (c, d)))
 
 
 def verify_relations(spec):
@@ -163,7 +164,7 @@ def coboundary_witness(spec):
     import exactgroups.lattice as lattice
     rows = []
     for g, (c0, c1) in zip(spec.generators, spec.values):
-        (a, b), (c, d) = g.data
+        (a, b), (c, d) = g.num
         rows += [(1 - a, -b, c0), (-c, 1 - d, c1)]
     echelon = lattice.hnf(rows, dim=3).rows
     if echelon and not any(echelon[-1][:2]):
@@ -239,7 +240,12 @@ _PARITY_CASES = {
 
 
 def parity_domain(m, n):
-    """Maximal domain of a cocycle with central value (m, n), by parity."""
+    """Maximal domain of a cocycle with central value (m, n), by parity.
+    A Fraction with denominator 1 is read as its int; any other non-int
+    value of m or n raises PreconditionError."""
+    for name, x in (("m", m), ("n", n)):
+        if type(x) is not int and not (isinstance(x, Fraction) and x.denominator == 1):
+            raise PreconditionError(f"{name} must be an integer, got {x!r}")
     return _PARITY_CASES[(m % 2, n % 2)]
 
 
@@ -288,4 +294,4 @@ def finf_extend(n, values, window):
         rhs.append(r)
     if not rows:
         raise PreconditionError("window instantiates no relation")
-    return lattice.solve_integer(Matrix._trusted(tuple(rows), True), rhs)
+    return lattice.solve_integer(Matrix._of(tuple(rows)), rhs)

@@ -228,10 +228,10 @@ def snf(M):
         D[i][i] = x
     # A rational M can leave a Fraction of denominator 1 in D, which Matrix
     # normalizes.  Row n-1-j of V is column j of the stored Vt.
-    return (Matrix._trusted(tuple(map(tuple, U)), True),
-            Matrix._trusted(tuple(map(tuple, D)), True) if all(type(x) is int for x in d)
+    return (Matrix._of(tuple(map(tuple, U))),
+            Matrix._of(tuple(map(tuple, D))) if all(type(x) is int for x in d)
             else Matrix(D),
-            Matrix._trusted(tuple(zip(*Vt))[::-1], True))
+            Matrix._of(tuple(zip(*Vt))[::-1]))
 
 
 def _hermite_transform(M):
@@ -264,10 +264,11 @@ def solve_integer(M, b):
     if len(b) != m:
         raise ShapeError("right-hand side length mismatch")
     if m >= n:
-        if M.integral and all(type(x) is int for x in b):
-            rows = [[*row, x] for row, x in zip(M.data, b)]
-        else:
-            rows = _scaled([row + (x,) for row, x in zip(M.data, b)])[0]
+        (c,), mu = _scaled((b,))   # mu b on ints, b itself when all ints
+        if M.integral and mu == 1:
+            rows = [[*row, x] for row, x in zip(M.num, c)]
+        else:   # lam mu [M | b], with M.num = lam M
+            rows = [[*[v * mu for v in row], x * M.lam] for row, x in zip(M.num, c)]
         done = _bareiss(rows, n)
         if done is not None:
             q, rows = done

@@ -3,33 +3,22 @@
 Entries are Python ints or :class:`fractions.Fraction`; every operation is
 exact.  Matrices are immutable and hashable, so they can be used as dict keys
 and set members (the finite-closure check of `affine` keeps them in a set).
-Products, applies, determinants and inverses work on the int rows of
-lam M, lam the lcm of M's denominators (`_scaled` makes them, for
-`bruhat`, `lattice` and `affine` too), and make one Fraction per
-non-integer output entry at the end (`_over` divides an int row by a
-denominator, for `bruhat` too).
-Products and applies run on small integer kernels (2x2 and 3x3 written
-out); determinants and inverses up to 3x3 by one cofactor expansion
-(`_adjugate`), past it by fraction-free elimination (`_bareiss`).
-`_bareiss` is the package's one fraction-free elimination: it carries a
-right-hand block, empty for `det`, I for `inverse` and b for
-`lattice.solve_integer`.
 
-Each matrix carries an `integral` flag, True only when every entry is an
-int; False means it may hold a Fraction.  The constructor sets it exactly,
-and the operations that keep entries integral pass it on.  Products of two
-integral matrices and their applies to int vectors go to the integer
-kernels directly, with no scaling and no division (`affine` calls
-`_int_mul` and `_int_apply` on int rows too).  The flag takes no part in
-equality or hashing.  Every seeded word of the package (`sl2`, `bruhat`
-and `cli` sample them) is one `_walk` on int rows.
+A matrix M is stored as `num`, the int rows of lam M, over `lam` >= 1 with
+gcd(lam, every entry of num) = 1, a unique pair: equality reads it, and
+`integral` is exactly lam == 1.  The entries, `data`, are `num` when lam = 1,
+else made on first read and kept; hashing reads them.  Every operation runs
+on int rows, by small kernels (2x2 and 3x3 written out) or, for det and
+inverse past 3x3, the one fraction-free elimination `_bareiss` (right-hand
+block empty for `det`, I for `inverse`, b for `lattice.solve_integer`), and
+builds its result by `Matrix._of`, which divides out the gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import add, attrgetter, mul, sub
 
 
@@ -131,41 +120,58 @@ def _norm(x):
 class Matrix(Record):
     """Immutable dense matrix with exact int/Fraction entries."""
 
-    # data: rows of normalized entries; integral: True only if all are ints.
-    __slots__ = ("rows", "cols", "data", "integral")
+    __slots__ = ("rows", "cols", "num", "lam", "integral", "_data")
 
     def __init__(self, data):
         rows = tuple(tuple(map(_norm, row)) for row in data)
-        if not rows or not rows[0]:
-            raise ShapeError("matrix must have at least one row and column")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ShapeError("ragged rows")
-        integral = all(type(x) is int for r in rows for x in r)
-        Record.__init__(self, len(rows), ncols, rows, integral)
+        _check_shape(rows)
+        num, lam = _scaled(rows)
+        Record.__init__(self, len(rows), len(rows[0]), num, lam, lam == 1, rows)
 
     @classmethod
     def _trusted(cls, rows, integral=False):
-        """Matrix on a non-empty rectangular tuple of tuples whose entries are
-        already normalized (ints, or Fractions with denominator != 1).
-
-        `integral` is the caller's word that every entry is an int; the
-        default False is never wrong, only slower, and costs no scan."""
-        m = object.__new__(cls)
-        # The slot setters, not Record.__init__'s loop: every product ends here.
-        set_rows, set_cols, set_data, set_integral = cls._setters
-        set_rows(m, len(rows))
-        set_cols(m, len(rows[0]))
-        set_data(m, rows)
-        set_integral(m, integral)
+        """Matrix of data `rows`, normalized entries in a non-empty rectangular
+        tuple of tuples; `integral` True vouches that all are ints."""
+        m = cls._of(*((rows, 1) if integral else _scaled(rows)))
+        _set_data(m, rows)
         return m
+
+    @classmethod
+    def _of(cls, num, lam=1):
+        """num / lam for int rows num (a non-empty rectangular tuple of tuples)
+        and an int lam != 0, in lowest terms with lam >= 1."""
+        if lam != 1:
+            flat = sum(num, ())
+            g = gcd(lam, *flat) * (1 if lam > 0 else -1)
+            if g != 1:   # divide out g, then regroup the entries into rows
+                num, lam = tuple(zip(*[iter([x // g for x in flat])] * len(num[0]))), lam // g
+        m = object.__new__(cls)
+        _set_rows(m, len(num))
+        _set_cols(m, len(num[0]))
+        _set_num(m, num)
+        _set_lam(m, lam)
+        _set_integral(m, lam == 1)
+        return m
+
+    @property
+    def data(self):
+        """M's entries, `num` itself when integral."""
+        if self.integral:
+            return self.num
+        try:
+            return self._data
+        except AttributeError:   # unset until first read
+            _set_data(self, tuple([_over(row, self.lam) for row in self.num]))
+            return self._data
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
 
-    def __reduce__(self):
-        # copy and pickle rebuild through _trusted, not by setting slots.
-        return Matrix._trusted, (self.data, self.integral)
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.data))
+
+    def __reduce__(self):   # copy and pickle rebuild through _of
+        return Matrix._of, (self.num, self.lam)
 
     # -- constructors ------------------------------------------------------
 
@@ -176,8 +182,7 @@ class Matrix(Record):
         typed=True keeps identity(2.0) from being answered by identity(2)."""
         if n < 1:
             raise ShapeError("matrix must have at least one row and column")
-        return Matrix._trusted(tuple(tuple(1 if i == j else 0 for j in range(n))
-                                     for i in range(n)), True)
+        return Matrix._of(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @staticmethod
     def diagonal(entries):
@@ -202,24 +207,15 @@ class Matrix(Record):
         return self._entrywise(sub, other)
 
     def __neg__(self):
-        return Matrix._trusted(tuple(tuple(-a for a in r) for r in self.data), self.integral)
+        return Matrix._of(tuple(tuple([-a for a in r]) for r in self.num), self.lam)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by "
                                  f"{other.rows}x{other.cols}")
-            if self.integral and other.integral:
-                return Matrix._trusted(_int_mul(self.data, other.data), True)
-            # (lam P)(mu Q) on ints, each entry divided by lam mu once.
-            p, lam = (self.data, 1) if self.integral else _scaled(self.data)
-            q, mu = (other.data, 1) if other.integral else _scaled(other.data)
-            d = lam * mu
-            return Matrix._trusted(tuple([_over(row, d) for row in _int_mul(p, q)]))
-        rows = tuple(tuple([other * a for a in r]) for r in self.data)
-        if self.integral and type(other) is int:
-            return Matrix._trusted(rows, True)
-        return Matrix(rows)
+            return Matrix._of(_int_mul(self.num, other.num), self.lam * other.lam)
+        return Matrix([[other * a for a in r] for r in self.data])
 
     __rmul__ = __mul__
 
@@ -241,51 +237,43 @@ class Matrix(Record):
         if len(vec) != self.cols:
             raise ShapeError("vector length mismatch")
         if self.integral:
-            w = _int_apply(self.data, vec)
+            w = _int_apply(self.num, vec)
             if w is not None:
                 return w
-        # (lam M)(mu v) on ints, each entry divided by lam mu once.  The
-        # entries are normalized first, so a bool is refused as by Matrix().
-        rows, lam = (self.data, 1) if self.integral else _scaled(self.data)
+        # (lam M)(mu v) on ints over lam mu; normalizing v refuses a bool.
         (v,), mu = _scaled((tuple(map(_norm, vec)),))
-        return _over(_int_apply(rows, v), lam * mu)
+        return _over(_int_apply(self.num, v), self.lam * mu)
 
     # -- structure ---------------------------------------------------------
 
     def transpose(self):
-        return Matrix._trusted(tuple(zip(*self.data)), self.integral)
+        return Matrix._of(tuple(zip(*self.num)), self.lam)
 
     def trace(self):
         if self.rows != self.cols:
             raise ShapeError("trace of a non-square matrix")
-        return _norm(sum(self.data[i][i] for i in range(self.rows)))
+        t = sum([self.num[i][i] for i in range(self.rows)])
+        return t if self.integral else _over((t,), self.lam)[0]
 
     def det(self):
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
-        n = self.rows
-        rows, lam = (self.data, 1) if self.integral else _scaled(self.data)
+        n, rows, lam = self.rows, self.num, self.lam
         if n <= 3:
             det = _adjugate(rows)[1]
         else:
             det = (_bareiss([list(row) for row in rows], n) or (0, None))[0]
-        return det if lam == 1 else _norm(Fraction(det, lam ** n))
+        return det if lam == 1 else _over((det,), lam ** n)[0]
 
     def inverse(self):
         """Exact inverse; raises PreconditionError when singular.
 
-        With N = lam M on ints (lam = 1 for an integral M), M^-1 =
-        lam adj(N) / det N, one Fraction per entry.  adj(N) and det N come in
-        closed form up to 3x3 (_adjugate) and past it from the fraction-free
-        pass on [N | I], which ends as [det N I | adj(N)] (_bareiss).  An
-        integral matrix of determinant +-1 gets +-adj(M) with no Fraction
-        made, flagged integral.  Every entry is normalized, so an entry with
-        denominator 1 is an int whatever the input's types.
-        """
+        M^-1 = lam adj(N) / det N for N = num = lam M, with adj(N) and det N in
+        closed form up to 3x3 (_adjugate), past it from the fraction-free pass
+        on [N | I], which ends as [det N I | adj(N)] (_bareiss)."""
         if self.rows != self.cols:
             raise ShapeError("inverse of a non-square matrix")
-        n = self.rows
-        rows, lam = (self.data, 1) if self.integral else _scaled(self.data)
+        n, rows, lam = self.rows, self.num, self.lam
         if n <= 3:
             adj, det = _adjugate(rows)
         else:
@@ -294,35 +282,37 @@ class Matrix(Record):
             adj = tuple(map(tuple, m))
         if det == 0:
             raise PreconditionError("matrix is singular")
-        if self.integral and (det == 1 or det == -1):
-            return Matrix._trusted(adj if det == 1 else
-                                   tuple(tuple([-x for x in r]) for r in adj), True)
         if lam != 1:
-            adj = [[lam * x for x in r] for r in adj]
-        return Matrix._trusted(tuple([_over(r, det) for r in adj]))
+            adj = tuple([tuple([lam * x for x in r]) for r in adj])
+        return Matrix._of(adj, det)
 
     def is_integral(self):
-        return self.integral or all(isinstance(x, int) for row in self.data for x in row)
+        return self.integral
 
     def is_upper_triangular(self):
-        return all(self.data[i][j] == 0
+        return all(self.num[i][j] == 0
                    for i in range(self.rows) for j in range(min(i, self.cols)))
 
     def _entrywise(self, op, other):
-        """op applied entry by entry to two matrices of one shape."""
+        """op entry by entry on two matrices of one shape, over lam lam'."""
         if not isinstance(other, Matrix):
             raise TypeError("expected a Matrix")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("shape mismatch")
-        rows = tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.data, other.data))
-        if self.integral and other.integral:
-            return Matrix._trusted(rows, True)
-        return Matrix(rows)
+        a, b = self.lam, other.lam
+        return Matrix._of(tuple(tuple([op(x * b, y * a) for x, y in zip(r1, r2)])
+                                for r1, r2 in zip(self.num, other.num)), a * b)
 
 
-# Equality and hashing read the entries, not the flag, so a matrix built by
-# _trusted without it equals (and hashes as) the same matrix built by Matrix().
-Matrix._key = attrgetter("rows", "cols", "data")
+Matrix._key = attrgetter("rows", "cols", "num", "lam")
+_set_rows, _set_cols, _set_num, _set_lam, _set_integral, _set_data = Matrix._setters
+
+
+def _check_shape(rows):   # the shapes a matrix may not have
+    if not rows or not rows[0]:
+        raise ShapeError("matrix must have at least one row and column")
+    if len(set(map(len, rows))) != 1:
+        raise ShapeError("ragged rows")
 
 
 def _int_mul(p, q):
@@ -365,7 +355,7 @@ def _int_apply(g, b):
 def _letters(gens):
     """The letters of `_walk` for the integral matrices `gens`: the rows of
     each generator, then of its inverse."""
-    return tuple(x.data for g in gens for x in (g, g.inverse()))
+    return tuple(x.num for g in gens for x in (g, g.inverse()))
 
 
 def _walk(letters, rng, length):
@@ -377,7 +367,7 @@ def _walk(letters, rng, length):
     for `_letters(gens)` is generator r // 2, or its inverse when r is odd
     (rng a `prng.SplitMix64`, so the words are reproducible)."""
     k = len(letters)
-    m = letters[rng.below(k)] if length > 0 else Matrix.identity(len(letters[0])).data
+    m = letters[rng.below(k)] if length > 0 else Matrix.identity(len(letters[0])).num
     for _ in range(length - 1):
         m = _int_mul(m, letters[rng.below(k)])
     return m
@@ -420,13 +410,15 @@ def _bareiss(m, n):
 
 def _scaled(d):
     """(int rows of lam M, lam) for the rows d of M, lam the lcm of its denominators."""
+    if all(type(x) is int for row in d for x in row):
+        return d, 1
     lam = lcm(*[x.denominator for row in d for x in row])
-    return [[x.numerator * (lam // x.denominator) for x in row] for row in d], lam
+    return tuple([tuple([x.numerator * (lam // x.denominator) for x in row]) for row in d]), lam
 
 
 def _over(row, d):
     """The entries x / d of the int row, normalized: x // d where d divides x,
-    else one Fraction."""
+    else one Fraction.  `data` and `apply` end here."""
     return tuple([Fraction(x, d) if x % d else x // d for x in row])
 
 

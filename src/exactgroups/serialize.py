@@ -11,38 +11,39 @@ a "p/q" string of two such integers.  Every other JSON value -- a float,
 true/false, null, an array, an object, or a string with spaces, underscores
 or a "+" sign -- is refused with InputError rather than coerced.
 
-Each kind of value has one reader.  `parse_int` reads an integer field and
-`parse_scalar` a matrix or vector entry.  `parse_matrix` reads the entries
-one by one with `parse_scalar`, so the first refused entry in row-major
-order names the error.  A non-empty rectangular result of ints becomes
-an integral Matrix with no second check; anything else goes through the
-Matrix constructor, which refuses ragged and empty shapes.  A JSON string or
-object where the entries list or a row belongs is refused, as it would
-otherwise iterate as its characters or keys.  A declared "rows" or "cols"
-must be a JSON integer equal to the entries' shape.
+Each kind of value has one reader: `parse_int` an integer field, `_ratio`
+an entry (an int, or "p/q" as the pair (p, q)), `parse_scalar` an entry as
+an int or a Fraction.  `parse_matrix` reads entries in row-major order (the
+first refused one names the error), refuses the shapes Matrix() refuses and
+keeps int rows over the lcm of the denominators, as `matrix_to_json` writes
+them: neither makes a Fraction.  A JSON string or object where the entries or
+a row belong is refused, as it would iterate as its characters or keys.  A
+declared "rows" or "cols" must be a JSON integer equal to the shape.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
-from .matrix import Matrix, PreconditionError
+from .matrix import Matrix, PreconditionError, _check_shape
 
 
 class InputError(Exception):
     """Malformed input document."""
 
 
-def scalar_to_str(x):
-    """Decimal text of an exact scalar.  An answer past the interpreter's
-    int/str digit limit raises PreconditionError; the limit is not lifted."""
+def scalar_to_str(x, d=1):
+    """Decimal text of an int x over an int d >= 1, or of a Fraction x.  Past
+    the int/str digit limit it raises PreconditionError (not lifted)."""
     try:
-        if type(x) is int:
-            return str(x)
-        if isinstance(x, Fraction) and x.denominator != 1:
-            return f"{x.numerator}/{x.denominator}"
-        return str(int(x))
+        if type(x) is not int:
+            x, d = x.numerator, x.denominator
+        elif d != 1:
+            g = gcd(x, d)
+            x, d = x // g, d // g
+        return str(x) if d == 1 else f"{x}/{d}"
     except ValueError:
         raise PreconditionError(
             f"answer too large: an integer in it has more than "
@@ -62,16 +63,21 @@ def parse_int(x):
     raise InputError(f"bad integer {x!r}: expected a JSON integer or a decimal string")
 
 
-def parse_scalar(s):
-    """A matrix or vector entry: an integer field, or a "p/q" string of two
-    of them with q != 0, read as a Fraction."""
+def _ratio(s):
+    """An entry as an int, or a "p/q" string with |q| > 1 as the pair (p, q)."""
     if isinstance(s, str) and "/" in s:
         num, _, den = s.partition("/")
         den = parse_int(den)
         if den == 0:
             raise InputError(f"bad scalar {s!r}: zero denominator")
-        return Fraction(parse_int(num), den)
+        return (parse_int(num), den) if den not in (1, -1) else parse_int(num) * den
     return parse_int(s)
+
+
+def parse_scalar(s):
+    """A matrix or vector entry as an int, or a "p/q" string as a Fraction."""
+    x = _ratio(s)
+    return Fraction(*x) if type(x) is tuple else x
 
 
 def vector_to_json(v):
@@ -85,23 +91,22 @@ def parse_vector(doc):
 
 
 def matrix_to_json(m):
+    lam = m.lam
     return {"rows": m.rows, "cols": m.cols,
-            "entries": [[scalar_to_str(x) for x in row] for row in m.data]}
+            "entries": [[scalar_to_str(x, lam) for x in row] for row in m.num]}
 
 
 def parse_matrix(doc):
     if not isinstance(doc, dict) or "entries" not in doc:
         raise InputError('matrix must be {"rows", "cols", "entries"}')
     try:
-        rows, integral = [], True
-        for row in _array(doc["entries"]):
-            row = tuple(map(parse_scalar, _array(row)))
-            integral = integral and Fraction not in map(type, row)
-            rows.append(row)
-        if integral and len(set(map(len, rows))) == 1 and rows[0]:
-            m = Matrix._trusted(tuple(rows), True)
-        else:   # a p/q entry, which Matrix normalizes, or a shape it refuses
-            m = Matrix(rows)
+        rows = [tuple(map(_ratio, _array(row))) for row in _array(doc["entries"])]
+        _check_shape(rows)
+        lam = lcm(*[x[1] for x in sum(rows, ()) if type(x) is tuple])
+        if lam != 1:   # a "p/q" entry: all as int rows over lam
+            rows = [tuple([x[0] * (lam // x[1]) if type(x) is tuple else x * lam for x in row])
+                    for row in rows]
+        m = Matrix._of(tuple(rows), lam)
     except Exception as exc:
         raise InputError(f"bad matrix entries: {exc}") from exc
     n_rows, n_cols = doc.get("rows", m.rows), doc.get("cols", m.cols)

@@ -33,12 +33,12 @@ class OrderCapExceeded(PreconditionError):
 
 
 def _require_sl2(g):
-    if (g.rows, g.cols) != (2, 2) or not g.is_integral() or g.det() != 1:
+    if (g.rows, g.cols) != (2, 2) or not g.integral or g.det() != 1:
         raise PreconditionError("expected an integer 2x2 matrix of determinant 1")
 
 
 def _require_unimodular(g):
-    if g.rows != g.cols or not g.is_integral() or g.det() not in (1, -1):
+    if g.rows != g.cols or not g.integral or g.det() not in (1, -1):
         raise PreconditionError("expected a square integer matrix with det +-1")
 
 
@@ -95,7 +95,7 @@ def order_of(g, cap=None):
     """
     _require_unimodular(g)
     if g.rows == 2:
-        (a, b), (c, d) = g.data
+        (a, b), (c, d) = g.num
         if b == c == 0 and a == d:   # +-I
             return 1 if a == 1 else 2
         return _FINITE_ORDERS.get((a * d - b * c, a + d))
@@ -121,7 +121,7 @@ def decompose_st(g):
     (a, b), (c, d) to (-c, -d), (a - qc, b - qd).
     """
     _require_sl2(g)
-    (a, b), (c, d) = g.data
+    (a, b), (c, d) = g.num
     quotients = []
     while c != 0:
         q = (2 * a + c) // (2 * c)
@@ -202,7 +202,7 @@ def congruence_membership(kind, g):
     tested: det g = 1 gives g11 g22 = 1 + g12 g21, so g22 = 1 mod N follows."""
     _require_sl2(g)
     N, family = kind.level, kind.family
-    (a, b), (c, _) = g.data
+    (a, b), (c, _) = g.num
     return (c % N == 0 and (family == "gamma0" or (1 - a) % N == 0)
             and (family != "gamma" or b % N == 0))
 
@@ -227,4 +227,4 @@ def sample_subgroup_element(kind, word_length, seed):
     if word_length < 0:
         raise PreconditionError("word_length must be >= 0")
     letters = _letters(subgroup_generators(kind))
-    return Matrix._trusted(_walk(letters, SplitMix64(seed), word_length), True)
+    return Matrix._of(_walk(letters, SplitMix64(seed), word_length))

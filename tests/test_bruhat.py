@@ -487,6 +487,34 @@ def test_bruhat_paths_take_no_rational_products(monkeypatch):
     assert any(type(x) is Fraction for row in A.data + B.data for x in row)
 
 
+def test_rational_bruhat_paths_make_no_fraction(monkeypatch):
+    # On grid-rational inputs, the four paths of the rational workload run on
+    # (num, lam) alone: with every Fraction operation forbidden, making one
+    # included.  Their answers are checked afterwards, when `data` is read.
+    rng = seeded(3601)
+    p123 = PERM_MATRICES["(123)"]
+    inputs = []
+    for n in range(300):
+        g = _rational3(rng)
+        while not g.det():
+            g = _rational3(rng)
+        b1, b2, u = _upper3(rng), _upper3(rng), _upper3(rng)
+        while not (b1.det() and b2.det() and u.det()):
+            b1, b2, u = _upper3(rng), _upper3(rng), _upper3(rng)
+        name = list(PERM_MATRICES)[n % 6]
+        inputs.append((g, b1 * PERM_MATRICES[name] * b2, name, b1 * p123 * b2, u))
+    with monkeypatch.context() as patch:
+        forbid_fraction_arithmetic(patch)
+        patch.setattr(Fraction, "__new__", forbidden("Fraction.__new__"))
+        got = [(bruhat_decompose(g), cell_of(h), case3_normalize(c3), fact_check(3, u),
+                fact_check(4, u)) for g, h, _, c3, u in inputs]
+    assert any(not g.integral for g, *_ in inputs)
+    for (g, h, name, c3, u), (fac, cell, (A, B), fact3, fact4) in zip(inputs, got):
+        assert (fac.sigma, fac.A, fac.B) == _reference_decompose(g) and fac.product() == g
+        assert cell == name and A * p123 * B == c3 and B[0, 1] == 0
+        assert fact3 == _reference_fact(3, u) and fact4 == _reference_fact(4, u)
+
+
 def test_rational_3x3_product_takes_no_fraction_arithmetic(monkeypatch):
     # A product of two grid Borels runs on the int rows of lam P and mu Q and
     # makes one Fraction per non-integer entry; so does an apply.

@@ -155,17 +155,23 @@ def test_cocycle_eval_huge_exponent(tmp_path):
 
 
 def test_cocycle_eval_value_of_wrong_length(tmp_path):
-    # A value that is not a 2-vector is refused when its token is evaluated,
-    # for either sign of the exponent; a token with exponent 0 never reads it.
+    # A value that is not a 2-vector is refused with the spec, whatever the
+    # word: a token with exponent 0, which never reads it, included.
     for value in (["1", "0", "2"], ["1"], []):
         spec = {"generators": [mat([[1, 1], [0, 1]])], "values": [value]}
-        for exp in (3, -2):
+        for exp in (3, -2, 0):
             code, out, err = run_cli(tmp_path, ["cocycle", "eval"],
                                      {"spec": spec, "word": [{"gen": 0, "exp": exp}]})
             assert (code, out, err) == (3, "", "error: vector length mismatch\n")
-        doc = run_ok(tmp_path, ["cocycle", "eval"],
-                     {"spec": spec, "word": [{"gen": 0, "exp": 0}]})
-        assert doc["value"] == ["0", "0"]
+
+
+def test_graph_spec_value_of_wrong_length_exits_3(tmp_path):
+    # `affine classify` on a graph spec whose value is not a 2-vector once
+    # answered exit 0: no check of its report evaluates the cocycle there.
+    for value in (["1", "0", "2"], ["1"], []):
+        spec = {"generators": [mat([[1, 1], [0, 1]])], "values": [value]}
+        code, out, err = run_cli(tmp_path, ["affine", "classify"], {"kind": "graph", "spec": spec})
+        assert (code, out, err) == (3, "", "error: vector length mismatch\n")
 
 
 def test_answer_past_int_str_digit_limit_exits_3(tmp_path):

@@ -369,6 +369,27 @@ def test_parity_domain_cases():
     assert not parity_domain(1, 1).accepts(g)   # both row sums are even
 
 
+def test_parity_domain_fraction_values():
+    # A Fraction m or n once raised a bare KeyError from the case table.  One
+    # with denominator 1 is its int; any other value is refused by name.
+    for m, n in ((Fraction(3), 4), (1, Fraction(-2, 2)), (Fraction(6, 3), Fraction(1))):
+        assert parity_domain(m, n) is parity_domain(int(m), int(n))
+    for m, n, name in ((Fraction(1, 2), 0, "m"), (0, Fraction(-3, 4), "n"), (1.0, 1, "m"),
+                       (0, True, "n"), ("1", 0, "m")):
+        with pytest.raises(PreconditionError, match=f"^{name} must be an integer"):
+            parity_domain(m, n)
+
+
+def test_spec_refuses_value_of_wrong_length():
+    # A value whose length is not its generator's size was kept, and only an
+    # evaluation that read it refused it.
+    for value in ((1, 0, 2), (1,), ()):
+        with pytest.raises(PreconditionError, match="^vector length mismatch$"):
+            CocycleSpec((T,), (value,))
+        with pytest.raises(PreconditionError, match="^vector length mismatch$"):
+            CocycleSpec((T, T_ALT), ((0, 1), value))
+
+
 def test_parity_case4_condition():
     case = parity_domain(1, 1)
     g = Matrix([[1, 0], [0, 1]])

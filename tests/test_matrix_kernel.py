@@ -14,12 +14,14 @@ import copy
 import pickle
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 
 from exactgroups.affine import AffineElement
 from exactgroups.lattice import snf
 from exactgroups.matrix import Matrix, PreconditionError, ShapeError
+from exactgroups.serialize import parse_matrix
 from tests.conftest import random_unimodular, seeded
 
 SHAPES = [(n, n) for n in range(1, 6)] + [(1, 2), (2, 1), (1, 3), (2, 3), (3, 2),
@@ -109,7 +111,7 @@ def test_constructor_flag_exact():
         assert Matrix.identity(n).integral
     assert Matrix([[Fraction(4, 2), 0]]).integral
     assert not Matrix([[Fraction(1, 2), 0]]).integral
-    assert not Matrix._trusted(((1, 2),)).integral and Matrix._trusted(((1, 2),)).is_integral()
+    assert Matrix._trusted(((1, 2),)).integral and not Matrix._trusted(((Fraction(1, 2),),)).integral
     # bool is an int subclass, not an entry type: it once passed through as
     # True and left a matrix equal to I but flagged non-integral.
     for given in ([[True, False], [False, True]], [[1, 0], [0, True]]):
@@ -353,10 +355,38 @@ def test_flag_outside_equality_and_hash():
     for m in operands(seeded(1905)):
         rows = m.data
         plain, built = Matrix._trusted(rows), Matrix(rows)
-        assert not plain.integral and built.integral == all_int(rows)
+        assert plain.integral == built.integral == all_int(rows)
         assert plain == built and hash(plain) == hash(built)
         for x in (m, plain, built):
             assert hash(x) == hash((x.rows, x.cols, x.data))
+
+
+def test_one_matrix_built_four_ways():
+    # M = N / d is stored as its unique (num, lam): built from Fraction
+    # entries, from the int entries N over d (also as "x/d" text), as the
+    # product N (I / d), and through pickle and copy, it is one value, hashes
+    # alike, reads the same data and has the exact flag; num / lam is in
+    # lowest terms, lam >= 1.
+    rng = seeded(3602)
+    integral = 0
+    for trial in range(400):
+        rows, cols = rng.int_in(1, 5), rng.int_in(1, 5)
+        d = rng.int_in(1, 6) * (-1 if trial % 7 == 0 else 1)
+        k = d if trial % 5 == 0 else 1   # now and then every entry a multiple of d
+        ints = tuple(tuple(k * rng.int_in(-9, 9) for _ in range(cols)) for _ in range(rows))
+        built = [Matrix([[Fraction(x, d) for x in row] for row in ints]),
+                 Matrix._of(ints, d),
+                 parse_matrix({"entries": [[f"{x}/{d}" for x in row] for row in ints]}),
+                 Matrix(ints) * Matrix.diagonal([Fraction(1, d)] * cols)]
+        built += [f(m) for m in built[:2] for f in (copy.copy, copy.deepcopy,
+                                                   lambda m: pickle.loads(pickle.dumps(m)))]
+        want = tuple(tuple(norm(Fraction(x, d)) for x in row) for row in ints)
+        for m in built:
+            assert m == built[0] and hash(m) == hash(built[0]), (ints, d)
+            assert typed(m.data) == typed(want) and m.integral is all_int(want)
+            assert m.lam >= 1 and gcd(m.lam, *[x for row in m.num for x in row]) == 1
+        integral += built[0].integral
+    assert 50 <= integral <= 350
 
 
 def test_flag_survives_copy_and_pickle():
