@@ -13,8 +13,8 @@ from functools import partial
 from math import gcd, prod
 from operator import mul
 
-from .matrix import (Matrix, PreconditionError, Record, ShapeError, _int_apply, _int_mul,
-                     _scaled, vec_add, vec_is_integral, vec_norm)
+from .matrix import (Matrix, PreconditionError, Record, ShapeError, _int_mul, _scaled, vec_add,
+                     vec_norm)
 
 
 class AffineElement(Record):
@@ -178,18 +178,12 @@ def conj_class_ball(x, gens, radius):
     if x.linear == Matrix.identity(n):
         letters = [(*h.linear.data[0], *h.linear.data[1]) if n == 2 else h.linear.apply
                    for h in alphabet]
-        (start,) = _dilated([x.translation])
+        (start,) = _scaled([x.translation])[0]
         return _orbit_ball(start, letters, radius)
-    start, *shifts = _dilated([x.translation, *[h.translation for h in alphabet]])
+    start, *shifts = _scaled([x.translation, *[h.translation for h in alphabet]])[0]
     raw = [(a, h.linear.data) for a, h in zip(shifts, alphabet)]
     letters = [partial(_conjugate, raw[i], raw[i ^ 1]) for i in range(len(raw))]
     return _orbit_ball((start, x.linear.data), letters, radius)
-
-
-def _dilated(shifts):
-    """The translations `shifts` times lam, the lcm of their denominators, as
-    int tuples: `shifts` itself when every entry is an int."""
-    return _scaled(shifts)[0]
 
 
 def _conjugate(g, g_inv, c):
@@ -278,8 +272,8 @@ def invariant_lattice(gens, seeds):
     closure: then the closure is not finitely generated (diag(2, 1) on the
     seed e1 gives Z[1/2] e1), and otherwise the loop ends.
 
-    An integral matrix maps an int row by `matrix._int_apply` on its rows;
-    `Matrix.apply` takes the rest.  The span V of the basis L is checked
+    Each row is mapped by `Matrix.apply`, which takes `matrix._int_apply` on
+    an integral matrix and an int row.  The span V of the basis L is checked
     once, in the first round that leaves the rank unchanged, when V is
     invariant.  An integral g has an integral inverse exactly when
     |det g| = 1, and then g and g^-1 keep both Z^n and V, so g permutes the
@@ -298,14 +292,12 @@ def invariant_lattice(gens, seeds):
         if (g.rows, g.cols) != (n, n) or not g.integral:
             raise PreconditionError("generators must be square integer matrices of one size")
     mats = [h for g in gens for h in (g, g.inverse())]
-    # (map, fallback): the int kernel answers None on a row with a Fraction.
-    steps = [(partial(_int_apply, h.num) if h.integral else h.apply, h.apply) for h in mats]
     # |det g| = 1 for every generator: the span check cannot fail.
     span_checked = all(h.integral for h in mats)
     basis = lattice.hnf(seeds, dim=n)
     while True:
         rows = basis.rows
-        images = [step(row) or apply(row) for step, apply in steps for row in rows]
+        images = [h.apply(row) for h in mats for row in rows]
         new_basis = lattice.hnf(list(rows) + images, dim=n)
         if new_basis.rank == basis.rank and not span_checked:
             volume = prod(basis.pivots())
@@ -337,9 +329,9 @@ def affine_automorphism(L, xi):
     """
     import exactgroups.sl2 as sl2
     sl2._require_unimodular(L)
-    if not vec_is_integral(xi):
-        raise PreconditionError("xi must be an integer vector")
     P = AffineElement(xi, L)
+    if any(type(x) is not int for x in P.translation):
+        raise PreconditionError("xi must be an integer vector")
     P_inv = P.inverse()
     raw, raw_inv = (P.translation, L.num), (P_inv.translation, P_inv.linear.num)
     n = L.rows

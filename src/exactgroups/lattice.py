@@ -10,6 +10,10 @@ Conventions:
   * An integer solve of a system of full column rank, whose solution is
     unique if it exists, takes one fraction-free pass (`matrix._bareiss`);
     kernels and every other system take the Hermite form of [M^T | I].
+  * SNF, kernels and both solves run on the int rows N = lam M of a
+    rational M (`Matrix.num`): scaling every entry by lam leaves each floor
+    and extended-gcd quotient as it was, so M gets N's U, V and kernel, its
+    D is N's over lam, and M x = b is solved as N x = lam b.
   * The zero lattice is an empty basis, never a zero row.
 """
 
@@ -179,7 +183,8 @@ def snf(M):
     1979), then each pair of diagonal entries (a, b) with a not dividing b
     becomes (gcd, lcm).  Every pass reduces entries modulo the pivots, so U
     and V stay polynomial in the size of M: at most 70 bits on seeded n x n
-    inputs with entries in [-9, 9] for n <= 10.
+    inputs with entries in [-9, 9] for n <= 10.  The passes run on the int
+    rows N = lam M, so a rational M has N's U and V and D = D_N / lam.
     """
     m, n = M.rows, M.cols
     # Each row of W is a row of A followed by the matching row of U, and
@@ -190,7 +195,7 @@ def snf(M):
     # column of U or V first, which costs almost nothing when the kernel
     # rows are near unit vectors, as for tall systems.
     unit = [0] * (m - 1) + [1] + [0] * m
-    W = [list(row) + unit[i:i + m] for i, row in enumerate(M.data)]
+    W = [list(row) + unit[i:i + m] for i, row in enumerate(M.num)]
     unit = [0] * (n - 1) + [1] + [0] * n
     Vt = [unit[j:j + n] for j in range(n)]
     # A pass leaves A in echelon form, so A is diagonal when no row has a
@@ -226,22 +231,19 @@ def snf(M):
     D = [[0] * n for _ in range(m)]
     for i, x in enumerate(d):
         D[i][i] = x
-    # A rational M can leave a Fraction of denominator 1 in D, which Matrix
-    # normalizes.  Row n-1-j of V is column j of the stored Vt.
-    return (Matrix._of(tuple(map(tuple, U))),
-            Matrix._of(tuple(map(tuple, D))) if all(type(x) is int for x in d)
-            else Matrix(D),
+    # Row n-1-j of V is column j of the stored Vt.
+    return (Matrix._of(tuple(map(tuple, U))), Matrix._of(tuple(map(tuple, D)), M.lam),
             Matrix._of(tuple(zip(*Vt))[::-1]))
 
 
 def _hermite_transform(M):
-    """Rows (h, t) of the Hermite form of [M^T | I], h = M t (Cohen, GTM 138,
-    2.4): first those with h != 0, whose h are the Hermite form of the columns
-    of M, then those with h = 0, whose t are the HNF of the integer kernel of
-    M (see _echelon)."""
+    """Rows (h, t) of the Hermite form of [N^T | I] for the int rows N = lam M,
+    h = N t (Cohen, GTM 138, 2.4): first those with h != 0, whose h are the
+    Hermite form of the columns of N, then those with h = 0, whose t are the
+    HNF of the integer kernel of N and of M (see _echelon)."""
     m, n = M.rows, M.cols
     W = [list(col) + [0] * j + [1] + [0] * (n - 1 - j)
-         for j, col in enumerate(zip(*M.data))]
+         for j, col in enumerate(zip(*M.num))]
     _echelon(W)
     return [(w[:m], w[m:]) for w in W]
 
@@ -256,9 +258,9 @@ def solve_integer(M, b):
     on its first n rows and into [0 | +-q (b_i - M_i x)] on the others, so x
     is the answer when q divides every entry of q x and the others are 0;
     otherwise there is none.  A wide M, or one with a column without a
-    pivot, takes the Hermite form instead: b is written over the Hermite
-    basis h = M t of the column lattice, and x is the same combination of
-    the t.  Absence is a value, not an error.
+    pivot, takes the Hermite form instead: with lam M = M.num, lam b is
+    written over the Hermite basis h = lam M t of its columns, and x is the
+    same combination of the t.  Absence is a value, not an error.
     """
     m, n = M.rows, M.cols
     if len(b) != m:
@@ -277,7 +279,7 @@ def solve_integer(M, b):
             x = [divmod(row[0], q) for row in rows[:n]]
             return None if any(rem for _, rem in x) else tuple(v for v, _ in x)
     image = [(h, t) for h, t in _hermite_transform(M) if any(h)]
-    y = _combination([h for h, _ in image], b)
+    y = _combination([h for h, _ in image], [M.lam * x for x in b])
     if y is None:
         return None
     return tuple(sum(c * t[j] for c, (_, t) in zip(y, image)) for j in range(M.cols))

@@ -6,7 +6,9 @@ and set members (the finite-closure check of `affine` keeps them in a set).
 
 A matrix M is stored as `num`, the int rows of lam M, over `lam` >= 1 with
 gcd(lam, every entry of num) = 1, a unique pair: equality reads it, and
-`integral` is exactly lam == 1.  The entries, `data`, are `num` when lam = 1,
+`integral` is exactly lam == 1.  Rational rows become the pair by
+`_over_lcm`, the one lcm scaling, which `serialize` also applies to the
+pairs it reads from "p/q" text.  The entries, `data`, are `num` when lam = 1,
 else made on first read and kept; hashing reads them.  Every operation runs
 on int rows, by small kernels (2x2 and 3x3 written out) or, for det and
 inverse past 3x3, the one fraction-free elimination `_bareiss` (right-hand
@@ -127,14 +129,6 @@ class Matrix(Record):
         _check_shape(rows)
         num, lam = _scaled(rows)
         Record.__init__(self, len(rows), len(rows[0]), num, lam, lam == 1, rows)
-
-    @classmethod
-    def _trusted(cls, rows, integral=False):
-        """Matrix of data `rows`, normalized entries in a non-empty rectangular
-        tuple of tuples; `integral` True vouches that all are ints."""
-        m = cls._of(*((rows, 1) if integral else _scaled(rows)))
-        _set_data(m, rows)
-        return m
 
     @classmethod
     def _of(cls, num, lam=1):
@@ -286,9 +280,6 @@ class Matrix(Record):
             adj = tuple([tuple([lam * x for x in r]) for r in adj])
         return Matrix._of(adj, det)
 
-    def is_integral(self):
-        return self.integral
-
     def is_upper_triangular(self):
         return all(self.num[i][j] == 0
                    for i in range(self.rows) for j in range(min(i, self.cols)))
@@ -409,11 +400,24 @@ def _bareiss(m, n):
 
 
 def _scaled(d):
-    """(int rows of lam M, lam) for the rows d of M, lam the lcm of its denominators."""
+    """(int rows of lam M, lam) for the rows d of M, ints and Fractions, lam
+    the lcm of the denominators: d itself, lam = 1, when all are ints."""
     if all(type(x) is int for row in d for x in row):
         return d, 1
-    lam = lcm(*[x.denominator for row in d for x in row])
-    return tuple([tuple([x.numerator * (lam // x.denominator) for x in row]) for row in d]), lam
+    return _over_lcm([[x if type(x) is int else x.as_integer_ratio() for x in row] for row in d])
+
+
+def _over_lcm(rows):
+    """(int rows of lam M, lam) for the rows of M given as ints and pairs
+    (p, q) standing for p / q, q != 0 (the form of `serialize._ratio`), lam
+    the lcm of the q: the one scaling of rational rows to ints.  Rows with
+    no pair come back as they are, over 1."""
+    q = [x[1] for row in rows for x in row if type(x) is tuple]
+    if not q:
+        return tuple(rows), 1
+    lam = lcm(*q)
+    return tuple([tuple([x[0] * (lam // x[1]) if type(x) is tuple else x * lam for x in row])
+                  for row in rows]), lam
 
 
 def _over(row, d):
@@ -453,10 +457,6 @@ def vec_add(u, v):
 
 def vec_sub(u, v):
     return _normed(tuple(map(sub, u, v)))
-
-
-def vec_is_integral(u):
-    return all(isinstance(x, int) or x.denominator == 1 for x in u)
 
 
 def vec_norm(u):

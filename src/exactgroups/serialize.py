@@ -15,19 +15,21 @@ Each kind of value has one reader: `parse_int` an integer field, `_ratio`
 an entry (an int, or "p/q" as the pair (p, q)), `parse_scalar` an entry as
 an int or a Fraction.  `parse_matrix` reads entries in row-major order (the
 first refused one names the error), refuses the shapes Matrix() refuses and
-keeps int rows over the lcm of the denominators, as `matrix_to_json` writes
-them: neither makes a Fraction.  A JSON string or object where the entries or
-a row belong is refused, as it would iterate as its characters or keys.  A
-declared "rows" or "cols" must be a JSON integer equal to the shape.
+keeps int rows over the lcm of the denominators, scaled by the routine that
+Matrix() scales its entries by (`matrix._over_lcm`), as `matrix_to_json`
+writes them: neither makes a Fraction.  A JSON string or object where the
+entries or a row belong is refused, as it would iterate as its characters
+or keys.  A declared "rows" or "cols" must be a JSON integer equal to the
+shape.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .matrix import Matrix, PreconditionError, _check_shape
+from .matrix import Matrix, PreconditionError, _check_shape, _over_lcm
 
 
 class InputError(Exception):
@@ -52,14 +54,16 @@ def scalar_to_str(x, d=1):
 
 def parse_int(x):
     """An integer field: a non-bool JSON integer, or an optional "-" followed
-    by ASCII digits.  Anything else raises InputError."""
+    by ASCII digits.  Anything else raises InputError, worded here, not by
+    the interpreter, so that it reads the same under every Python."""
     if type(x) is int:   # not bool, which is an int subclass
         return x
     if isinstance(x, str) and (x.isdigit() or x.removeprefix("-").isdigit()) and x.isascii():
         try:
             return int(x)
-        except ValueError as exc:   # past the int/str digit limit
-            raise InputError(f"bad integer: {exc}") from exc
+        except ValueError:   # past the int/str digit limit
+            raise InputError(f"bad integer: more than {sys.get_int_max_str_digits()} "
+                             f"decimal digits") from None
     raise InputError(f"bad integer {x!r}: expected a JSON integer or a decimal string")
 
 
@@ -102,11 +106,7 @@ def parse_matrix(doc):
     try:
         rows = [tuple(map(_ratio, _array(row))) for row in _array(doc["entries"])]
         _check_shape(rows)
-        lam = lcm(*[x[1] for x in sum(rows, ()) if type(x) is tuple])
-        if lam != 1:   # a "p/q" entry: all as int rows over lam
-            rows = [tuple([x[0] * (lam // x[1]) if type(x) is tuple else x * lam for x in row])
-                    for row in rows]
-        m = Matrix._of(tuple(rows), lam)
+        m = Matrix._of(*_over_lcm(rows))
     except Exception as exc:
         raise InputError(f"bad matrix entries: {exc}") from exc
     n_rows, n_cols = doc.get("rows", m.rows), doc.get("cols", m.cols)

@@ -74,7 +74,7 @@ def random_unimodular(rng, n, length=8):
     if rng.below(2):
         for row in m:
             row[0] = -row[0]
-    return Matrix._trusted(tuple(map(tuple, m)), True)
+    return Matrix._of(tuple(map(tuple, m)))
 
 
 def rational_rank(rows):

@@ -312,7 +312,7 @@ def _case4_grid():
                 conj = B * X * B.inverse()
                 assert conj[0, 2] == 0
                 assert conj[0, 1] != 0 and conj[1, 2] != 0
-                assert X.is_integral()
+                assert X.integral
 
 
 # -- 6. ICC ----------------------------------------------------------------
@@ -401,7 +401,7 @@ def test_criterion_9_kernel():
         M = Matrix([[rng.int_in(-20, 20) for _ in range(c)] for _ in range(r)])
         U, D, V = snf(M)
         assert abs(U.det()) == 1 and abs(V.det()) == 1
-        assert U.is_integral() and V.is_integral()
+        assert U.integral and V.integral
         assert U * M * V == D
         diag = [D[i, i] for i in range(min(r, c))]
         assert all(d >= 0 for d in diag)

@@ -58,11 +58,11 @@ def _ref_product(p, q):
 
 def test_affine_product_fast_path_matches_generic_path():
     # Integral linear parts and int translations take the int kernel (written
-    # out for n = 2 and 3, generic for n = 1, 4 and 5); the same matrices
-    # without the flag, rational linear parts and any Fraction translation
-    # take the generic path.  Products and the twist automorphism must match
-    # a Fraction reference in value and entry type, and a True flag must be
-    # true.
+    # out for n = 2 and 3, generic for n = 1, 4 and 5), also when the
+    # matrices are rebuilt from their entries; rational linear parts and any
+    # Fraction translation take the generic path.  Products and the twist
+    # automorphism must match a Fraction reference in value and entry type,
+    # and `integral` must mean that every entry is an int.
     rng = seeded(2022)
 
     def pick(options):
@@ -100,7 +100,7 @@ def test_affine_product_fast_path_matches_generic_path():
             phi = affine_automorphism(L, xi)
             L_inv = Matrix([[Fraction(v) for v in row] for row in L.data]).inverse()
             P, P_inv = (xi, L.data), (vec_norm([-v for v in L_inv.apply(xi)]), L_inv.data)
-            for gg, hh in ((g, h), (Matrix._trusted(g.data), Matrix._trusted(h.data))):
+            for gg, hh in ((g, h), (Matrix(g.data), Matrix(h.data))):
                 x, y = AffineElement(a, gg), AffineElement(b, hh)
                 got = x * y
                 check(got, _ref_product((x.translation, gg.data), (y.translation, hh.data)))
@@ -457,7 +457,7 @@ def test_automorphism_equals_conjugation_by_products():
                                     for _ in range(n)] for _ in range(n)])
                 for el in (AffineElement(a, s),
                            AffineElement(tuple(Fraction(x, 2) for x in a), s),
-                           AffineElement(a, Matrix._trusted(s.data)),
+                           AffineElement(a, Matrix(s.data)),
                            AffineElement(a, rational)):
                     got, want = phi(el), P * el * P_inv
                     assert got == want
@@ -513,7 +513,7 @@ def _invariant_lattice_reference(gens, seeds):
         raise PreconditionError("at least one generator required")
     n = gens[0].rows
     for g in gens:
-        if (g.rows, g.cols) != (n, n) or not g.is_integral():
+        if (g.rows, g.cols) != (n, n) or not g.integral:
             raise PreconditionError("generators must be square integer matrices of one size")
     mats = [h for g in gens for h in (g, g.inverse())]
     basis = hnf([tuple(s) for s in seeds], dim=n)
@@ -668,6 +668,18 @@ def test_affine_automorphism_rejects_rational_xi():
     # phi would send (0, [[1, 0], [1, 1]]) to the translation (-1/2, -1/2).
     with pytest.raises(PreconditionError, match="xi must be an integer vector"):
         affine_automorphism(Matrix([[1, 1], [0, 1]]), (Fraction(1, 2), 0))
+
+
+def test_affine_automorphism_refuses_xi_entries_of_other_types():
+    # A float or str entry is not a number of the package: refused with the
+    # TypeError of every other constructor, not an AttributeError from
+    # reading its denominator.  Fraction(2, 1) is the int 2.
+    L = Matrix([[1, 1], [0, 1]])
+    for xi in ((1.0, 0), (0, "1"), "10"):
+        with pytest.raises(TypeError, match="^matrix entries must be int or Fraction"):
+            affine_automorphism(L, xi)
+    phi = affine_automorphism(L, (Fraction(2, 1), 0))
+    assert phi(AffineElement.identity(2)) == AffineElement.identity(2)
 
 
 # -- classification reports ------------------------------------------------

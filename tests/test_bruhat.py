@@ -288,7 +288,7 @@ def test_case4_witness():
             for c in (0, 1, Fraction(5, 7)):
                 B = Matrix([[1, b, c], [0, 1, e], [0, 0, 1]])
                 X = case4_witness(b, e, c)
-                assert X.is_integral()
+                assert X.integral
                 conj = B * X * B.inverse()
                 assert conj[0, 2] == 0
                 assert conj[0, 1] != 0 and conj[1, 2] != 0

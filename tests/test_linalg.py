@@ -15,7 +15,7 @@ from exactgroups.lattice import (LatticeBasis, _echelon, _extgcd, content, fixed
                                  hnf, kernel_basis, snf, solve_integer)
 from exactgroups.cocycle import B_GEN, finf_extend, finf_generator
 from exactgroups.matrix import Matrix, PreconditionError, ShapeError, vec_sub
-from tests.conftest import random_unimodular, rational_rank, seeded
+from tests.conftest import forbidden, random_unimodular, rational_rank, seeded
 
 
 # -- Matrix basics ---------------------------------------------------------
@@ -375,7 +375,7 @@ def _check_snf(M):
 
 def _check_smith(M, U, D, V):
     assert abs(U.det()) == 1 and abs(V.det()) == 1
-    assert U.is_integral() and V.is_integral()
+    assert U.integral and V.integral
     assert U * M * V == D
     k = min(M.rows, M.cols)
     diag = [D[i, i] for i in range(k)]
@@ -677,6 +677,51 @@ def test_solve_and_kernel_rational_matrix():
     assert all(type(v) is int for v in x) and M.apply(x) == (Fraction(1, 6),)
     assert solve_integer(M, (Fraction(1, 12),)) is None
     assert kernel_basis(M).rows == ((2, -3),)
+
+
+def test_rational_matrix_runs_on_its_int_rows(monkeypatch):
+    # A rational M = N / lam (N = M.num) has the U and V of snf(N), and D_N /
+    # lam for D; the kernel of N; and the solutions of N x = lam b, for tall,
+    # square and wide M, of full column rank or not.  No Fraction is made
+    # while lattice runs: M's entries were read before, and every answer
+    # after.
+    rng = seeded(3701)
+    cases = []
+    while len(cases) < 200:
+        rows, cols = rng.int_in(1, 5), rng.int_in(1, 5)
+        entries = [[Fraction(rng.int_in(-9, 9), rng.int_in(1, 6)) for _ in range(cols)]
+                   for _ in range(rows)]
+        if cols > 1 and rng.below(4) == 0:   # a column repeated: no full column rank
+            for row in entries:
+                row[-1] = 2 * row[0]
+        M = Matrix(entries)
+        if M.integral:
+            continue
+        N = Matrix(M.num)
+        x0 = [rng.int_in(-5, 5) for _ in range(cols)]
+        bs = [N.apply(x0), tuple(rng.int_in(-9, 9) for _ in range(rows))]
+        cases.append((M, N, bs))
+    assert {"tall", "square", "wide"} == {
+        "tall" if M.rows > M.cols else "wide" if M.rows < M.cols else "square"
+        for M, _, _ in cases}
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", forbidden("Fraction.__new__"))
+        got = [(snf(M), kernel_basis(M), [solve_integer(M, b) for b in bs])
+               for M, _, bs in cases]
+    solved = 0
+    for (M, N, bs), ((U, D, V), kernel, xs) in zip(cases, got):
+        U_N, D_N, V_N = snf(N)
+        assert (U, V) == (U_N, V_N) and U * M * V == D, M
+        want = Matrix([[Fraction(x, M.lam) for x in row] for row in D_N.num])
+        assert D == want and ([(type(x), x) for row in D.data for x in row]
+                              == [(type(x), x) for row in want.data for x in row])
+        assert kernel == kernel_basis(N)
+        for b, x in zip(bs, xs):
+            assert x == solve_integer(N, [M.lam * v for v in b]), (M, b)
+            if x is not None:
+                assert M.apply(x) == b
+                solved += 1
+    assert solved >= len(cases)
 
 
 def _differential_cases():

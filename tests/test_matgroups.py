@@ -347,5 +347,5 @@ def test_subgroup_generators_are_members():
 def test_generators_dict_consistent():
     for name, m in GENERATORS.items():
         assert m.det() == 1
-        assert m.is_integral()
+        assert m.integral
     assert GENERATORS["s"] == S_ALT and GENERATORS["t"] == T_ALT

@@ -7,7 +7,7 @@ promises the flag (the constructor, `identity`, negation, a product, sum or
 difference of two integral matrices, an integral matrix times an int, the
 transpose of an integral matrix, the inverse of an integral matrix of
 determinant +-1, the U and V of `snf`, and its D for an integral input), it
-must be exact; everywhere a True flag must be true.
+must be exact; everywhere `integral` must mean that every entry is an int.
 """
 
 import copy
@@ -83,20 +83,20 @@ def all_int(rows):
 
 
 def sound(m):
-    """A True flag is never wrong."""
+    """`integral` holds only when every entry is an int."""
     return not m.integral or all_int(m.data)
 
 
 def operands(rng):
     """Matrices of every shape and kind, each built by Matrix() and, with
-    int entries, also by _trusted without the flag."""
+    int entries, also by Matrix._of on its int rows."""
     for rows, cols in SHAPES:
         for kind in KINDS:
             for _ in range(3):
                 m = Matrix(raw(rng, rows, cols, kind))
                 yield m
                 if all_int(m.data):
-                    yield Matrix._trusted(m.data)
+                    yield Matrix._of(m.data)
 
 
 def test_constructor_flag_exact():
@@ -106,12 +106,12 @@ def test_constructor_flag_exact():
             given = raw(rng, rows, cols, kind)
             m = Matrix(given)
             assert typed(m.data) == typed(tuple(tuple(norm(x) for x in r) for r in given))
-            assert m.integral is all_int(m.data) is m.is_integral()
+            assert m.integral is all_int(m.data) is (m.lam == 1)
     for n in range(1, 6):
         assert Matrix.identity(n).integral
     assert Matrix([[Fraction(4, 2), 0]]).integral
     assert not Matrix([[Fraction(1, 2), 0]]).integral
-    assert Matrix._trusted(((1, 2),)).integral and not Matrix._trusted(((Fraction(1, 2),),)).integral
+    assert Matrix._of(((1, 2),)).integral and not Matrix._of(((1,),), 2).integral
     # bool is an int subclass, not an entry type: it once passed through as
     # True and left a matrix equal to I but flagged non-integral.
     for given in ([[True, False], [False, True]], [[1, 0], [0, True]]):
@@ -172,8 +172,8 @@ def test_apply_refuses_bool_entries():
 def test_rational_products_and_applies_against_fraction_reference():
     # A product or apply with a non-integral operand, n = 1..5 and
     # non-square, entries int, Fraction(k, 1) and k/q (q up to 7) mixed in
-    # one matrix: value, hash and entry types match the reference, and a
-    # True flag is never wrong.  m m^-1 and m^-1 m cancel every
+    # one matrix: value, hash and entry types match the reference, and
+    # `integral` is sound.  m m^-1 and m^-1 m cancel every
     # denominator, so their int entries must come back as ints.
     rng = seeded(2728)
 
@@ -199,7 +199,7 @@ def test_rational_products_and_applies_against_fraction_reference():
             a, b = matrix(r, k, trial % 2 == 0), matrix(k, c, trial % 3 == 0)
             ints = Matrix([[rng.int_in(-5, 5) for _ in range(c)] for _ in range(k)])
             for p, q in ((a, b), (a, ints), (ints.transpose(), b), (a.transpose(), a),
-                         (a, Matrix._trusted(ints.data)), (Matrix._trusted(ints.data), b)):
+                         (a, Matrix._of(ints.data)), (Matrix._of(ints.data), b)):
                 if p.cols == q.rows:
                     check(p * q, p, q)
             if r == k:
@@ -251,7 +251,7 @@ def test_neg_inverse_and_pow_against_fraction_reference():
     rng = seeded(1903)
     square = [m for m in operands(rng) if m.rows == m.cols]
     square += [random_unimodular(rng, n) for n in range(2, 6) for _ in range(5)]
-    square += [Matrix._trusted(m.data) for m in square[-20:]]
+    square += [Matrix._of(m.data) for m in square[-20:]]
     unimodular = 0
     for m in square:
         neg = -m
@@ -354,7 +354,7 @@ def test_snf_diagonal_flagged_for_integer_input():
 def test_flag_outside_equality_and_hash():
     for m in operands(seeded(1905)):
         rows = m.data
-        plain, built = Matrix._trusted(rows), Matrix(rows)
+        plain, built = Matrix._of(m.num, m.lam), Matrix(rows)
         assert plain.integral == built.integral == all_int(rows)
         assert plain == built and hash(plain) == hash(built)
         for x in (m, plain, built):
@@ -390,7 +390,7 @@ def test_one_matrix_built_four_ways():
 
 
 def test_flag_survives_copy_and_pickle():
-    for m in (Matrix([[1, 2], [3, 4]]), Matrix._trusted(((1, 2), (3, 4))),
+    for m in (Matrix([[1, 2], [3, 4]]), Matrix._of(((1, 2), (3, 4))),
               Matrix([[Fraction(1, 2), 3]])):
         for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
             assert clone == m and clone.integral is m.integral
