@@ -14,18 +14,20 @@ table, so help texts, usage messages and their exit codes are argparse's;
 that parser too refuses a flag given twice, with a usage error (exit 2).
 argparse is imported and the parser built only then, once per process, and
 help is formatted at a fixed width, not the terminal's.  run() reads the
-document only for commands that take one, refuses any document but a JSON
-object with one line of its own (not the interpreter's wording of an
-exception), and calls the handler as a pure function handler(doc, opts) ->
-dict, where opts maps each flag to its value.  Integer flags follow the
-integer rule of the input documents (serialize.parse_int).
+document only for commands that take one, refuses any but a JSON object,
+and calls the handler as a pure function handler(doc, opts) -> dict, where
+opts maps each flag to its value.  Handlers read each field through a
+serialize reader (object, array, vector, matrix, int, scalar, word, cocycle
+spec), which refuses a malformed field in the program's words, naming its
+shape.  Integer flags follow the integer rule of the input documents
+(serialize.parse_int).
 
 A valid request does only the work its answer needs: the table parse reads
-a per-command flag table (_FLAGS) built once from COMMANDS, documents are
-read in one pass by serialize's readers, the answer goes out through one
-module-level JSON encoder, and the sampling commands multiply raw int rows
-(matrix._walk, for affine aut-check and fact-check --fact 1|2) with the
-same SplitMix64 draws as before.
+a per-command flag table (_FLAGS) built once from COMMANDS, documents go
+in through one module-level JSON decoder and serialize's one-pass readers,
+the answer goes out through one module-level encoder, and the sampling
+commands multiply raw int rows (matrix._walk, for affine aut-check and
+fact-check --fact 1|2) with the same SplitMix64 draws as before.
 What a request still pays for besides its command is the JSON decode of its
 document, and for help and malformed argv the argparse parser.
 
@@ -37,8 +39,8 @@ finds a loaded module in C; a relative `from . import bruhat` runs importlib's
 Python `_handle_fromlist` on every call, ~1.5 us or 3% of a typical in-process
 call.
 
-Exit codes: 0 success (boolean-false predicate results are data, not
-errors); 2 malformed input; 3 precondition violation or internal error.
+Exit codes: 0 success (a false predicate result is data, not an error); 2
+malformed input; 3 precondition violation, or a defect (`error: internal`).
 """
 
 from __future__ import annotations
@@ -50,14 +52,15 @@ import sys
 
 from . import __version__
 from .matrix import ExactError, Matrix, PreconditionError, _letters, _walk
-from .serialize import (InputError, matrix_to_json, parse_cocycle_spec,
-                        parse_index_word, parse_int, parse_matrix,
+from .serialize import (Doc, InputError, _array, matrix_to_json, parse_cocycle_spec,
+                        parse_index_word, parse_int, parse_matrix, parse_object,
                         parse_scalar, parse_vector, scalar_to_str,
                         vector_to_json, word_to_json)
 
-# json.dumps(doc, sort_keys=True, separators=(",", ":")) without building an
-# encoder on every call.
+# json.dumps(doc, sort_keys=True, separators=(",", ":")), and a document
+# decoder (objects as Doc, integers by parse_int), each built once.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_decode = json.JSONDecoder(object_hook=Doc, parse_int=parse_int).decode
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -84,11 +87,11 @@ def _read_doc(infile):
         raise InputError("this subcommand requires --in")
     try:
         if infile == "-":
-            doc = json.load(sys.stdin)
+            doc = _decode(sys.stdin.read())
         else:
             with open(infile, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+                doc = _decode(fh.read())
+    except (OSError, UnicodeError, RecursionError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read input document: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
@@ -107,6 +110,7 @@ def _int_flag(text):
 
 def _parse_affine(doc):
     import exactgroups.affine as affine
+    doc = parse_object(doc)
     return affine.AffineElement(parse_vector(doc["translation"]), parse_matrix(doc["matrix"]))
 
 
@@ -144,7 +148,7 @@ def _cmd_sl2_congruence(doc, opts):
 
 def _cmd_cocycle_solve_coboundary(doc, opts):
     import exactgroups.cocycle as cocycle
-    c_t = parse_vector(doc["c_t"])
+    c_t = parse_vector(doc["c_t"], 2)
     c_s, witness = cocycle.solve_full_coboundary(c_t)
     return {"c_s": vector_to_json(c_s),
             "xi": vector_to_json(witness.xi),
@@ -184,12 +188,8 @@ def _cmd_cocycle_central(doc, opts):
 def _cmd_cocycle_finf_extend(doc, opts):
     import exactgroups.cocycle as cocycle
     n = parse_int(doc["n"])
-    window = doc["window"]
-    # Not a string or an object, which would iterate as characters or keys.
-    if type(window) is not list or not all(type(t) is list for t in window):
-        raise InputError("window must be a JSON array of [k, x, y] arrays")
     values = {}
-    for k, x, y in window:
+    for k, x, y in (_array(t, 3) for t in _array(doc["window"])):
         if (k := parse_int(k)) in values:   # keeping either lets their order decide
             raise InputError(f"window index {k} is repeated")
         values[k] = (parse_scalar(x), parse_scalar(y))
@@ -206,7 +206,7 @@ def _cmd_affine_icc(doc, opts):
 def _cmd_affine_ball(doc, opts):
     import exactgroups.affine as affine
     x = _parse_affine(doc["element"])
-    gens = [_parse_affine(g) for g in doc["generators"]]
+    gens = [_parse_affine(g) for g in _array(doc["generators"])]
     if _reduced_words(len(gens), opts["radius"]) > BALL_WORD_CAP:
         raise PreconditionError(f"radius too large: more than {BALL_WORD_CAP} "
                                 f"reduced words over {len(gens)} generators")
@@ -226,8 +226,8 @@ def _reduced_words(k, radius):
 
 def _cmd_affine_lattice(doc, opts):
     import exactgroups.affine as affine
-    gens = [parse_matrix(m) for m in doc["generators"]]
-    seeds = [parse_vector(v) for v in doc["seeds"]]
+    gens = [parse_matrix(m) for m in _array(doc["generators"])]
+    seeds = [parse_vector(v) for v in _array(doc["seeds"])]
     basis, index = affine.invariant_lattice(gens, seeds)
     return {"basis": [vector_to_json(r) for r in basis.rows],
             "dim": basis.dim,
@@ -273,10 +273,11 @@ def _cmd_affine_classify(doc, opts):
     import exactgroups.lattice as lattice
     kind = doc.get("kind")
     if kind == "full_lattice":
-        basis = lattice.hnf([parse_vector(r) for r in doc["lattice"]["rows"]],
-                            dim=parse_int(doc["lattice"]["dim"]))
+        spec = parse_object(doc["lattice"])
+        basis = lattice.hnf([parse_vector(r) for r in _array(spec["rows"])],
+                            dim=parse_int(spec["dim"]))
         d = affine.FullLatticeSemidirect(
-            basis, tuple(parse_matrix(m) for m in doc["generators"]))
+            basis, tuple(parse_matrix(m) for m in _array(doc["generators"])))
     elif kind == "graph":
         d = affine.GraphSubgroup(parse_cocycle_spec(doc["spec"]))
     elif kind == "cyclic_linear":
@@ -355,7 +356,7 @@ def _cmd_bruhat_fact_check(doc, opts):
 
 def _cmd_lin_hnf(doc, opts):
     import exactgroups.lattice as lattice
-    rows = [parse_vector(r) for r in doc["rows"]]
+    rows = [parse_vector(r) for r in _array(doc["rows"])]
     basis = lattice.hnf(rows, dim=parse_int(doc["dim"]) if "dim" in doc else None)
     index = basis.index()
     return {"basis": [vector_to_json(r) for r in basis.rows],
@@ -515,9 +516,6 @@ def run(argv):
         result = handler(_read_doc(opts["infile"]) if reads_doc else None, opts)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed input ({exc})", file=sys.stderr)
         return EXIT_INPUT
     except ExactError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -260,13 +260,15 @@ def solve_integer(M, b):
     otherwise there is none.  A wide M, or one with a column without a
     pivot, takes the Hermite form instead: with lam M = M.num, lam b is
     written over the Hermite basis h = lam M t of its columns, and x is the
-    same combination of the t.  Absence is a value, not an error.
+    same combination of the t.  Absence is a value, not an error.  Both read b
+    as the ints c = mu b, mu the lcm of its denominators, so neither makes a
+    Fraction; lam b = lam c / mu is then integral, or there is no solution.
     """
     m, n = M.rows, M.cols
     if len(b) != m:
         raise ShapeError("right-hand side length mismatch")
+    (c,), mu = _scaled((b,))   # mu b on ints, b itself when all ints
     if m >= n:
-        (c,), mu = _scaled((b,))   # mu b on ints, b itself when all ints
         if M.integral and mu == 1:
             rows = [[*row, x] for row, x in zip(M.num, c)]
         else:   # lam mu [M | b], with M.num = lam M
@@ -278,8 +280,11 @@ def solve_integer(M, b):
                 return None
             x = [divmod(row[0], q) for row in rows[:n]]
             return None if any(rem for _, rem in x) else tuple(v for v, _ in x)
+    lam_b = [divmod(M.lam * x, mu) for x in c]
+    if any(rem for _, rem in lam_b):   # h = lam M t is integral
+        return None
     image = [(h, t) for h, t in _hermite_transform(M) if any(h)]
-    y = _combination([h for h, _ in image], [M.lam * x for x in b])
+    y = _combination([h for h, _ in image], [v for v, _ in lam_b])
     if y is None:
         return None
     return tuple(sum(c * t[j] for c, (_, t) in zip(y, image)) for j in range(M.cols))

@@ -11,16 +11,16 @@ a "p/q" string of two such integers.  Every other JSON value -- a float,
 true/false, null, an array, an object, or a string with spaces, underscores
 or a "+" sign -- is refused with InputError rather than coerced.
 
-Each kind of value has one reader: `parse_int` an integer field, `_ratio`
-an entry (an int, or "p/q" as the pair (p, q)), `parse_scalar` an entry as
-an int or a Fraction.  `parse_matrix` reads entries in row-major order (the
-first refused one names the error), refuses the shapes Matrix() refuses and
-keeps int rows over the lcm of the denominators, scaled by the routine that
-Matrix() scales its entries by (`matrix._over_lcm`), as `matrix_to_json`
-writes them: neither makes a Fraction.  A JSON string or object where the
-entries or a row belong is refused, as it would iterate as its characters
-or keys.  A declared "rows" or "cols" must be a JSON integer equal to the
-shape.
+Each shape has one reader, which refuses any other value with an InputError
+in its own words: `parse_object`, `_array` (of n items), `parse_vector` (n
+scalars), `parse_matrix`, `parse_int`, `parse_scalar` (an int or a Fraction;
+`_ratio` gives "p/q" as the pair (p, q)), `parse_index_word` (a word) and
+`parse_cocycle_spec`.  Objects are decoded as `Doc`, which refuses a missing
+field as `malformed input ('field')`.  `parse_matrix` reads entries in
+row-major order (the first refused one names the error), refuses the shapes
+Matrix() refuses and keeps int rows over the lcm of the denominators
+(`matrix._over_lcm`), as `matrix_to_json` writes them: neither makes a
+Fraction.  A declared "rows" or "cols" must be a JSON integer equal to it.
 """
 
 from __future__ import annotations
@@ -29,11 +29,18 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from .matrix import Matrix, PreconditionError, _check_shape, _over_lcm
+from .matrix import Matrix, PreconditionError, ShapeError, _check_shape, _over_lcm
 
 
 class InputError(Exception):
     """Malformed input document."""
+
+
+class Doc(dict):
+    """A JSON object of an input document: a field it lacks is refused."""
+
+    def __missing__(self, key):
+        raise InputError(f"malformed input ({key!r})")
 
 
 def scalar_to_str(x, d=1):
@@ -88,10 +95,10 @@ def vector_to_json(v):
     return [scalar_to_str(x) for x in v]
 
 
-def parse_vector(doc):
+def parse_vector(doc, n=None):
     if not isinstance(doc, list):
         raise InputError("vector must be a JSON array")
-    return tuple(map(parse_scalar, doc))
+    return tuple(map(parse_scalar, _array(doc, n)))
 
 
 def matrix_to_json(m):
@@ -107,7 +114,7 @@ def parse_matrix(doc):
         rows = [tuple(map(_ratio, _array(row))) for row in _array(doc["entries"])]
         _check_shape(rows)
         m = Matrix._of(*_over_lcm(rows))
-    except Exception as exc:
+    except (InputError, ShapeError) as exc:
         raise InputError(f"bad matrix entries: {exc}") from exc
     n_rows, n_cols = doc.get("rows", m.rows), doc.get("cols", m.cols)
     if type(n_rows) is not int or type(n_cols) is not int or (n_rows, n_cols) != (m.rows, m.cols):
@@ -115,12 +122,24 @@ def parse_matrix(doc):
     return m
 
 
-def _array(x):
-    """x, refused when it is a JSON string or object: those iterate as their
-    characters or keys, so ["12", "34"] would read as [[1, 2], [3, 4]]."""
-    if isinstance(x, (str, dict)):
-        kind = "string" if isinstance(x, str) else "object"
-        raise InputError(f"expected a JSON array, got a JSON {kind}")
+_KIND = {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string",
+         list: "array", dict: "object", Doc: "object"}
+
+
+def _refuse(shape, x):
+    raise InputError(f"expected a JSON {shape}, got a JSON {_KIND.get(type(x), type(x).__name__)}")
+
+
+def parse_object(x):
+    return x if isinstance(x, dict) else _refuse("object", x)
+
+
+def _array(x, n=None):
+    """x, a JSON array (of n items, when n is given), never a string or object."""
+    if type(x) is not list:
+        _refuse("array", x)
+    if n is not None and len(x) != n:
+        raise InputError(f"expected a JSON array of {n} items, got {len(x)}")
     return x
 
 
@@ -131,25 +150,13 @@ def word_to_json(word):
 
 def parse_index_word(doc):
     """Word over generator indices: [{"gen": i, "exp": e}, ...]."""
-    if not isinstance(doc, list):
-        raise InputError("word must be a JSON array")
-    out = []
-    for tok in doc:
-        try:
-            out.append((parse_int(tok["gen"]), parse_int(tok["exp"])))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad word token {tok!r}") from exc
-    return tuple(out)
+    return tuple((parse_int(tok["gen"]), parse_int(tok["exp"]))
+                 for tok in map(parse_object, _array(doc)))
 
 
 def parse_cocycle_spec(doc):
     import exactgroups.cocycle as cocycle   # here: it loads sl2
-    if not isinstance(doc, dict):
-        raise InputError("cocycle spec must be a JSON object")
-    try:
-        gens = tuple(parse_matrix(m) for m in doc["generators"])
-        values = tuple(parse_vector(v) for v in doc["values"])
-    except KeyError as exc:
-        raise InputError(f"cocycle spec missing key {exc}") from exc
-    relators = tuple(parse_index_word(w) for w in doc.get("relators", []))
-    return cocycle.CocycleSpec(generators=gens, values=values, relators=relators)
+    doc = parse_object(doc)
+    return cocycle.CocycleSpec(tuple(map(parse_matrix, _array(doc["generators"]))),
+                               tuple(map(parse_vector, _array(doc["values"]))),
+                               tuple(map(parse_index_word, _array(doc.get("relators", [])))))

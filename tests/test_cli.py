@@ -7,6 +7,7 @@ checked.
 
 import io
 import json
+import sys
 import time
 from contextlib import redirect_stdout, redirect_stderr
 from importlib import resources
@@ -635,9 +636,9 @@ def test_strings_and_objects_are_not_read_as_arrays(tmp_path):
         code, out, err = run_cli(tmp_path, argv, doc)
         assert (code, out) == (2, ""), (argv, doc, out)
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, doc, err)
-    # An entries value that does not iterate keeps its message.
+    # An entries value that is not an array is refused in the reader's words.
     assert run_cli(tmp_path, ["lin", "snf"], {"entries": 5})[2] == (
-        "error: bad matrix entries: 'int' object is not iterable\n")
+        "error: bad matrix entries: expected a JSON array, got a JSON number\n")
 
 
 def test_affine_classify_non_object_document(tmp_path):
@@ -1105,3 +1106,66 @@ def test_internal_error_is_one_line_exit_3(tmp_path, monkeypatch):
     code, out, err = run_cli(tmp_path, ["lin", "hnf"], {"rows": [["1"]]})
     assert (code, out) == (3, "")
     assert err == "error: internal ZeroDivisionError: integer division or modulo by zero\n"
+
+
+@pytest.mark.parametrize("exc", [KeyError("rows"), TypeError("x"), ValueError("y")])
+def test_library_key_type_and_value_errors_are_internal(tmp_path, monkeypatch, exc):
+    # A KeyError, TypeError or ValueError raised inside the library is a
+    # defect of the program, not the user's malformed input.
+    def broken(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(lattice, "hnf", broken)
+    code, out, err = run_cli(tmp_path, ["lin", "hnf"], {"rows": [["1"]]})
+    assert (code, out) == (3, "")
+    assert err == f"error: internal {type(exc).__name__}: {exc}\n"
+
+
+def test_missing_fields_and_wrong_shapes_are_refused_in_the_readers_words(tmp_path):
+    for argv, doc, want in (
+            (["cocycle", "solve-coboundary"], {}, "malformed input ('c_t')"),
+            (["cocycle", "solve-coboundary"], {"c_t": ["1"]},
+             "expected a JSON array of 2 items, got 1"),
+            (["cocycle", "eval"], {"spec": {"values": []}, "word": []},
+             "malformed input ('generators')"),
+            (["cocycle", "eval"], {"spec": [], "word": []},
+             "expected a JSON object, got a JSON array"),
+            (["cocycle", "eval"], {"spec": {"generators": [], "values": []},
+                                   "word": [{"gen": 0}]}, "malformed input ('exp')"),
+            (["cocycle", "eval"], {"spec": {"generators": [], "values": []},
+                                   "word": [[0, 1]]},
+             "expected a JSON object, got a JSON array"),
+            (["cocycle", "finf-extend"], {"n": 1, "window": [[0, "0"]]},
+             "expected a JSON array of 3 items, got 2"),
+            (["affine", "ball"], {"element": None, "generators": []},
+             "expected a JSON object, got a JSON null"),
+            (["affine", "lattice"], {"generators": 1.5, "seeds": []},
+             "expected a JSON array, got a JSON number"),
+            (["affine", "classify"], {"kind": "full_lattice", "lattice": True},
+             "expected a JSON object, got a JSON boolean"),
+            (["lin", "hnf"], {"rows": "12"}, "expected a JSON array, got a JSON string"),
+            (["lin", "snf"], {"entries": [["1"], 2]},
+             "bad matrix entries: expected a JSON array, got a JSON number")):
+        assert run_cli(tmp_path, argv, doc) == (2, "", f"error: {want}\n"), (argv, doc)
+
+
+def test_unreadable_documents_exit_2(tmp_path):
+    # A JSON integer past the int/str digit limit is read by parse_int, a
+    # file that is not UTF-8 and a document nested past the decoder's depth
+    # are refused as unreadable: none is an internal error.
+    limit = sys.get_int_max_str_digits()
+    for text, want in (
+            ('{"rows": [[' + "9" * (limit + 1) + "]]}",
+             f"error: bad integer: more than {limit} decimal digits\n"),
+            (b'{"rows": [["\xff"]]}', "error: cannot read input document: "),
+            ('{"rows": ' + "[" * 100_000 + "]" * 100_000 + "}",
+             "error: cannot read input document: ")):
+        path = tmp_path / "in.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.run(["lin", "hnf", "--in", str(path)])
+        assert (code, out.getvalue()) == (2, ""), err.getvalue()
+        assert err.getvalue().startswith(want) and err.getvalue().count("\n") == 1

@@ -1,12 +1,14 @@
-"""Leaf-mutation fuzz gate over every CLI command.
+"""Mutation fuzz gates over every CLI command.
 
 From one valid document per `cli.COMMANDS` entry, every JSON leaf is
 replaced, one at a time, by each value of MUTANTS (all of them, in a fixed
 order), and then PAIRS times two leaves at once, drawn by SplitMix64 from
-SEED, so every run makes the same calls.  Each call must end with exit 0,
-2 or 3; a refusal writes nothing to stdout and exactly one `error: ` line
-to stderr, never the last-resort `error: internal` line; and no call may
-use more than CALL_CPU_S of CPU.
+SEED, so every run makes the same calls.  A second sweep replaces every node
+below the root, containers included, by each value of MUTANTS and SHAPES.
+Each call must end with exit 0, 2 or 3; a refusal writes nothing to stdout
+and exactly one `error: ` line to stderr, never the last-resort `error:
+internal` line nor the interpreter's wording of an exception (INTERPRETER);
+and no call may use more than CALL_CPU_S of CPU.
 
 No document mutant is a huge integer: the size cap of `cocycle eval`
 exponents is still open.  `bruhat fact-check` reads no document; its flags
@@ -24,6 +26,11 @@ from exactgroups import cli
 from exactgroups.prng import SplitMix64
 
 MUTANTS = (None, True, 1.5, "", "x", "1/2", "-1", "0", "7", [], {})
+SHAPES = (1, ["1"], ["1", "2", "3"], [[]], [{}], {"a": 1})
+# Phrases of the interpreter's TypeError and ValueError texts, which a
+# refusal worded by the program never contains.
+INTERPRETER = ("object is not", "indices must be", "values to unpack", "not subscriptable",
+               "not iterable")
 SEED = 1
 PAIRS = 40
 HUGE = (str(10 ** 18), str(-10 ** 18), "1" + "0" * 4000, "9" * 5000)
@@ -86,6 +93,16 @@ def _leaves(node, path=()):
         yield from _leaves(child, path + (key,))
 
 
+def _nodes(node, path=()):
+    """Paths of every value of a JSON document below its root, containers
+    included."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
 def _replaced(doc, changes):
     mutated = json.loads(json.dumps(doc))
     for path, value in changes:
@@ -135,7 +152,10 @@ def test_every_command_has_a_valid_document():
         assert json.loads(out)["command"] == f"{group}.{command}"
 
 
-def test_leaf_mutation_fuzz():
+def _sweep(mutants):
+    """Call every (group, command) of VALID that reads a document on each
+    copy that mutants(doc, rng) gives of its document, check each answer,
+    and return the number of calls."""
     def over_budget(signum, frame):
         raise _OverBudget
     previous = signal.signal(signal.SIGPROF, over_budget)
@@ -146,7 +166,7 @@ def test_leaf_mutation_fuzz():
             if doc is None:
                 continue
             argv = [group, command, "--in", "-"] + flags
-            for changes in _mutants(doc, rng):
+            for changes in mutants(doc, rng):
                 mutated = _replaced(doc, changes)
                 where = (group, command, changes)
                 # A hung call is stopped a little past the bound and fails.
@@ -164,11 +184,27 @@ def test_leaf_mutation_fuzz():
                     assert out == "" and err.startswith("error: "), (where, err)
                     assert err.count("\n") == 1 and err.endswith("\n"), (where, err)
                     assert not err.startswith("error: internal"), (where, err)
+                    assert not any(words in err for words in INTERPRETER), (where, err)
                 else:
                     assert err == "" and json.loads(out)["command"] == f"{group}.{command}", where
     finally:
         signal.signal(signal.SIGPROF, previous)
-    assert calls > 2000
+    return calls
+
+
+def test_leaf_mutation_fuzz():
+    assert _sweep(_mutants) > 2000
+
+
+def test_subtree_mutation_fuzz():
+    # Each node, an array or object included, by each value and shape: a
+    # missing field, a short array, an object where an array belongs and the
+    # like are each refused in the program's words.
+    def subtrees(doc, rng):
+        for path in _nodes(doc):
+            for value in MUTANTS + SHAPES:
+                yield [(path, value)]
+    assert _sweep(subtrees) > 5000
 
 
 def test_fact_check_flag_fuzz():

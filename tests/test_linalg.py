@@ -681,8 +681,9 @@ def test_solve_and_kernel_rational_matrix():
 
 def test_rational_matrix_runs_on_its_int_rows(monkeypatch):
     # A rational M = N / lam (N = M.num) has the U and V of snf(N), and D_N /
-    # lam for D; the kernel of N; and the solutions of N x = lam b, for tall,
-    # square and wide M, of full column rank or not.  No Fraction is made
+    # lam for D; the kernel of N; and the solutions of N x = lam b, b of ints
+    # or of "p/q" entries, for tall, square and wide M, of full column rank
+    # or not.  No Fraction is made
     # while lattice runs: M's entries were read before, and every answer
     # after.
     rng = seeded(3701)
@@ -700,6 +701,7 @@ def test_rational_matrix_runs_on_its_int_rows(monkeypatch):
         N = Matrix(M.num)
         x0 = [rng.int_in(-5, 5) for _ in range(cols)]
         bs = [N.apply(x0), tuple(rng.int_in(-9, 9) for _ in range(rows))]
+        bs += [M.apply(x0), tuple(Fraction(v, 6) for v in bs[1])]   # "p/q" entries
         cases.append((M, N, bs))
     assert {"tall", "square", "wide"} == {
         "tall" if M.rows > M.cols else "wide" if M.rows < M.cols else "square"

@@ -1,6 +1,7 @@
 """Static checks on the package source, by the standard library's `ast` alone:
-no import goes unused, at module level or inside a function, and no private
-module-level name is left without a reference in the package."""
+no import goes unused, at module level or inside a function, no private
+module-level name is left without a reference in the package, and no except
+clause catches a broad exception class without a reason on ALLOWED."""
 
 import ast
 from pathlib import Path
@@ -107,3 +108,51 @@ def test_every_private_module_level_name_is_referenced():
                 if not any(private in refs for other, refs in reads if other is not stmt):
                     unreferenced.append(f"{name}:{stmt.lineno} {private}")
     assert not unreferenced, unreferenced
+
+
+# Exception classes that a library defect raises as readily as a caller's
+# bad value: a clause that catches one would report the defect as something
+# else.  A bare `except:` counts as BaseException.
+BROAD = {"BaseException", "Exception", "KeyError", "TypeError", "ValueError"}
+# (module, function, classes caught) -> why that clause may catch them.
+ALLOWED = {
+    ("serialize.py", "scalar_to_str", ("ValueError",)):
+        "str() of an int past the int/str digit limit, reworded as a precondition",
+    ("serialize.py", "parse_int", ("ValueError",)):
+        "int() of a digit string past the int/str digit limit, reworded as bad input",
+    ("cli.py", "_table_parse", ("Exception",)):
+        "a flag value that does not convert sends the argv on to argparse, which reports it",
+    ("cli.py", "run", ("Exception",)):
+        "the last resort: a defect ends the call as one `error: internal` line, exit 3",
+}
+
+
+def _handlers(node, func=None):
+    """(enclosing function name, except clause) for each clause under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _handlers(child, child.name)
+            continue
+        if isinstance(child, ast.ExceptHandler):
+            yield func, child
+        yield from _handlers(child, func)
+
+
+def _caught(handler):
+    if handler.type is None:
+        return ("BaseException",)
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return tuple(ast.unparse(t) for t in types)
+
+
+def test_every_broad_except_clause_is_allowed():
+    # Malformed input is refused by serialize's readers as InputError, so no
+    # clause needs to catch KeyError, TypeError or ValueError on its behalf.
+    found = {}
+    for name, tree in MODULES.items():
+        for func, handler in _handlers(tree):
+            if BROAD.intersection(caught := _caught(handler)):
+                found[name, func, caught] = handler.lineno
+    unexplained = {key: line for key, line in found.items() if key not in ALLOWED}
+    assert not unexplained, unexplained
+    assert found.keys() == ALLOWED.keys(), set(ALLOWED) - set(found)
