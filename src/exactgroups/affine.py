@@ -79,7 +79,7 @@ class AffineElement(Record):
 # product and automorphism image.
 _new = object.__new__
 _set_translation, _set_linear = AffineElement._setters
-_set_rows, _set_cols, _set_num, _set_lam, _set_integral = Matrix._setters[:5]
+_set_rows, _set_cols, _set_num, _set_lam, _set_integral = Matrix._setters
 
 
 def _int_affine_mul(a, g, b, h):
@@ -412,14 +412,11 @@ def classify_subgroup(descriptor):
     checks = []
     if isinstance(descriptor, FullLatticeSemidirect):
         basis = descriptor.lattice
-        bad = [i for i, g in enumerate(descriptor.linear_gens)
-               if not all(basis.contains(g.apply(row)) for row in basis.rows)]
-        checks.append(Check("lattice-invariance",
-                            "fail" if bad else "pass",
-                            {"violating_generators": bad,
-                             "index": basis.index()}))
-        if bad:
+        if not all(basis.contains(g.apply(row))
+                   for g in descriptor.linear_gens for row in basis.rows):
             raise PreconditionError("lattice is not invariant under the generators")
+        checks.append(Check("lattice-invariance", "pass",
+                            {"violating_generators": [], "index": basis.index()}))
         if len(descriptor.linear_gens) == 1:
             checks.extend(_cyclic_checks(descriptor.linear_gens[0]))
         else:

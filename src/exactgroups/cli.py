@@ -179,10 +179,9 @@ def _cmd_cocycle_central(doc, opts):
     m, n = parse_int(doc["m"]), parse_int(doc["n"])
     g = parse_matrix(doc["matrix"])
     value = cocycle.central_cocycle(m, n, g)
-    case = cocycle.parity_domain(m, n)
     return {"value": None if value is None else vector_to_json(value),
-            "case": case.case_id,
-            "accepted": case.accepts(g)}
+            "case": cocycle.parity_domain(m, n).case_id,
+            "accepted": value is not None}
 
 
 def _cmd_cocycle_finf_extend(doc, opts):

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from math import gcd, prod
 
-from .matrix import Matrix, PreconditionError, Record, ShapeError, _bareiss, _scaled
+from .matrix import (Matrix, PreconditionError, Record, ShapeError, _bareiss, _over,
+                     _scaled)
 
 
 class LatticeBasis(Record):
@@ -155,7 +156,8 @@ def hnf(rows, dim=None):
 
     Canonical: two generating sets of the same lattice give identical output.
     Empty input (with `dim` supplied) yields the zero lattice.  Rational rows
-    give the form of the Z-module they span in Q^dim, with the rank over Q.
+    L give the form of the Z-module they span in Q^dim, with the rank over Q:
+    HNF(lam L) / lam, lam the lcm of their denominators.
     """
     work = [list(r) for r in rows]
     if work:
@@ -170,8 +172,11 @@ def hnf(rows, dim=None):
         raise ShapeError("empty input requires an explicit ambient dimension")
     if dim < 0:
         raise ShapeError("lattice dimension must be nonnegative")
+    num, lam = _scaled(work)
+    if num is not work:   # an entry that is not an int: echelon lam L on ints
+        work = list(map(list, num))
     r = _echelon(work)
-    return LatticeBasis(dim, work[:r])
+    return LatticeBasis(dim, work[:r] if lam == 1 else [_over(w, lam) for w in work[:r]])
 
 
 def snf(M):

@@ -5,15 +5,15 @@ exact.  Matrices are immutable and hashable, so they can be used as dict keys
 and set members (the finite-closure check of `affine` keeps them in a set).
 
 A matrix M is stored as `num`, the int rows of lam M, over `lam` >= 1 with
-gcd(lam, every entry of num) = 1, a unique pair: equality reads it, and
-`integral` is exactly lam == 1.  Rational rows become the pair by
-`_over_lcm`, the one lcm scaling, which `serialize` also applies to the
-pairs it reads from "p/q" text.  The entries, `data`, are `num` when lam = 1,
-else made on first read and kept; hashing reads them.  Every operation runs
-on int rows, by small kernels (2x2 and 3x3 written out) or, for det and
-inverse past 3x3, the one fraction-free elimination `_bareiss` (right-hand
-block empty for `det`, I for `inverse`, b for `lattice.solve_integer`), and
-builds its result by `Matrix._of`, which divides out the gcd.
+gcd(lam, every entry of num) = 1, a unique pair that equality and hashing
+read; `integral` is exactly lam == 1.  `_scaled` reads given entries, and
+`_over_lcm`, the one lcm scaling, makes the pair of rational rows, as it does
+of the pairs `serialize` reads from "p/q" text.  The entries, `data`, are
+`num` when lam = 1, else made on each read.  Every operation runs on int
+rows, by small kernels (2x2 and 3x3 written out) or, for det and inverse past
+3x3, the one fraction-free elimination `_bareiss` (right-hand block empty for
+`det`, I for `inverse`, b for `lattice.solve_integer`), and builds its result
+by `Matrix._of`, which divides out the gcd.
 """
 
 from __future__ import annotations
@@ -113,22 +113,19 @@ def _norm(x):
     if type(x) is int:
         return x
     if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return x
+        return int(x) if x.denominator == 1 else x
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x)!r}")
 
 
 class Matrix(Record):
     """Immutable dense matrix with exact int/Fraction entries."""
 
-    __slots__ = ("rows", "cols", "num", "lam", "integral", "_data")
+    __slots__ = ("rows", "cols", "num", "lam", "integral")
 
     def __init__(self, data):
-        rows = tuple(tuple(map(_norm, row)) for row in data)
-        _check_shape(rows)
-        num, lam = _scaled(rows)
-        Record.__init__(self, len(rows), len(rows[0]), num, lam, lam == 1, rows)
+        num, lam = _scaled(tuple(map(tuple, data)))
+        _check_shape(num)
+        Record.__init__(self, len(num), len(num[0]), num, lam, lam == 1)
 
     @classmethod
     def _of(cls, num, lam=1):
@@ -149,20 +146,13 @@ class Matrix(Record):
 
     @property
     def data(self):
-        """M's entries, `num` itself when integral."""
+        """M's entries: `num` when integral, else made from the pair on each read."""
         if self.integral:
             return self.num
-        try:
-            return self._data
-        except AttributeError:   # unset until first read
-            _set_data(self, tuple([_over(row, self.lam) for row in self.num]))
-            return self._data
+        return tuple([_over(row, self.lam) for row in self.num])
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
 
     def __reduce__(self):   # copy and pickle rebuild through _of
         return Matrix._of, (self.num, self.lam)
@@ -187,7 +177,8 @@ class Matrix(Record):
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        x = self.num[i][j]
+        return x if self.integral else _over((x,), self.lam)[0]
 
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.data]})"
@@ -234,8 +225,8 @@ class Matrix(Record):
             w = _int_apply(self.num, vec)
             if w is not None:
                 return w
-        # (lam M)(mu v) on ints over lam mu; normalizing v refuses a bool.
-        (v,), mu = _scaled((tuple(map(_norm, vec)),))
+        # (lam M)(mu v) on ints over lam mu; reading v refuses a bool.
+        (v,), mu = _scaled((tuple(vec),))
         return _over(_int_apply(self.num, v), self.lam * mu)
 
     # -- structure ---------------------------------------------------------
@@ -295,8 +286,7 @@ class Matrix(Record):
                                 for r1, r2 in zip(self.num, other.num)), a * b)
 
 
-Matrix._key = attrgetter("rows", "cols", "num", "lam")
-_set_rows, _set_cols, _set_num, _set_lam, _set_integral, _set_data = Matrix._setters
+_set_rows, _set_cols, _set_num, _set_lam, _set_integral = Matrix._setters
 
 
 def _check_shape(rows):   # the shapes a matrix may not have
@@ -400,11 +390,14 @@ def _bareiss(m, n):
 
 
 def _scaled(d):
-    """(int rows of lam M, lam) for the rows d of M, ints and Fractions, lam
-    the lcm of the denominators: d itself, lam = 1, when all are ints."""
-    if all(type(x) is int for row in d for x in row):
-        return d, 1
-    return _over_lcm([[x if type(x) is int else x.as_integer_ratio() for x in row] for row in d])
+    """(int rows of lam M, lam) for the rows d of M, lam the lcm of the
+    denominators: d itself, lam = 1, when all are ints; `_norm` reads the rest."""
+    for row in d:
+        for x in row:
+            if type(x) is not int:
+                return _over_lcm([[x if type(x) is int else _norm(x).as_integer_ratio()
+                                   for x in row] for row in d])
+    return d, 1
 
 
 def _over_lcm(rows):
@@ -422,7 +415,7 @@ def _over_lcm(rows):
 
 def _over(row, d):
     """The entries x / d of the int row, normalized: x // d where d divides x,
-    else one Fraction.  `data` and `apply` end here."""
+    else one Fraction: every entry read from a pair is made here."""
     return tuple([Fraction(x, d) if x % d else x // d for x in row])
 
 

@@ -211,6 +211,27 @@ def test_hnf_negative_dimension_refused():
         hnf([], dim=-1)
 
 
+def test_hnf_reads_exact_entries():
+    # A float or bool entry was once kept, 2.0 in float arithmetic and True as
+    # 1, and rational rows gave an unnormalized Fraction(0, 1).  Rational rows
+    # L now give HNF(lam L) / lam, lam the lcm of their denominators.
+    for rows in ([(2.0, 1)], [(True, 1)], [(1, 0), (Fraction(1, 2), False)]):
+        with pytest.raises(TypeError, match="^matrix entries must be int or Fraction"):
+            hnf(rows)
+    basis = hnf([(Fraction(1, 2), 1), (0, Fraction(1, 3))])
+    assert [[(type(x), x) for x in row] for row in basis.rows] == [
+        [(Fraction, Fraction(1, 2)), (int, 0)], [(int, 0), (Fraction, Fraction(1, 3))]]
+    rng = seeded(3902)
+    for _ in range(200):
+        n, lam = rng.int_in(1, 4), rng.int_in(1, 6)
+        ints = [tuple(rng.int_in(-9, 9) for _ in range(n)) for _ in range(rng.int_in(1, 4))]
+        got = hnf([[Fraction(x, lam) for x in row] for row in ints], dim=n)
+        want = [[Fraction(x, lam) for x in row] for row in hnf(ints, dim=n).rows]
+        assert [[(type(x), x) for x in row] for row in got.rows] == [
+            [(int, int(x)) if x.denominator == 1 else (Fraction, x) for x in row]
+            for row in want]
+
+
 def test_hnf_zero_and_empty():
     assert hnf([], dim=3).rows == ()
     assert hnf([(0, 0, 0)]).rows == ()
@@ -515,6 +536,14 @@ def test_solve_integer_pinned():
     assert solve_integer(M, (2, 5)) is None   # inconsistent
     with pytest.raises(ShapeError):
         solve_integer(M, (1, 2, 3))
+
+
+def test_solve_integer_refuses_inexact_right_hand_sides():
+    # (2.0,) was once read as 2 and answered (1,); (True,) was read as 1.
+    for M in (Matrix([[2]]), Matrix([[1, 2]]), Matrix([[Fraction(1, 2)], [3]])):
+        for b in ((2.0,) * M.rows, (True,) * M.rows, (1,) * (M.rows - 1) + (False,)):
+            with pytest.raises(TypeError, match="^matrix entries must be int or Fraction"):
+                solve_integer(M, b)
 
 
 def test_solve_integer_roundtrip():

@@ -22,7 +22,7 @@ from exactgroups.affine import AffineElement
 from exactgroups.lattice import snf
 from exactgroups.matrix import Matrix, PreconditionError, ShapeError
 from exactgroups.serialize import parse_matrix
-from tests.conftest import random_unimodular, seeded
+from tests.conftest import forbidden, random_unimodular, seeded
 
 SHAPES = [(n, n) for n in range(1, 6)] + [(1, 2), (2, 1), (1, 3), (2, 3), (3, 2),
                                           (3, 4), (4, 2), (2, 5), (5, 3)]
@@ -358,7 +358,30 @@ def test_flag_outside_equality_and_hash():
         assert plain.integral == built.integral == all_int(rows)
         assert plain == built and hash(plain) == hash(built)
         for x in (m, plain, built):
-            assert hash(x) == hash((x.rows, x.cols, x.data))
+            assert hash(x) == hash((x.rows, x.cols, x.num, x.lam, x.integral))
+
+
+def test_a_matrix_is_its_pair(monkeypatch):
+    # Equality and hashing read (num, lam) and no entry is stored: hashing a
+    # rational matrix, or keeping it in a set, makes no Fraction, and reading
+    # one entry makes at most that one.
+    assert Matrix.__slots__ == ("rows", "cols", "num", "lam", "integral")
+    rng = seeded(3901)
+    mats = [Matrix._of(tuple(tuple(rng.int_in(-9, 9) for _ in range(3)) for _ in range(2)),
+                       rng.int_in(2, 6)) for _ in range(50)]
+    assert not any(m.integral for m in mats)
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", forbidden("Fraction.__new__"))
+        hashes = [hash(m) for m in mats]
+        assert len({*mats, *mats}) == len({(m.num, m.lam) for m in mats})
+    made, new = [], Fraction.__new__
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", lambda *a: made.append(a) or new(*a))
+        got = [[m[i, j] for j in range(3)] for m in mats for i in range(2)]
+    assert len(made) == sum(type(x) is Fraction for row in got for x in row)
+    assert got == [list(row) for m in mats for row in m.data]
+    for m, h in zip(mats, hashes):
+        assert h == hash(Matrix(m.data)) == hash((m.rows, m.cols, m.num, m.lam, m.integral))
 
 
 def test_one_matrix_built_four_ways():

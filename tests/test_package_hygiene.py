@@ -1,7 +1,9 @@
 """Static checks on the package source, by the standard library's `ast` alone:
 no import goes unused, at module level or inside a function, no private
-module-level name is left without a reference in the package, and no except
-clause catches a broad exception class without a reason on ALLOWED."""
+module-level name is left without a reference in the package, no except
+clause catches a broad exception class without a reason on ALLOWED, and no
+module reads another module's class's slot setters without a reason on
+SETTERS_ALLOWED."""
 
 import ast
 from pathlib import Path
@@ -156,3 +158,38 @@ def test_every_broad_except_clause_is_allowed():
     unexplained = {key: line for key, line in found.items() if key not in ALLOWED}
     assert not unexplained, unexplained
     assert found.keys() == ALLOWED.keys(), set(ALLOWED) - set(found)
+
+
+# (module, class) -> why the module may read `class._setters`, the slot
+# setters that write a field past the class's own checks.
+SETTERS_ALLOWED = {
+    ("affine.py", "Matrix"):
+        "AffineElement._trusted builds the int product's linear part; through "
+        "Matrix._of it costs about 5% of an int-words automorphism op",
+}
+
+
+def _setter_reads(node, owner=None):
+    """(receiver, line) of each read of `X._setters` under node; `self` and
+    `cls` stand for the class whose body they are in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _setter_reads(child, child.name)
+            continue
+        if (isinstance(child, ast.Attribute) and child.attr == "_setters"
+                and isinstance(child.ctx, ast.Load)):
+            receiver = ast.unparse(child.value)
+            yield (owner if receiver in ("self", "cls") else receiver), child.lineno
+        yield from _setter_reads(child, owner)
+
+
+def test_slot_setters_are_read_where_their_class_is_defined():
+    found = {}
+    for name, tree in MODULES.items():
+        classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+        for receiver, line in _setter_reads(tree):
+            if receiver not in classes:
+                found[name, receiver] = line
+    unexplained = {key: line for key, line in found.items() if key not in SETTERS_ALLOWED}
+    assert not unexplained, unexplained
+    assert found.keys() == SETTERS_ALLOWED.keys(), set(SETTERS_ALLOWED) - set(found)

@@ -18,8 +18,7 @@ import pytest
 
 from exactgroups import cli
 from exactgroups.matrix import Matrix
-from exactgroups.serialize import (InputError, _array, parse_matrix, parse_scalar,
-                                   parse_vector)
+from exactgroups.serialize import InputError, parse_matrix, parse_scalar, parse_vector
 
 LIMIT = sys.get_int_max_str_digits()
 LONG = [sign + "9" * digits for digits in (LIMIT - 1, LIMIT, LIMIT + 1) for sign in ("", "-")]
@@ -40,7 +39,8 @@ ROWS = [[["1", "0"], ["0", "1"]], [[2, "1"], ["1", 1]], [[1, 0], [0, 1]],
 
 # Test-local copy of the old checked readers, with the declared-shape check
 # that parse_matrix now makes: "rows" and "cols" each, when present, a
-# non-bool int equal to the entries' shape.
+# non-bool int equal to the entries' shape; and the array check, with its
+# own wording of a refusal.
 
 def checked_int(x):
     if type(x) is int:
@@ -65,12 +65,21 @@ def checked_scalar(s):
     return checked_int(s)
 
 
+def checked_array(x):
+    if type(x) is not list:
+        kind = {type(None): "null", bool: "boolean", int: "number", float: "number",
+                str: "string", dict: "object"}.get(type(x), type(x).__name__)
+        raise InputError(f"expected a JSON array, got a JSON {kind}")
+    return x
+
+
 def checked_matrix(doc):
     if not isinstance(doc, dict) or "entries" not in doc:
         raise InputError('matrix must be {"rows", "cols", "entries"}')
     entries = doc["entries"]
     try:
-        m = Matrix([[checked_scalar(x) for x in _array(row)] for row in _array(entries)])
+        m = Matrix([[checked_scalar(x) for x in checked_array(row)]
+                    for row in checked_array(entries)])
     except Exception as exc:
         raise InputError(f"bad matrix entries: {exc}") from exc
     for key, size in (("rows", m.rows), ("cols", m.cols)):
