@@ -16,11 +16,9 @@ sampled facts 1 and 2 multiply their random words on int rows
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .matrix import Matrix, PreconditionError, Record, _letters, _walk
-from .prng import SplitMix64
 
 # Signed permutation representatives; p_sigma has its column-j entry in
 # row sigma(j).
@@ -160,8 +158,9 @@ def _require_upper(g):
 
 def _rational(v):
     """v as a Fraction; anything but an int or a Fraction, bool included, is refused."""
-    if type(v) is int or isinstance(v, Fraction):
-        return Fraction(v)
+    import fractions
+    if type(v) is int or isinstance(v, fractions.Fraction):
+        return fractions.Fraction(v)
     raise TypeError(f"parameters must be int or Fraction, got {type(v)!r}")
 
 
@@ -181,7 +180,8 @@ def fact3_display_factorization(x, y, a, b, c):
 def grid_rationals(bound, nonzero=False):
     """The sorted rationals p/q with |p| <= bound and 1 <= q <= bound, without
     0 when `nonzero`: the entry grid on which facts 3 and 4 are checked."""
-    return sorted({Fraction(p, q) for p in range(-bound, bound + 1)
+    import fractions
+    return sorted({fractions.Fraction(p, q) for p in range(-bound, bound + 1)
                    for q in range(1, bound + 1) if p or not nonzero})
 
 
@@ -195,7 +195,8 @@ def fact_check(which, g=None, seed=0, count=50, length=8):
     cell of the conjugate by p_(13) resp. p_(132) to the entries of g.
     """
     if which in (1, 2):
-        rng = SplitMix64(seed)
+        import exactgroups.prng as prng
+        rng = prng.SplitMix64(seed)
         zero_at = ((2, 0), (2, 1)) if which == 1 else ((1, 0), (2, 0))
         for _ in range(count):
             m = _walk(_FACT_LETTERS[which], rng, length)

@@ -12,8 +12,6 @@ singular extension system.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .matrix import Matrix, PreconditionError, Record, ShapeError, vec_norm
 from .sl2 import CongruenceKind, _require_sl2, congruence_membership
 
@@ -161,6 +159,7 @@ def coboundary_witness(spec):
     an inconsistent system (None), fewer than two rows a nontrivial joint
     kernel (UnderdeterminedWitness); else xi comes by back-substitution.
     """
+    import fractions
     import exactgroups.lattice as lattice
     rows = []
     for g, (c0, c1) in zip(spec.generators, spec.values):
@@ -172,8 +171,8 @@ def coboundary_witness(spec):
     if len(echelon) < 2:
         raise UnderdeterminedWitness("joint system has a nontrivial kernel")
     (p, q, r), (_, s, t) = echelon
-    y = Fraction(t, s)
-    return CoboundaryWitness((Fraction(r - q * y, p), y))
+    y = fractions.Fraction(t, s)
+    return CoboundaryWitness((fractions.Fraction(r - q * y, p), y))
 
 
 # -- the Gamma_1(N) family -------------------------------------------------
@@ -244,8 +243,10 @@ def parity_domain(m, n):
     A Fraction with denominator 1 is read as its int; any other non-int
     value of m or n raises PreconditionError."""
     for name, x in (("m", m), ("n", n)):
-        if type(x) is not int and not (isinstance(x, Fraction) and x.denominator == 1):
-            raise PreconditionError(f"{name} must be an integer, got {x!r}")
+        if type(x) is not int:
+            import fractions
+            if not (isinstance(x, fractions.Fraction) and x.denominator == 1):
+                raise PreconditionError(f"{name} must be an integer, got {x!r}")
     return _PARITY_CASES[(m % 2, n % 2)]
 
 

@@ -21,23 +21,32 @@ from __future__ import annotations
 
 from math import gcd, prod
 
-from .matrix import (Matrix, PreconditionError, Record, ShapeError, _bareiss, _over,
-                     _scaled)
+from .matrix import (Matrix, PreconditionError, Record, ShapeError, _bareiss, _normed,
+                     _over, _scaled)
 
 
 class LatticeBasis(Record):
     """A sublattice of Z^dim given by its row Hermite normal form.
 
     The rows are kept as a tuple of tuples, so bases built from lists or
-    tuples are equal and hash alike."""
+    tuples are equal and hash alike.  Each entry is read as a matrix entry
+    is: an int or a Fraction, a float or bool refused."""
 
     __slots__ = ("dim", "rows")   # rows: tuple of integer tuples, in HNF
 
     def __init__(self, dim, rows):
-        rows = tuple(map(tuple, rows))
+        rows = tuple(map(_normed, map(tuple, rows)))
         if any(len(row) != dim for row in rows):
             raise ShapeError("basis rows must have length dim")
         Record.__init__(self, dim, rows)
+
+    @classmethod
+    def _of(cls, dim, rows):
+        """The basis of the Hermite rows that `hnf` or `kernel_basis` made,
+        taken without the constructor's checks."""
+        basis = object.__new__(cls)
+        Record.__init__(basis, dim, tuple(map(tuple, rows)))
+        return basis
 
     @property
     def rank(self):
@@ -60,10 +69,11 @@ class LatticeBasis(Record):
         return prod(self.pivots()) if self.rank == self.dim else None
 
     def contains(self, v):
-        """Membership by back-substitution against the echelon basis."""
+        """Membership by back-substitution against the echelon basis.  v is
+        read as the rows are (`matrix._normed`): a float or bool is refused."""
         if len(v) != self.dim:
             raise ShapeError("vector dimension mismatch")
-        return _combination(self.rows, v) is not None
+        return _combination(self.rows, _normed(tuple(v))) is not None
 
 
 def _combination(rows, v):
@@ -176,7 +186,7 @@ def hnf(rows, dim=None):
     if num is not work:   # an entry that is not an int: echelon lam L on ints
         work = list(map(list, num))
     r = _echelon(work)
-    return LatticeBasis(dim, work[:r] if lam == 1 else [_over(w, lam) for w in work[:r]])
+    return LatticeBasis._of(dim, work[:r] if lam == 1 else [_over(w, lam) for w in work[:r]])
 
 
 def snf(M):
@@ -301,7 +311,7 @@ def kernel_basis(M):
     Taken from the Hermite form directly, with no fraction-free pass first:
     a kernel is asked for mostly of an M without full column rank, on which
     that pass would only fail."""
-    return LatticeBasis(M.cols, [t for h, t in _hermite_transform(M) if not any(h)])
+    return LatticeBasis._of(M.cols, [t for h, t in _hermite_transform(M) if not any(h)])
 
 
 def fixed_sublattice(g, sign):

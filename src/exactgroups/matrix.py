@@ -9,16 +9,17 @@ gcd(lam, every entry of num) = 1, a unique pair that equality and hashing
 read; `integral` is exactly lam == 1.  `_scaled` reads given entries, and
 `_over_lcm`, the one lcm scaling, makes the pair of rational rows, as it does
 of the pairs `serialize` reads from "p/q" text.  The entries, `data`, are
-`num` when lam = 1, else made on each read.  Every operation runs on int
-rows, by small kernels (2x2 and 3x3 written out) or, for det and inverse past
-3x3, the one fraction-free elimination `_bareiss` (right-hand block empty for
-`det`, I for `inverse`, b for `lattice.solve_integer`), and builds its result
-by `Matrix._of`, which divides out the gcd.
+`num` when lam = 1, else made on each read: `_over` makes every Fraction
+and is the one place this module imports `fractions`.  Every operation runs
+on int rows, by small kernels (2x2 and 3x3 written out) or, for det and
+inverse past 3x3, the one fraction-free elimination `_bareiss` (right-hand
+block empty for `det`, I for `inverse`, b for `lattice.solve_integer`), and
+builds its result by `Matrix._of`, which divides out the gcd.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, attrgetter, mul, sub
@@ -109,10 +110,12 @@ class Record:
 
 def _norm(x):
     # Canonicalize Fraction with denominator 1 to int; anything else, bool
-    # (an int subclass) included, is refused.
+    # (an int subclass) included, is refused.  No Fraction exists before
+    # `fractions` is loaded, so the test needs no import (0.15 us an entry).
     if type(x) is int:
         return x
-    if isinstance(x, Fraction):
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(x, fractions.Fraction):
         return int(x) if x.denominator == 1 else x
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x)!r}")
 
@@ -200,6 +203,7 @@ class Matrix(Record):
                 raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by "
                                  f"{other.rows}x{other.cols}")
             return Matrix._of(_int_mul(self.num, other.num), self.lam * other.lam)
+        other = _norm(other)   # a scalar is read as an entry: a bool is refused
         return Matrix([[other * a for a in r] for r in self.data])
 
     __rmul__ = __mul__
@@ -416,7 +420,8 @@ def _over_lcm(rows):
 def _over(row, d):
     """The entries x / d of the int row, normalized: x // d where d divides x,
     else one Fraction: every entry read from a pair is made here."""
-    return tuple([Fraction(x, d) if x % d else x // d for x in row])
+    import fractions
+    return tuple([fractions.Fraction(x, d) if x % d else x // d for x in row])
 
 
 def _adjugate(d):

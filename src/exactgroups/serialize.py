@@ -26,7 +26,6 @@ Fraction.  A declared "rows" or "cols" must be a JSON integer equal to it.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from math import gcd
 
 from .matrix import Matrix, PreconditionError, ShapeError, _check_shape, _over_lcm
@@ -88,7 +87,10 @@ def _ratio(s):
 def parse_scalar(s):
     """A matrix or vector entry as an int, or a "p/q" string as a Fraction."""
     x = _ratio(s)
-    return Fraction(*x) if type(x) is tuple else x
+    if type(x) is tuple:
+        import fractions
+        return fractions.Fraction(*x)
+    return x
 
 
 def vector_to_json(v):

@@ -10,7 +10,6 @@ They are related by s = S^-1 and t = S*T, so T = s*t.
 from __future__ import annotations
 
 from .matrix import Matrix, PreconditionError, Record, _letters, _walk
-from .prng import SplitMix64
 
 S = Matrix([[0, -1], [1, 0]])
 T = Matrix([[1, 1], [0, 1]])
@@ -226,5 +225,6 @@ def sample_subgroup_element(kind, word_length, seed):
     """
     if word_length < 0:
         raise PreconditionError("word_length must be >= 0")
+    import exactgroups.prng as prng
     letters = _letters(subgroup_generators(kind))
-    return Matrix._of(_walk(letters, SplitMix64(seed), word_length))
+    return Matrix._of(_walk(letters, prng.SplitMix64(seed), word_length))

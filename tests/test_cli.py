@@ -5,19 +5,21 @@ the shipped JSON schema, and determinism plus the exit-code contract are
 checked.
 """
 
+import functools
 import io
 import json
 import sys
 import time
 from contextlib import redirect_stdout, redirect_stderr
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from exactgroups import cli, cocycle, lattice
-from tests.conftest import seeded
+from exactgroups import cli, cli_affine, cli_bruhat, cli_lin, cli_sl2, cocycle, lattice
+from tests.conftest import forbidden, seeded
 from exactgroups.matrix import Matrix
 
 
@@ -89,14 +91,14 @@ def test_sl2_decompose_st_word_cap(tmp_path):
     # T^e is 2|e| letters over {s, t}; e = 10^9 once asked for tens of GB.
     doc = run_ok(tmp_path, ["sl2", "decompose", "--alphabet", "st"], mat([[1, 3], [0, 1]]))
     assert doc["word"] == [{"exp": 1, "gen": "s"}, {"exp": 1, "gen": "t"}] * 3
-    for e in (10 ** 9, -10 ** 9, cli.ST_WORD_CAP // 2 + 1):
+    for e in (10 ** 9, -10 ** 9, cli_sl2.ST_WORD_CAP // 2 + 1):
         start = time.process_time()
         code, out, err = run_cli(tmp_path, ["sl2", "decompose", "--alphabet", "st"],
                                  mat([[1, e], [0, 1]]))
         assert time.process_time() - start < 1
         assert (code, out) == (3, "")
         assert err == (f"error: st word too long: {2 * abs(e)} letters, "
-                       f"more than {cli.ST_WORD_CAP}\n")
+                       f"more than {cli_sl2.ST_WORD_CAP}\n")
     # The {S, T} word stays one token.
     doc = run_ok(tmp_path, ["sl2", "decompose"], mat([[1, 10 ** 9], [0, 1]]))
     assert doc["word"] == [{"exp": 10 ** 9, "gen": "T"}]
@@ -261,14 +263,14 @@ BALL_TWO_HYPERBOLIC = {
 
 
 def test_affine_ball_radius_cap(tmp_path):
-    # At most cli.BALL_WORD_CAP reduced words: 1 + 2k((2k-1)^r - 1)/(2k-2)
+    # At most cli_affine.BALL_WORD_CAP reduced words: 1 + 2k((2k-1)^r - 1)/(2k-2)
     # over k generators, 1 + 2r for k = 1.  Two generators reach radius 10
     # (118097 words); radius 14 once ran for minutes.
-    assert cli._reduced_words(2, 4) == 161
-    assert cli._reduced_words(2, 10) == 118097 <= cli.BALL_WORD_CAP
-    assert cli._reduced_words(3, 3) == 1 + 6 * (5 ** 3 - 1) // 4
-    assert cli._reduced_words(1, 7) == 15 and cli._reduced_words(0, 10 ** 100) == 1
-    assert cli._reduced_words(2, 10 ** 100) > cli.BALL_WORD_CAP
+    assert cli_affine._reduced_words(2, 4) == 161
+    assert cli_affine._reduced_words(2, 10) == 118097 <= cli_affine.BALL_WORD_CAP
+    assert cli_affine._reduced_words(3, 3) == 1 + 6 * (5 ** 3 - 1) // 4
+    assert cli_affine._reduced_words(1, 7) == 15 and cli_affine._reduced_words(0, 10 ** 100) == 1
+    assert cli_affine._reduced_words(2, 10 ** 100) > cli_affine.BALL_WORD_CAP
     doc = run_ok(tmp_path, ["affine", "ball", "--radius", "4"], BALL_TWO_HYPERBOLIC)
     assert doc["count"] == "161"
     one = dict(BALL_TWO_HYPERBOLIC, generators=BALL_TWO_HYPERBOLIC["generators"][:1])
@@ -327,13 +329,13 @@ def test_affine_aut_check_sample_cap(tmp_path):
     import subprocess
     import sys
     doc = json.dumps({"L": mat([[1, 1], [0, 1]]), "xi": ["1", "-2"]})
-    for count in (cli.AUT_SAMPLE_CAP + 1, 10 ** 9):
+    for count in (cli_affine.AUT_SAMPLE_CAP + 1, 10 ** 9):
         proc = subprocess.run(
             [sys.executable, "-m", "exactgroups.cli", "affine", "aut-check", "--seed", "1",
              "--count", str(count), "--in", "-"],
             input=doc, capture_output=True, text=True, env=_child_env(), timeout=20)
         assert (proc.returncode, proc.stdout) == (3, "")
-        assert proc.stderr == f"error: count too large: more than {cli.AUT_SAMPLE_CAP} samples\n"
+        assert proc.stderr == f"error: count too large: more than {cli_affine.AUT_SAMPLE_CAP} samples\n"
 
 
 def _unipotent(n):
@@ -393,7 +395,7 @@ def test_random_affine_matches_matrix_products():
         for seed in range(50):
             fast, slow = SplitMix64(seed), SplitMix64(seed)
             for _ in range(4):
-                got, want = cli._random_affine(fast, n, letters), by_products(slow, n)
+                got, want = cli_affine._random_affine(fast, n, letters), by_products(slow, n)
                 assert got == want and got.linear.integral, (n, seed)
                 assert all(type(x) is int for x in got.translation)
             assert fast.state == slow.state
@@ -446,6 +448,19 @@ def test_bruhat_decompose(tmp_path):
     assert {doc["det_a"], doc["det_b"]} == {"1", "-1"}
 
 
+def test_bruhat_decompose_writes_determinants_from_the_pair(tmp_path, monkeypatch):
+    # det A and det B are written as det num over lam^3 of each factor: the
+    # call once made a Fraction for det B = 1/2 only to write it as text.
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", forbidden("Fraction.__new__"))
+        code, out, err = run_cli(tmp_path, ["bruhat", "decompose"],
+                                 mat([["1/2", 0, 0], [0, 1, 0], [0, 0, 1]]))
+    assert (code, err) == (0, ""), err
+    doc = json.loads(out)
+    validate_output(doc)
+    assert (doc["sigma"], doc["det_a"], doc["det_b"]) == ("id", "1", "1/2")
+
+
 def test_bruhat_cell(tmp_path):
     doc = run_ok(tmp_path, ["bruhat", "cell"],
                  mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
@@ -466,19 +481,19 @@ def test_bruhat_fact_check(tmp_path):
 
 def test_bruhat_fact_check_case_cap(tmp_path):
     # --grid b checks |diag|^3 |off|^3 matrices, about b^12: --grid 2 is the
-    # largest grid under cli.FACT_CASE_CAP, --grid 3 would be 9,261,000.
+    # largest grid under cli_bruhat.FACT_CASE_CAP, --grid 3 would be 9,261,000.
     doc = run_ok(tmp_path, ["bruhat", "fact-check", "--fact", "4", "--grid", "2"])
-    assert doc["holds"] is True and doc["cases"] == 74088 <= cli.FACT_CASE_CAP
+    assert doc["holds"] is True and doc["cases"] == 74088 <= cli_bruhat.FACT_CASE_CAP
     doc = run_ok(tmp_path, ["bruhat", "fact-check", "--fact", "2", "--count", "0"])
     assert doc["holds"] is True and doc["cases"] == 0
     for fact, flag, value in ((3, "grid", 3), (4, "grid", 10 ** 18), (3, "grid", 10 ** 4000),
-                              (1, "count", cli.FACT_CASE_CAP + 1), (2, "count", 10 ** 18)):
+                              (1, "count", cli_bruhat.FACT_CASE_CAP + 1), (2, "count", 10 ** 18)):
         start = time.process_time()
         code, out, err = run_cli(tmp_path, ["bruhat", "fact-check", "--fact", str(fact),
                                             f"--{flag}", str(value)])
         assert time.process_time() - start < 1
         assert (code, out) == (3, "")
-        assert err == f"error: {flag} too large: more than {cli.FACT_CASE_CAP} cases\n"
+        assert err == f"error: {flag} too large: more than {cli_bruhat.FACT_CASE_CAP} cases\n"
 
 
 @pytest.mark.parametrize("argv, doc", [
@@ -756,20 +771,24 @@ def test_cli_import_loads_no_dataclasses():
 
 
 def test_valid_call_loads_no_argparse():
-    # A valid call is parsed from COMMANDS, so argparse is never imported,
-    # and each handler imports only the library modules it calls, so a cold
-    # call compiles no other.  Each call runs as `python -m exactgroups.cli`
-    # does, with cli as __main__; as above, only what the call adds counts.
+    # A valid call is parsed from COMMANDS, so argparse is never imported;
+    # run() imports only the command's group module, whose handler imports
+    # only the library modules it calls, so a cold call compiles no other.
+    # An int-only document makes no Fraction, so neither fractions nor the
+    # decimal module it loads is imported, and no group module imports
+    # exactgroups.cli, which would compile it a second time.  Each call runs
+    # as `python -m exactgroups.cli` does, with cli as __main__; as above,
+    # only what the call adds counts.
     import subprocess
     import sys
     spec = {"generators": [mat([[1, 1], [0, 1]])], "values": [["1", "0"]]}
-    cases = [  # (argv, document, exactgroups modules the call adds)
-        (["sl2", "classify"], M_HYPERBOLIC, {"sl2", "prng"}),
+    cases = [  # (argv, int-only document, exactgroups modules the call adds)
+        (["sl2", "classify"], M_HYPERBOLIC, {"cli_sl2", "sl2"}),
         (["cocycle", "eval"], {"spec": spec, "word": [{"gen": 0, "exp": 3}]},
-         {"cocycle", "sl2", "prng"}),
-        (["affine", "icc"], M_HYPERBOLIC, {"affine", "sl2", "prng"}),
-        (["bruhat", "cell"], mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), {"bruhat", "prng"}),
-        (["lin", "snf"], mat([[2, 4], [6, 8]]), {"lattice"}),
+         {"cli_cocycle", "cocycle", "sl2"}),
+        (["affine", "icc"], M_HYPERBOLIC, {"cli_affine", "affine", "sl2"}),
+        (["bruhat", "cell"], mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), {"cli_bruhat", "bruhat"}),
+        (["lin", "snf"], mat([[2, 4], [6, 8]]), {"cli_lin", "lattice"}),
     ]
     script = ("import json, runpy, sys\n"
               "sys.argv = ['exactgroups'] + sys.argv[1:]\n"
@@ -778,16 +797,18 @@ def test_valid_call_loads_no_argparse():
               "    runpy.run_module('exactgroups.cli', run_name='__main__')\n"
               "except SystemExit as exc:\n"
               "    added = set(sys.modules) - before\n"
-              "    print(json.dumps([exc.code, 'argparse' in added,\n"
+              "    print(json.dumps([exc.code, sorted(added & {'argparse', 'fractions', 'decimal'}),\n"
               "                      sorted(m for m in added if m.startswith('exactgroups'))]))\n")
     for argv, doc, modules in cases:
         proc = subprocess.run([sys.executable, "-c", script, *argv, "--in", "-"],
                               capture_output=True, text=True, input=json.dumps(doc),
                               env=_child_env(), timeout=20)
         assert proc.returncode == 0, proc.stderr
+        code, stdlib, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert "exactgroups.cli" not in loaded, argv
         expected = sorted(["exactgroups"] + [f"exactgroups.{m}" for m in
                                              {"matrix", "serialize"} | modules])
-        assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, expected], argv
+        assert [code, stdlib, loaded] == [0, [], expected], argv
     # The package itself loads only matrix; its lattice names load lattice
     # on first use, by name or by *.
     script = ("import sys\n"
@@ -1102,7 +1123,9 @@ def test_internal_error_is_one_line_exit_3(tmp_path, monkeypatch):
     # the call with one diagnostic line, not a traceback.
     def broken(doc, opts):
         return 1 // 0
-    monkeypatch.setitem(cli.COMMANDS, ("lin", "hnf"), (broken, True, {}))
+    monkeypatch.setitem(cli_lin.HANDLERS, "hnf", broken)
+    # A fresh cache for this test, so the handler is resolved from HANDLERS.
+    monkeypatch.setattr(cli, "_handler", functools.cache(cli._handler.__wrapped__))
     code, out, err = run_cli(tmp_path, ["lin", "hnf"], {"rows": [["1"]]})
     assert (code, out) == (3, "")
     assert err == "error: internal ZeroDivisionError: integer division or modulo by zero\n"

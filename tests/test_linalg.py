@@ -232,6 +232,25 @@ def test_hnf_reads_exact_entries():
             for row in want]
 
 
+def test_lattice_basis_reads_exact_entries():
+    # A float entry was once divided in float arithmetic, (2.0, 2) answering
+    # True, and a bool read as 1, and LatticeBasis(1, [(0.5,)]) was built;
+    # the vector and the rows are now read as matrix entries are.
+    basis = hnf([(2, 0), (0, 2)])
+    for v in ((2.0, 2), (True, 0), (0, False)):
+        with pytest.raises(TypeError, match="^matrix entries must be int or Fraction"):
+            basis.contains(v)
+    assert basis.contains((2, -4)) and basis.contains((Fraction(4, 2), 0))
+    assert not basis.contains((1, 0)) and not basis.contains((Fraction(1, 2), 0))
+    half_third = hnf([(Fraction(1, 2), 0), (0, Fraction(1, 3))])
+    assert half_third.contains((Fraction(1, 2), Fraction(2, 3))) and half_third.contains((1, 0))
+    assert not half_third.contains((Fraction(1, 4), 0))
+    for rows in ([(0.5,)], [(True,)], [(1, 0), (0, 2.0)]):
+        with pytest.raises(TypeError, match="^matrix entries must be int or Fraction"):
+            LatticeBasis(len(rows[0]), rows)
+    assert LatticeBasis(2, [[2, 0], (0, Fraction(4, 2))]) == basis
+
+
 def test_hnf_zero_and_empty():
     assert hnf([], dim=3).rows == ()
     assert hnf([(0, 0, 0)]).rows == ()

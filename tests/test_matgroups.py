@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import exactgroups.sl2 as sl2
+import exactgroups.prng as prng
 from exactgroups.matrix import Matrix, PreconditionError
 from exactgroups.prng import SplitMix64
 from exactgroups.sl2 import (GENERATORS, MINUS_I, S, S_ALT, T, T_ALT,
@@ -317,7 +317,7 @@ def test_sampling_matches_matrix_products(monkeypatch):
             super().__init__(seed)
             made.append(self)
 
-    monkeypatch.setattr(sl2, "SplitMix64", Recorded)
+    monkeypatch.setattr(prng, "SplitMix64", Recorded)
     kinds = ["full"] + [CongruenceKind(family, N) for family in ("gamma", "gamma0", "gamma1")
                         for N in (1, 2, 3, 4)]
     for kind in kinds:

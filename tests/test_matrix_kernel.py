@@ -384,6 +384,19 @@ def test_a_matrix_is_its_pair(monkeypatch):
         assert h == hash(Matrix(m.data)) == hash((m.rows, m.cols, m.num, m.lam, m.integral))
 
 
+def test_scalar_product_refuses_a_bool():
+    # Matrix([[1, 2]]) * True once answered the matrix itself, True read as 1,
+    # while * 2.0 and a bool entry were refused: a scalar is now read as an
+    # entry is, on either side.
+    m = Matrix([[1, 2]])
+    for scalar in (True, False, 2.0):
+        for product in (lambda: m * scalar, lambda: scalar * m):
+            with pytest.raises(TypeError, match="^matrix entries must be int or Fraction"):
+                product()
+    assert m * 3 == 3 * m == Matrix([[3, 6]])
+    assert Fraction(1, 2) * m == m * Fraction(1, 2) == Matrix([[Fraction(1, 2), 1]])
+
+
 def test_one_matrix_built_four_ways():
     # M = N / d is stored as its unique (num, lam): built from Fraction
     # entries, from the int entries N over d (also as "x/d" text), as the
