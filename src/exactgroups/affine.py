@@ -2,9 +2,9 @@
 growth oracle, invariant-lattice closure, the unimodular-twist automorphism,
 and a classification report for canonical subgroup descriptors.
 
-`lattice`, `sl2` and `cocycle` are imported by the functions that call
-them, never in a loop, so a CLI call such as `affine ball` compiles none
-of them.
+`lattice`, `sl2` and `cocycle` are imported by the functions (or, in
+`classify_subgroup`, the branch) that call them, never in a loop, so a CLI
+call such as `affine ball` compiles none of them.
 """
 
 from __future__ import annotations
@@ -408,7 +408,6 @@ def classify_subgroup(descriptor):
     Maximality itself is never asserted; the report lists reproducible
     obstruction evidence only.
     """
-    import exactgroups.cocycle as cocycle
     checks = []
     if isinstance(descriptor, FullLatticeSemidirect):
         basis = descriptor.lattice
@@ -429,6 +428,7 @@ def classify_subgroup(descriptor):
         return ClassificationReport("case1", tuple(checks))
 
     if isinstance(descriptor, GraphSubgroup):
+        import exactgroups.cocycle as cocycle
         spec = descriptor.spec
         if spec.relators:
             ok = cocycle.verify_relations(spec)

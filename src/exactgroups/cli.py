@@ -4,51 +4,34 @@ Every invocation reads at most one JSON document (--in FILE, or "-" for
 stdin), writes exactly one JSON document to stdout and diagnostics to
 stderr.  Identical argv + input produce byte-identical output.
 
-One table, COMMANDS, maps each (group, command) to the module of its
-handler, whether it reads a document, and its flags as argparse specs;
-every command also takes --in.  run() first parses argv from the table
-alone (_table_parse): the (group, command) key, then only that command's
-flags, each once, as --f v or --f=v.  Any other argv -- help, an
-abbreviated, unknown or repeated flag, a missing or bad value -- goes to
-the argparse parser built from the same table, so help texts, usage
-messages and their exit codes are argparse's; that parser too refuses a
-flag given twice, with a usage error (exit 2).  argparse is imported and the
-parser built only then, once per process, and help is formatted at a fixed
-width, not the terminal's.  run() reads the document only for commands that
-take one, refuses any but a JSON object, and calls the handler as a pure
-function handler(doc, opts) -> dict, where opts maps each flag to its
-value.  Handlers read each field through a serialize reader (object, array,
-vector, matrix, int, scalar, word, cocycle spec), which refuses a malformed
-field in the program's words, naming its shape.  Integer flags follow the
-integer rule of the input documents (serialize.parse_int).
+One table, COMMANDS, maps each (group, command) to whether it reads a
+document and to its flags as argparse specs; every command also takes
+--in.  run() first parses argv from the table alone (_table_parse): the
+(group, command) key, then only that command's flags, each once, as --f v
+or --f=v.  Any other argv -- help, an abbreviated, unknown or repeated
+flag, a missing or bad value -- goes to the argparse parser built from the
+same table, so help texts, usage messages and their exit codes are
+argparse's; that parser too refuses a flag given twice, with a usage error
+(exit 2).  argparse is imported and the parser built only then, once per
+process, and help is formatted at a fixed width, not the terminal's.
 
-A valid request does only the work its answer needs: the table parse reads
-a per-command flag table (_FLAGS) built once from COMMANDS, documents go
-in through one module-level JSON decoder and serialize's one-pass readers,
-the answer goes out through one module-level encoder, and the sampling
-commands multiply raw int rows (matrix._walk, for affine aut-check and
-fact-check --fact 1|2) with the same SplitMix64 draws as before.
-What a request still pays for besides its command is the JSON decode of its
-document, and for help and malformed argv the argparse parser.
+run() reads the document only for commands that take one, refuses any but
+a JSON object, and calls the handler as a pure function handler(doc, opts)
+-> dict, where opts maps each flag to its value.  Handlers read each field
+through a serialize reader (object, array, vector, matrix, int, scalar,
+word, cocycle spec), which refuses a malformed field in the program's
+words, naming its shape.  Integer flags follow the integer rule of the
+input documents (serialize.parse_int).
 
-The handlers live in one module per group next to this one (cli_sl2,
-cli_cocycle, cli_affine, cli_bruhat, cli_lin), each naming them in
-HANDLERS.  run() imports a group's module on the first call of one of its
-commands and caches the handler (_handler), so later calls in the process
-pay one cache lookup; no group module imports this one, which `python -m
-exactgroups.cli` would then compile twice.  Handlers import the library
-modules they call when they run, and `fractions` (which loads `decimal`) is
-imported only where a Fraction is made or tested.  So a cold call compiles
-this module, one group's handlers and its command's library modules, and an
-int-only document loads neither `fractions` nor `decimal`.  Without cached
-bytecode compiling costs about 1.3 us per AST node (Python 3.11, 2-vCPU
-VM): the benchmark's cold commands compiled 9.6k-18.1k nodes each when every
-handler lived here and now compile 7.6k-16.8k, and `cold_call_ms` fell 7-8%
-(about 61 -> 56 ms).
-The imports are absolute (`import exactgroups.bruhat as bruhat`), which
-finds a loaded module in C; a relative `from . import bruhat` runs
-importlib's Python `_handle_fromlist` on every call, ~1.5 us or 3% of a
-typical in-process call.
+The handlers of a group live in the module exactgroups.cli_<group>, which
+names them in HANDLERS.  run() imports it on the group's first call and
+caches each handler it resolves (_handler).  A group module imports its
+group's library module when it loads; a handler imports only what its own
+command needs beyond that.  No group module imports this one, which
+`python -m exactgroups.cli` would then compile twice, and `fractions` is
+imported only where a Fraction is made or tested.  So a call loads this
+module, one group module and the library modules its command calls, and an
+int-only document loads neither `fractions` nor `decimal`.
 
 Exit codes: 0 success (a false predicate result is data, not an error); 2
 malformed input; 3 precondition violation, or a defect (`error: internal`).
@@ -107,41 +90,38 @@ _LEVEL = {"--level": dict(type=_int_flag, required=True)}
 _IN = {"--in": dict(dest="infile", default=None,
                     help="input JSON document (file path or - for stdin)")}
 
-# (group, command) -> (handler module, reads a document, {flag: argparse
-# spec}).  The module, exactgroups.cli_<group>, maps the command to its
-# handler in HANDLERS.  Every command also takes the flags of _IN; the order
-# here is the order of --help.
+# (group, command) -> (reads a document, {flag: argparse spec}).  The
+# handler is HANDLERS[command] of the module exactgroups.cli_<group>.  Every
+# command also takes the flags of _IN; the order here is the order of --help.
 COMMANDS = {
-    ("sl2", "classify"): ("cli_sl2", True, {}),
-    ("sl2", "decompose"): ("cli_sl2", True,
-                           {"--alphabet": dict(choices=["ST", "st"], default="ST")}),
-    ("sl2", "congruence"): ("cli_sl2", True, {
+    ("sl2", "classify"): (True, {}),
+    ("sl2", "decompose"): (True, {"--alphabet": dict(choices=["ST", "st"], default="ST")}),
+    ("sl2", "congruence"): (True, {
         "--family": dict(choices=["gamma", "gamma0", "gamma1"], required=True),
         **_LEVEL}),
-    ("cocycle", "solve-coboundary"): ("cli_cocycle", True, {}),
-    ("cocycle", "eval"): ("cli_cocycle", True, {}),
-    ("cocycle", "gamma1"): ("cli_cocycle", True, _LEVEL),
-    ("cocycle", "obstruction"): ("cli_cocycle", True, _LEVEL),
-    ("cocycle", "central"): ("cli_cocycle", True, {}),
-    ("cocycle", "finf-extend"): ("cli_cocycle", True, {}),
-    ("affine", "icc"): ("cli_affine", True, {}),
-    ("affine", "ball"): ("cli_affine", True,
-                         {"--radius": dict(type=_int_flag, default=5)}),
-    ("affine", "lattice"): ("cli_affine", True, {}),
-    ("affine", "aut-check"): ("cli_affine", True, {
+    ("cocycle", "solve-coboundary"): (True, {}),
+    ("cocycle", "eval"): (True, {}),
+    ("cocycle", "gamma1"): (True, _LEVEL),
+    ("cocycle", "obstruction"): (True, _LEVEL),
+    ("cocycle", "central"): (True, {}),
+    ("cocycle", "finf-extend"): (True, {}),
+    ("affine", "icc"): (True, {}),
+    ("affine", "ball"): (True, {"--radius": dict(type=_int_flag, default=5)}),
+    ("affine", "lattice"): (True, {}),
+    ("affine", "aut-check"): (True, {
         "--seed": dict(type=_int_flag, required=True),
         "--count": dict(type=_int_flag, default=100)}),
-    ("affine", "classify"): ("cli_affine", True, {}),
-    ("bruhat", "decompose"): ("cli_bruhat", True, {}),
-    ("bruhat", "cell"): ("cli_bruhat", True, {}),
-    ("bruhat", "fact-check"): ("cli_bruhat", False, {
+    ("affine", "classify"): (True, {}),
+    ("bruhat", "decompose"): (True, {}),
+    ("bruhat", "cell"): (True, {}),
+    ("bruhat", "fact-check"): (False, {
         "--fact": dict(type=_int_flag, choices=[1, 2, 3, 4], required=True),
         "--grid": dict(type=_int_flag, default=1),
         "--seed": dict(type=_int_flag, default=0),
         "--count": dict(type=_int_flag, default=50)}),
-    ("lin", "hnf"): ("cli_lin", True, {}),
-    ("lin", "snf"): ("cli_lin", True, {}),
-    ("lin", "solve"): ("cli_lin", True, {}),
+    ("lin", "hnf"): (True, {}),
+    ("lin", "snf"): (True, {}),
+    ("lin", "solve"): (True, {}),
 }
 
 
@@ -150,7 +130,7 @@ COMMANDS = {
 _FLAGS = {key: {flag: (spec.get("dest", flag[2:].replace("-", "_")), spec.get("type", str),
                        spec.get("choices"), spec.get("required"), spec.get("default"))
                 for flag, spec in {**_IN, **flags}.items()}
-          for key, (_, _, flags) in COMMANDS.items()}
+          for key, (_, flags) in COMMANDS.items()}
 
 
 def _table_parse(argv):
@@ -213,7 +193,7 @@ def _parser():
     parser = argparse.ArgumentParser(prog="exactgroups", **fixed)
     top = parser.add_subparsers(dest="group", required=True)
     groups = {}
-    for (group, command), (_, _, flags) in COMMANDS.items():
+    for (group, command), (_, flags) in COMMANDS.items():
         if group not in groups:
             groups[group] = top.add_parser(group, **fixed).add_subparsers(
                 dest="command", required=True)
@@ -225,10 +205,10 @@ def _parser():
 
 @functools.cache
 def _handler(command):
-    """The handler of `command`, from the HANDLERS of its group's module,
-    which the first call of any command of the group imports."""
-    module = importlib.import_module(f"exactgroups.{COMMANDS[command][0]}")
-    return module.HANDLERS[command[1]]
+    """The handler of (group, command), from the HANDLERS of the module
+    exactgroups.cli_<group>, which the group's first call imports."""
+    group, name = command
+    return importlib.import_module(f"exactgroups.cli_{group}").HANDLERS[name]
 
 
 def run(argv):
@@ -239,7 +219,7 @@ def run(argv):
         except SystemExit as exc:
             return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     command = (opts["group"], opts["command"])
-    _, reads_doc, _ = COMMANDS[command]
+    reads_doc, _ = COMMANDS[command]
     try:
         result = _handler(command)(_read_doc(opts["infile"]) if reads_doc else None, opts)
     except InputError as exc:

@@ -1,5 +1,7 @@
 """Handlers of the CLI's `affine` commands, named in HANDLERS (see exactgroups.cli)."""
 
+import exactgroups.affine as affine
+
 from .matrix import Matrix, PreconditionError, _letters, _walk
 from .serialize import (InputError, _array, parse_cocycle_spec, parse_int, parse_matrix,
                         parse_object, parse_vector, scalar_to_str, vector_to_json)
@@ -16,19 +18,16 @@ AUT_SAMPLE_CAP = 5_000
 
 
 def _parse_affine(doc):
-    import exactgroups.affine as affine
     doc = parse_object(doc)
     return affine.AffineElement(parse_vector(doc["translation"]), parse_matrix(doc["matrix"]))
 
 
 def _cmd_affine_icc(doc, opts):
-    import exactgroups.affine as affine
     g = parse_matrix(doc)
     return {"icc": affine.icc_affine_cyclic(g), "trace": scalar_to_str(g.trace())}
 
 
 def _cmd_affine_ball(doc, opts):
-    import exactgroups.affine as affine
     x = _parse_affine(doc["element"])
     gens = [_parse_affine(g) for g in _array(doc["generators"])]
     if _reduced_words(len(gens), opts["radius"]) > BALL_WORD_CAP:
@@ -49,7 +48,6 @@ def _reduced_words(k, radius):
 
 
 def _cmd_affine_lattice(doc, opts):
-    import exactgroups.affine as affine
     gens = [parse_matrix(m) for m in _array(doc["generators"])]
     seeds = [parse_vector(v) for v in _array(doc["seeds"])]
     basis, index = affine.invariant_lattice(gens, seeds)
@@ -59,7 +57,6 @@ def _cmd_affine_lattice(doc, opts):
 
 
 def _cmd_affine_aut_check(doc, opts):
-    import exactgroups.affine as affine
     import exactgroups.prng as prng
     import exactgroups.sl2 as sl2
     L = parse_matrix(doc["L"])
@@ -86,17 +83,15 @@ def _cmd_affine_aut_check(doc, opts):
 def _random_affine(rng, n, letters):
     """(a, g): a drawn from [-5, 5]^n, then for n = 2 a `_walk` of six of the
     `letters` S, S^-1, T, T^-1 (for other n, g = I)."""
-    import exactgroups.affine as affine
     a = tuple(rng.int_in(-5, 5) for _ in range(n))
     g = _walk(letters, rng, 6) if n == 2 else Matrix.identity(n).num
     return affine.AffineElement._trusted(a, g)
 
 
 def _cmd_affine_classify(doc, opts):
-    import exactgroups.affine as affine
-    import exactgroups.lattice as lattice
     kind = doc.get("kind")
     if kind == "full_lattice":
+        import exactgroups.lattice as lattice
         spec = parse_object(doc["lattice"])
         basis = lattice.hnf([parse_vector(r) for r in _array(spec["rows"])],
                             dim=parse_int(spec["dim"]))

@@ -2,6 +2,8 @@
 
 import itertools
 
+import exactgroups.bruhat as bruhat
+
 from .matrix import Matrix, PreconditionError
 from .serialize import matrix_to_json, parse_matrix, scalar_to_str
 
@@ -11,7 +13,6 @@ FACT_CASE_CAP = 100_000
 
 
 def _cmd_bruhat_decompose(doc, opts):
-    import exactgroups.bruhat as bruhat
     g = parse_matrix(doc)
     fac = bruhat.bruhat_decompose(g)
     return {"sigma": fac.sigma,
@@ -27,13 +28,11 @@ def _det_text(m):
 
 
 def _cmd_bruhat_cell(doc, opts):
-    import exactgroups.bruhat as bruhat
     g = parse_matrix(doc)
     return {"sigma": bruhat.cell_of(g)}
 
 
 def _cmd_bruhat_fact_check(doc, opts):
-    import exactgroups.bruhat as bruhat
     for flag in ("count", "grid"):
         if opts[flag] < 0:
             raise PreconditionError(f"{flag} must be >= 0")

@@ -1,11 +1,12 @@
 """Handlers of the CLI's `cocycle` commands, named in HANDLERS (see exactgroups.cli)."""
 
+import exactgroups.cocycle as cocycle
+
 from .serialize import (InputError, _array, parse_cocycle_spec, parse_index_word, parse_int,
                         parse_matrix, parse_scalar, parse_vector, vector_to_json)
 
 
 def _cmd_cocycle_solve_coboundary(doc, opts):
-    import exactgroups.cocycle as cocycle
     c_t = parse_vector(doc["c_t"], 2)
     c_s, witness = cocycle.solve_full_coboundary(c_t)
     return {"c_s": vector_to_json(c_s),
@@ -14,26 +15,22 @@ def _cmd_cocycle_solve_coboundary(doc, opts):
 
 
 def _cmd_cocycle_eval(doc, opts):
-    import exactgroups.cocycle as cocycle
     spec = parse_cocycle_spec(doc["spec"])
     word = parse_index_word(doc["word"])
     return {"value": vector_to_json(cocycle.cocycle_eval(spec, word))}
 
 
 def _cmd_cocycle_gamma1(doc, opts):
-    import exactgroups.cocycle as cocycle
     g = parse_matrix(doc)
     return {"value": vector_to_json(cocycle.gamma1_cocycle(opts["level"], g))}
 
 
 def _cmd_cocycle_obstruction(doc, opts):
-    import exactgroups.cocycle as cocycle
     g = parse_matrix(doc)
     return {"integral": cocycle.gamma1_obstruction(opts["level"], g)}
 
 
 def _cmd_cocycle_central(doc, opts):
-    import exactgroups.cocycle as cocycle
     m, n = parse_int(doc["m"]), parse_int(doc["n"])
     g = parse_matrix(doc["matrix"])
     value = cocycle.central_cocycle(m, n, g)
@@ -43,7 +40,6 @@ def _cmd_cocycle_central(doc, opts):
 
 
 def _cmd_cocycle_finf_extend(doc, opts):
-    import exactgroups.cocycle as cocycle
     n = parse_int(doc["n"])
     values = {}
     for k, x, y in (_array(t, 3) for t in _array(doc["window"])):

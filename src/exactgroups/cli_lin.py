@@ -1,12 +1,13 @@
 """Handlers of the CLI's `lin` commands, named in HANDLERS (see exactgroups.cli)."""
 
+import exactgroups.lattice as lattice
+
 from .matrix import PreconditionError
 from .serialize import (_array, matrix_to_json, parse_int, parse_matrix, parse_vector,
                         scalar_to_str, vector_to_json)
 
 
 def _cmd_lin_hnf(doc, opts):
-    import exactgroups.lattice as lattice
     rows = [parse_vector(r) for r in _array(doc["rows"])]
     basis = lattice.hnf(rows, dim=parse_int(doc["dim"]) if "dim" in doc else None)
     index = basis.index()
@@ -17,7 +18,6 @@ def _cmd_lin_hnf(doc, opts):
 
 
 def _cmd_lin_snf(doc, opts):
-    import exactgroups.lattice as lattice
     m = parse_matrix(doc)
     if not m.integral:
         raise PreconditionError("Smith normal form needs an integer matrix")
@@ -26,7 +26,6 @@ def _cmd_lin_snf(doc, opts):
 
 
 def _cmd_lin_solve(doc, opts):
-    import exactgroups.lattice as lattice
     m = parse_matrix(doc["matrix"])
     b = parse_vector(doc["b"])
     x = lattice.solve_integer(m, b)

@@ -1,5 +1,7 @@
 """Handlers of the CLI's `sl2` commands, named in HANDLERS (see exactgroups.cli)."""
 
+import exactgroups.sl2 as sl2
+
 from .matrix import PreconditionError
 from .serialize import parse_matrix, scalar_to_str, word_to_json
 
@@ -8,7 +10,6 @@ ST_WORD_CAP = 1_000_000
 
 
 def _cmd_sl2_classify(doc, opts):
-    import exactgroups.sl2 as sl2
     g = parse_matrix(doc)
     cls = sl2.classify_sl2(g)
     return {"class": cls.kind,
@@ -18,7 +19,6 @@ def _cmd_sl2_classify(doc, opts):
 
 
 def _cmd_sl2_decompose(doc, opts):
-    import exactgroups.sl2 as sl2
     g = parse_matrix(doc)
     word = sl2.decompose_st(g)
     if opts["alphabet"] == "st":
@@ -31,7 +31,6 @@ def _cmd_sl2_decompose(doc, opts):
 
 
 def _cmd_sl2_congruence(doc, opts):
-    import exactgroups.sl2 as sl2
     g = parse_matrix(doc)
     kind = sl2.CongruenceKind(opts["family"], opts["level"])
     return {"member": sl2.congruence_membership(kind, g)}

@@ -325,7 +325,4 @@ def fixed_sublattice(g, sign):
 
 def content(v):
     """gcd of the entries of an integer vector (0 for the zero vector)."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)

@@ -257,7 +257,7 @@ def requests():
     def ask(argv, doc=None, text=None):
         out.append(request(argv, doc, text))
 
-    for (group, command), (_, reads_doc, flags) in cli.COMMANDS.items():
+    for (group, command), (reads_doc, flags) in cli.COMMANDS.items():
         prefix = [group, command]
         for _ in range(VALID_PER_COMMAND):
             argv, doc = valid(rng, group, command)

@@ -678,7 +678,7 @@ def _required_flags(flags):
 
 def test_every_command_refuses_malformed_documents(tmp_path):
     path = tmp_path / "bad.json"
-    for (group, command), (_, reads_doc, flags) in cli.COMMANDS.items():
+    for (group, command), (reads_doc, flags) in cli.COMMANDS.items():
         if not reads_doc:
             continue
         argv = [group, command] + _required_flags(flags)
@@ -772,24 +772,62 @@ def test_cli_import_loads_no_dataclasses():
 
 def test_valid_call_loads_no_argparse():
     # A valid call is parsed from COMMANDS, so argparse is never imported;
-    # run() imports only the command's group module, whose handler imports
-    # only the library modules it calls, so a cold call compiles no other.
-    # An int-only document makes no Fraction, so neither fractions nor the
-    # decimal module it loads is imported, and no group module imports
-    # exactgroups.cli, which would compile it a second time.  Each call runs
-    # as `python -m exactgroups.cli` does, with cli as __main__; as above,
-    # only what the call adds counts.
+    # run() imports only the command's group module, which imports its
+    # group's library module, and the handler imports only the further
+    # library modules its own command calls, so a cold call compiles no
+    # other.  An int-only document makes no Fraction, so neither fractions
+    # nor the decimal module it loads is imported, and no group module
+    # imports exactgroups.cli, which would compile it a second time.  Each
+    # call runs as `python -m exactgroups.cli` does, with cli as __main__; as
+    # above, only what the call adds counts.
     import subprocess
     import sys
-    spec = {"generators": [mat([[1, 1], [0, 1]])], "values": [["1", "0"]]}
+    T = mat([[1, 1], [0, 1]])
+    spec = {"generators": [T], "values": [["1", "0"]]}
     cases = [  # (argv, int-only document, exactgroups modules the call adds)
         (["sl2", "classify"], M_HYPERBOLIC, {"cli_sl2", "sl2"}),
+        (["sl2", "decompose", "--alphabet", "st"], M_HYPERBOLIC, {"cli_sl2", "sl2"}),
+        (["sl2", "congruence", "--family", "gamma1", "--level", "2"], M_GAMMA12,
+         {"cli_sl2", "sl2"}),
+        (["cocycle", "solve-coboundary"], {"c_t": ["1", "0"]}, {"cli_cocycle", "cocycle", "sl2"}),
         (["cocycle", "eval"], {"spec": spec, "word": [{"gen": 0, "exp": 3}]},
          {"cli_cocycle", "cocycle", "sl2"}),
+        (["cocycle", "gamma1", "--level", "2"], M_GAMMA12, {"cli_cocycle", "cocycle", "sl2"}),
+        (["cocycle", "obstruction", "--level", "2"], M_GAMMA12,
+         {"cli_cocycle", "cocycle", "sl2"}),
+        (["cocycle", "central"], {"m": 2, "n": 0, "matrix": M_HYPERBOLIC},
+         {"cli_cocycle", "cocycle", "sl2"}),
+        (["cocycle", "finf-extend"],
+         {"n": 1, "window": [[k, 4 * k, 8 * k * k] for k in range(-2, 3)]},
+         {"cli_cocycle", "cocycle", "sl2", "lattice"}),
         (["affine", "icc"], M_HYPERBOLIC, {"cli_affine", "affine", "sl2"}),
+        (["affine", "ball", "--radius", "2"],
+         {"element": {"translation": ["1", "0"], "matrix": T},
+          "generators": [{"translation": ["0", "1"], "matrix": M_HYPERBOLIC}]},
+         {"cli_affine", "affine"}),
+        (["affine", "lattice"], {"generators": [mat([[0, -1], [1, 0]]), T], "seeds": [["2", "0"]]},
+         {"cli_affine", "affine", "lattice"}),
+        (["affine", "aut-check", "--seed", "1", "--count", "3"], {"L": T, "xi": ["1", "0"]},
+         {"cli_affine", "affine", "sl2", "prng"}),
+        # Each descriptor kind loads only what its own checks call.
+        (["affine", "classify"], {"kind": "cyclic_linear", "matrix": M_HYPERBOLIC},
+         {"cli_affine", "affine", "sl2"}),
+        (["affine", "classify"], {"kind": "full_lattice", "generators": [M_HYPERBOLIC],
+                                  "lattice": {"rows": [["2", "0"], ["0", "2"]], "dim": 2}},
+         {"cli_affine", "affine", "sl2", "lattice"}),
+        (["affine", "classify"], {"kind": "graph", "spec": spec},
+         {"cli_affine", "affine", "sl2", "cocycle"}),
+        (["bruhat", "decompose"], mat([[2, 1, 0], [1, 1, 0], [0, 3, 1]]),
+         {"cli_bruhat", "bruhat"}),
         (["bruhat", "cell"], mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), {"cli_bruhat", "bruhat"}),
+        (["bruhat", "fact-check", "--fact", "1", "--count", "3"], None,
+         {"cli_bruhat", "bruhat", "prng"}),
+        (["lin", "hnf"], {"rows": [["2", "0"], ["1", "1"]], "dim": 2}, {"cli_lin", "lattice"}),
         (["lin", "snf"], mat([[2, 4], [6, 8]]), {"cli_lin", "lattice"}),
+        (["lin", "solve"], {"matrix": mat([[2, 0], [0, 3]]), "b": ["4", "9"]},
+         {"cli_lin", "lattice"}),
     ]
+    assert {tuple(argv[:2]) for argv, _, _ in cases} == cli.COMMANDS.keys()
     script = ("import json, runpy, sys\n"
               "sys.argv = ['exactgroups'] + sys.argv[1:]\n"
               "before = set(sys.modules)\n"
@@ -800,7 +838,8 @@ def test_valid_call_loads_no_argparse():
               "    print(json.dumps([exc.code, sorted(added & {'argparse', 'fractions', 'decimal'}),\n"
               "                      sorted(m for m in added if m.startswith('exactgroups'))]))\n")
     for argv, doc, modules in cases:
-        proc = subprocess.run([sys.executable, "-c", script, *argv, "--in", "-"],
+        stdin = [] if doc is None else ["--in", "-"]
+        proc = subprocess.run([sys.executable, "-c", script, *argv, *stdin],
                               capture_output=True, text=True, input=json.dumps(doc),
                               env=_child_env(), timeout=20)
         assert proc.returncode == 0, proc.stderr
@@ -808,7 +847,7 @@ def test_valid_call_loads_no_argparse():
         assert "exactgroups.cli" not in loaded, argv
         expected = sorted(["exactgroups"] + [f"exactgroups.{m}" for m in
                                              {"matrix", "serialize"} | modules])
-        assert [code, stdlib, loaded] == [0, [], expected], argv
+        assert [code, stdlib, loaded] == [0, [], expected], (argv, doc)
     # The package itself loads only matrix; its lattice names load lattice
     # on first use, by name or by *.
     script = ("import sys\n"

@@ -146,7 +146,7 @@ def _call(argv, doc):
 def test_every_command_has_a_valid_document():
     assert VALID.keys() == cli.COMMANDS.keys()
     for (group, command), (flags, doc) in VALID.items():
-        assert (doc is not None) == cli.COMMANDS[group, command][1]
+        assert (doc is not None) == cli.COMMANDS[group, command][0]
         code, out, err, _ = _call([group, command, "--in", "-"] + flags, doc)
         assert (code, err) == (0, ""), (group, command, err)
         assert json.loads(out)["command"] == f"{group}.{command}"

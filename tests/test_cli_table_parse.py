@@ -23,7 +23,7 @@ MUTANTS_PER_ARGV = 20
 ODD_TOKENS = ("--lev", "-h", "--", "--level=-2", "--in=", "-3", " 7", "+5", "0x10", "1_0",
               "\u0663", "-", "", "7", "gamma2")
 VALUES = ("0", "2", "3", "7", "-1", "st", "gamma", "x", "-", "0x10")
-ALL_FLAGS = sorted({"--in"}.union(*(flags for _, _, flags in cli.COMMANDS.values())))
+ALL_FLAGS = sorted({"--in"}.union(*(flags for _, flags in cli.COMMANDS.values())))
 
 
 def argparse_opts(argv):
@@ -38,7 +38,7 @@ def argparse_opts(argv):
 def mutated(rng, argv):
     argv = list(argv)
     entry = cli.COMMANDS.get(tuple(argv[:2]))
-    own = ["--in"] + list(entry[2] if entry else ())
+    own = ["--in"] + list(entry[1] if entry else ())
     pool = (list(ODD_TOKENS) + ALL_FLAGS + argv
             + [f"{flag}={value}" for flag in own for value in VALUES])
     for _ in range(1 + rng.below(3)):

@@ -885,6 +885,9 @@ def test_content():
     assert content((4, 6)) == 2
     assert content((0, 0, 0)) == 0
     assert content((-3, 0, 9)) == 3
+    assert content(()) == 0 and content((-7,)) == 7
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        content((2, Fraction(1, 2)))
 
 
 def test_hnf_invariant_under_unimodular_mix():

@@ -76,9 +76,12 @@ def _local_imports(func):
 
 
 def test_every_function_local_import_is_used():
-    # The CLI handlers, affine, cocycle and serialize import inside
-    # functions, so that a call loads only the modules it needs; each such
-    # import must be read in its function (or in a function nested in it).
+    # Library modules, cli's argparse paths and two `affine` handlers import
+    # inside functions, so that a call loads only the modules it needs; each
+    # such import must be read in its function (or in a function nested in
+    # it).  The floor only guards against a vacuous pass: an import hoisted
+    # to module level leaves this count, and
+    # test_every_module_level_import_is_used checks it instead.
     unused, seen = [], 0
     for name, tree in MODULES.items():
         for func in ast.walk(tree):
@@ -92,7 +95,7 @@ def test_every_function_local_import_is_used():
                     bound = alias.asname or alias.name.split(".")[0]
                     if bound not in reads:
                         unused.append(f"{name}:{stmt.lineno} {func.name} {bound}")
-    assert seen >= 30, seen
+    assert seen >= 26, seen
     assert not unused, unused
 
 
