@@ -7,8 +7,6 @@ and a classification report for canonical subgroup descriptors.
 call such as `affine ball` compiles none of them.
 """
 
-from __future__ import annotations
-
 from functools import partial
 from math import gcd, prod
 from operator import mul

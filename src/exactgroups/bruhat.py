@@ -14,8 +14,6 @@ sampled facts 1 and 2 multiply their random words on int rows
 (`matrix._walk`).
 """
 
-from __future__ import annotations
-
 from math import lcm
 
 from .matrix import Matrix, PreconditionError, Record, _letters, _walk

@@ -37,8 +37,6 @@ Exit codes: 0 success (a false predicate result is data, not an error); 2
 malformed input; 3 precondition violation, or a defect (`error: internal`).
 """
 
-from __future__ import annotations
-
 import functools
 import importlib
 import json

@@ -10,8 +10,6 @@ parity case analysis, and the infinite-rank free family b^k a b^-k with its
 singular extension system.
 """
 
-from __future__ import annotations
-
 from .matrix import Matrix, PreconditionError, Record, ShapeError, vec_norm
 from .sl2 import CongruenceKind, _require_sl2, congruence_membership
 
@@ -191,7 +189,8 @@ def gamma1_obstruction(N, s):
     Since xi - s xi = ((1 - s11)/N, -s21/N), integrality is N | 1 - s11 and
     N | s21, which for det s = 1 is membership of s in Gamma_1(N) (see
     `congruence_membership`): the non-extendability obstruction for the
-    family.  A level below 1 is refused before s is checked.
+    family.  A level that is not an integer >= 1 is refused (see
+    `sl2.CongruenceKind`) before s is checked.
     """
     return congruence_membership(CongruenceKind("gamma1", N), s)
 

@@ -17,8 +17,6 @@ Conventions:
   * The zero lattice is an empty basis, never a zero row.
 """
 
-from __future__ import annotations
-
 from math import gcd, prod
 
 from .matrix import (Matrix, PreconditionError, Record, ShapeError, _bareiss, _normed,

@@ -17,8 +17,6 @@ block empty for `det`, I for `inverse`, b for `lattice.solve_integer`), and
 builds its result by `Matrix._of`, which divides out the gcd.
 """
 
-from __future__ import annotations
-
 import sys
 from functools import lru_cache
 from math import gcd, lcm

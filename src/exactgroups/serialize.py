@@ -23,8 +23,6 @@ Matrix() refuses and keeps int rows over the lcm of the denominators
 Fraction.  A declared "rows" or "cols" must be a JSON integer equal to it.
 """
 
-from __future__ import annotations
-
 import sys
 from math import gcd
 

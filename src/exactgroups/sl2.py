@@ -7,8 +7,6 @@ Two generator alphabets are used:
 They are related by s = S^-1 and t = S*T, so T = s*t.
 """
 
-from __future__ import annotations
-
 from .matrix import Matrix, PreconditionError, Record, _letters, _walk
 
 S = Matrix([[0, -1], [1, 0]])
@@ -32,8 +30,14 @@ class OrderCapExceeded(PreconditionError):
 
 
 def _require_sl2(g):
-    if (g.rows, g.cols) != (2, 2) or not g.integral or g.det() != 1:
-        raise PreconditionError("expected an integer 2x2 matrix of determinant 1")
+    """g's int rows ((a, b), (c, d)), when g is an integer 2x2 matrix with
+    a d - b c = 1; else PreconditionError.  The rows are read from g once,
+    here, and det is made from them; the callers unpack the same rows."""
+    if g.integral and g.rows == 2 == g.cols:
+        (a, b), (c, d) = rows = g.num
+        if a * d - b * c == 1:
+            return rows
+    raise PreconditionError("expected an integer 2x2 matrix of determinant 1")
 
 
 def _require_unimodular(g):
@@ -64,6 +68,19 @@ class GenWord(Record):
         return len(self.tokens)
 
 
+_set_tokens, _set_central = GenWord._setters
+
+
+def _word(tokens, central):
+    """GenWord(tokens, central) from a token tuple and 0 or 1, unchecked,
+    without `Record.__init__`'s argument handling: the word builders'
+    one constructor."""
+    w = object.__new__(GenWord)
+    _set_tokens(w, tokens)
+    _set_central(w, central)
+    return w
+
+
 # -- classification --------------------------------------------------------
 
 class Sl2Class(Record):
@@ -75,8 +92,8 @@ class Sl2Class(Record):
 
 def classify_sl2(g):
     """Trace-type classification of g in SL2(Z)."""
-    _require_sl2(g)
-    tr = g.trace()
+    (a, _), (_, d) = _require_sl2(g)
+    tr = a + d
     if abs(tr) > 2:
         return Sl2Class("hyperbolic")
     order = order_of(g)
@@ -111,24 +128,23 @@ def order_of(g, cap=None):
 # -- generator-word decomposition ------------------------------------------
 
 def decompose_st(g):
-    """Write g as a word over {S, T} times (-I)^eps.
+    """Write g as a word over {S, T} times (-I)^eps, in one pass.
 
     Continued-fraction style: while the lower-left entry is nonzero,
     left-multiply by S*T^(-q) with q the rounded quotient of the Euclidean
-    step; the residue is +-T^k.  The loop runs on the four integer entries:
-    q = floor(a/c + 1/2) = (2a + c) // (2c), and S*T^(-q) sends the rows
-    (a, b), (c, d) to (-c, -d), (a - qc, b - qd).
+    step; the residue is +-T^k.  The loop runs on the four integer entries
+    that `_require_sl2` read: q = floor(a/c + 1/2) = (2a + c) // (2c), and
+    S*T^(-q) sends the rows (a, b), (c, d) to (-c, -d), (a - qc, b - qd).
+    Since g = (T^q1 S^-1)(T^q2 S^-1)... residue and S^-1 = (-I) S, each
+    step appends its tokens T^q (when q != 0) and S as it goes, and flips
+    the central factor.
     """
-    _require_sl2(g)
-    (a, b), (c, d) = g.num
-    quotients = []
+    (a, b), (c, d) = _require_sl2(g)
+    tokens = []
+    central = 0
     while c != 0:
         q = (2 * a + c) // (2 * c)
         a, b, c, d = -c, -d, a - q * c, b - q * d
-        quotients.append(q)
-    tokens = []
-    central = 0
-    for q in quotients:  # g = (T^q1 S^-1)(T^q2 S^-1)... residue; S^-1 = (-I) S
         if q != 0:
             tokens.append(("T", q))
         tokens.append(("S", 1))
@@ -140,7 +156,7 @@ def decompose_st(g):
         central ^= 1
     if tail != 0:
         tokens.append(("T", tail))
-    return GenWord(tuple(tokens), central)
+    return _word(tuple(tokens), central)
 
 
 def to_st_word(word):
@@ -150,46 +166,58 @@ def to_st_word(word):
     reduced modulo the generator orders (4 for s, 6 for t), and adjacent
     letters of one generator merged.
 
-    Each token becomes a block of reduced letters that alternate between s
-    and t: S^e -> s^(3e mod 4), s^e and t^e reduced, T^q -> (s t)^q, or
-    (t^5 s^3)^-q for q < 0, and a letter that reduces to 0 leaves an empty
-    block.  The word kept so far alternates too, so a block can merge only
-    at its front: its first letter merges with the last letter kept, and
-    when the sum reduces to 0 both go and the block's next letter meets the
-    letter before, in a cascade.  Once a letter is appended, the rest of
-    the block follows it unmerged.
+    Each token becomes a tuple block of reduced letters that alternate
+    between s and t: S^e -> s^(3e mod 4), s^e and t^e reduced, T^q ->
+    (s t)^q, or (t^5 s^3)^-q for q < 0, and a letter that reduces to 0
+    leaves an empty block.  The word kept so far alternates too, so a block
+    can merge only at its front: its first letter merges with the last
+    letter kept, and when the sum reduces to 0 both go and the block's next
+    letter meets the letter before, in a cascade.  Only that merged prefix
+    is walked: once a letter is appended, or the next one does not merge,
+    the rest of the block follows unmerged, and a block of which nothing
+    merged is appended whole, with no copy.
     """
     out = [("s", 2)] if word.central else []
     for gen, exp in word.tokens:
         if gen == "T":
-            block = [("s", 1), ("t", 1)] * exp if exp >= 0 else [("t", 5), ("s", 3)] * -exp
+            block = (("s", 1), ("t", 1)) * exp if exp >= 0 else (("t", 5), ("s", 3)) * -exp
         elif gen in ("S", "s", "t"):
             if gen == "S":
                 gen, exp = "s", 3 * exp
             exp %= 4 if gen == "s" else 6
-            block = [(gen, exp)] if exp else []
+            block = ((gen, exp),) if exp else ()
         else:
             raise PreconditionError(f"unknown generator {gen!r}")
-        for i, (gen, exp) in enumerate(block):
-            if out and out[-1][0] == gen:
-                exp = (out.pop()[1] + exp) % (4 if gen == "s" else 6)
-                if not exp:
-                    continue   # cancelled: the next letter meets the one before
+        merged = 0
+        for gen, exp in block:
+            if not out or out[-1][0] != gen:
+                break
+            merged += 1
+            exp = (out.pop()[1] + exp) % (4 if gen == "s" else 6)
+            if exp:   # else cancelled: the next letter meets the one before
                 out.append((gen, exp))
-                i += 1
-            out.extend(block[i:])
-            break
-    return GenWord(tuple(out), 0)
+                break
+        out.extend(block[merged:] if merged else block)
+    return _word(tuple(out), 0)
 
 
 # -- congruence subgroups --------------------------------------------------
 
 class CongruenceKind(Record):
+    """A congruence family and its level N >= 1.  A Fraction level with
+    denominator 1 is read as its int; any other non-int level, a bool or a
+    float among them, raises PreconditionError."""
+
     __slots__ = ("family", "level")
 
     def __init__(self, family, level):
         if family not in ("gamma", "gamma0", "gamma1"):
             raise PreconditionError(f"unknown congruence family {family!r}")
+        if type(level) is not int:
+            import fractions
+            if type(level) is not fractions.Fraction or level.denominator != 1:
+                raise PreconditionError(f"level must be an integer, got {level!r}")
+            level = level.numerator
         if level < 1:
             raise PreconditionError("level must be >= 1")
         Record.__init__(self, family, level)
@@ -199,9 +227,8 @@ def congruence_membership(kind, g):
     """Membership of g in Gamma(N), Gamma_0(N) or Gamma_1(N): N | g21, then
     N | 1 - g11 unless Gamma_0(N), then N | g12 for Gamma(N).  g22 is not
     tested: det g = 1 gives g11 g22 = 1 + g12 g21, so g22 = 1 mod N follows."""
-    _require_sl2(g)
+    (a, b), (c, _) = _require_sl2(g)
     N, family = kind.level, kind.family
-    (a, b), (c, _) = g.num
     return (c % N == 0 and (family == "gamma0" or (1 - a) % N == 0)
             and (family != "gamma" or b % N == 0))
 
@@ -211,9 +238,8 @@ def subgroup_generators(kind):
     if kind == "full":
         return (S, T)
     N = kind.level
-    if kind.family == "gamma1" or kind.family == "gamma0":
-        return (Matrix([[1, 1], [0, 1]]), Matrix([[1, 0], [N, 1]]))
-    return (Matrix([[1, N], [0, 1]]), Matrix([[1, 0], [N, 1]]))
+    b = N if kind.family == "gamma" else 1   # Gamma_0(N), Gamma_1(N) hold T
+    return (Matrix([[1, b], [0, 1]]), Matrix([[1, 0], [N, 1]]))
 
 
 def sample_subgroup_element(kind, word_length, seed):

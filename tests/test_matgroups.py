@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exactgroups.prng as prng
+from exactgroups.cocycle import CocycleSpec, gamma1_cocycle, gamma1_obstruction
 from exactgroups.matrix import Matrix, PreconditionError
 from exactgroups.prng import SplitMix64
 from exactgroups.sl2 import (GENERATORS, MINUS_I, S, S_ALT, T, T_ALT,
@@ -218,9 +221,16 @@ def _expand_and_merge(word):
     return GenWord(tuple(out), 0)
 
 
+def _inverse_tokens(tokens):
+    return tuple((gen, -exp) for gen, exp in reversed(tokens))
+
+
 def test_to_st_word_matches_expand_and_merge():
-    # Seeded words of 0-6 tokens over S, T, s, t with exponents in [-9, 9],
-    # and fixed words for s^4, t^6, T^q S^e cascades and negative T.
+    # Seeded words of 0-6 tokens over S, T, s, t with exponents in [-40, 40]
+    # (decompose_st's words on the int-words benchmark reach |T exponent| 29
+    # over seeds 0-29), fixed words for s^4, t^6, T^q S^e cascades and
+    # negative T, and words whose blocks cancel down to the empty word:
+    # w w^-1 cascades through every block of w^-1.
     rng = seeded(32)
     words = [GenWord(tokens, central) for central in (0, 1) for tokens in (
         (("s", 4),), (("t", 6),), (("t", 6), ("s", 4), ("t", 1)),
@@ -228,11 +238,18 @@ def test_to_st_word_matches_expand_and_merge():
         (("T", -2), ("S", 1), ("T", -3)), (("T", -1), ("S", 3), ("T", 1)),
         (("T", -2), ("S", -1), ("t", 1), ("s", 1)),
         (("T", 1), ("T", -1)), (("T", -4), ("s", 1), ("t", 1), ("T", 4)), ())]
+    empty = [GenWord(tokens, central) for tokens, central in (
+        ((("T", 40), ("T", -40)), 0), ((("T", -37), ("S", 4), ("T", 37)), 0),
+        ((("S", 2),), 1), ((("s", 2), ("t", 3), ("t", 3)), 1), ((("s", 1), ("S", 1)), 0),
+        ((("T", 1), ("t", 5), ("s", 3)), 0), ((("t", 40), ("t", -40), ("s", -5), ("S", 3)), 0))]
     for _ in range(3000):
-        tokens = tuple(("STst"[rng.below(4)], rng.int_in(-9, 9)) for _ in range(rng.int_in(0, 6)))
+        tokens = tuple(("STst"[rng.below(4)], rng.int_in(-40, 40)) for _ in range(rng.int_in(0, 6)))
         words.append(GenWord(tokens, rng.below(2)))
-    for word in words:
+        empty.append(GenWord(tokens + _inverse_tokens(tokens), 0))
+    for word in words + empty:
         assert to_st_word(word) == _expand_and_merge(word), word
+    for word in empty:
+        assert to_st_word(word) == GenWord((), 0), word
     for word in (GenWord((("X", 1),), 0), GenWord((("T", 2), ("u", 1)), 1)):
         with pytest.raises(PreconditionError):
             to_st_word(word)
@@ -241,6 +258,38 @@ def test_to_st_word_matches_expand_and_merge():
 def test_to_st_word_rejects_unknown_generator():
     with pytest.raises(PreconditionError):
         to_st_word(GenWord((("X", 1),), 0))
+
+
+def test_built_words_are_plain_genwords():
+    # decompose_st and to_st_word build their words past Record.__init__;
+    # each must still equal, hash, repr and pickle as GenWord(tokens, central).
+    rng = seeded(41)
+    for _ in range(200):
+        g = random_sl2(rng, length=rng.below(12))
+        for word in (decompose_st(g), to_st_word(decompose_st(g))):
+            plain = GenWord(tuple(word.tokens), word.central)
+            assert type(word) is GenWord and type(word.tokens) is tuple
+            assert word == plain and hash(word) == hash(plain)
+            assert repr(word) == repr(plain)
+            clone = pickle.loads(pickle.dumps(word))
+            assert clone == plain and repr(clone) == repr(plain)
+            with pytest.raises(AttributeError):
+                word.central = 0
+
+
+@pytest.mark.parametrize("g", [
+    Matrix.identity(3),                                # 3x3
+    Matrix([[Fraction(1, 2), 0], [0, 2]]),             # rational 2x2, det 1
+    Matrix([[0, 1], [1, 0]]),                          # det -1
+    Matrix([[2, 0], [0, 1]]),                          # det 2
+])
+def test_sl2_refusal_message(g):
+    calls = (decompose_st, classify_sl2, lambda g: CocycleSpec((g,), ((0, 0),)),
+             lambda g: congruence_membership(CongruenceKind("gamma", 2), g))
+    for call in calls:
+        with pytest.raises(PreconditionError,
+                           match="^expected an integer 2x2 matrix of determinant 1$"):
+            call(g)
 
 
 # -- congruence subgroups --------------------------------------------------
@@ -257,6 +306,23 @@ def test_congruence_examples():
         CongruenceKind("gamma2", 2)
     with pytest.raises(PreconditionError):
         CongruenceKind("gamma", 0)
+
+
+def test_congruence_level_must_be_an_integer():
+    # A bool level was read as 1, 2.5 gave a float-modulo answer and 4.0
+    # passed as 4; gamma1_cocycle and gamma1_obstruction inherited all three.
+    g = Matrix([[1, 0], [4, 1]])
+    for level in (True, 2.5, 4.0, Fraction(5, 2), "4"):
+        message = "^" + re.escape(f"level must be an integer, got {level!r}") + "$"
+        for call in (lambda: congruence_membership(CongruenceKind("gamma1", level), g),
+                     lambda: gamma1_cocycle(level, g), lambda: gamma1_obstruction(level, g)):
+            with pytest.raises(PreconditionError, match=message):
+                call()
+    kind = CongruenceKind("gamma1", Fraction(4, 1))   # read as its int
+    assert kind == CongruenceKind("gamma1", 4) and type(kind.level) is int
+    assert congruence_membership(kind, g) and gamma1_cocycle(Fraction(4), g) == (0, -1)
+    with pytest.raises(PreconditionError, match="^level must be >= 1$"):
+        CongruenceKind("gamma", Fraction(0))
 
 
 def test_congruence_nesting():

@@ -24,7 +24,7 @@ def _references(node):
             refs.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             refs.add(sub.attr)
-        elif isinstance(sub, ast.ImportFrom) and sub.module != "__future__":
+        elif isinstance(sub, ast.ImportFrom):
             refs.update(alias.name for alias in sub.names)
     return refs
 
@@ -50,8 +50,7 @@ def _defined(stmt):
 def test_every_module_level_import_is_used():
     unused = []
     for name, tree in MODULES.items():
-        imports = [stmt for stmt in tree.body if isinstance(stmt, (ast.Import, ast.ImportFrom))
-                   and getattr(stmt, "module", None) != "__future__"]
+        imports = [stmt for stmt in tree.body if isinstance(stmt, (ast.Import, ast.ImportFrom))]
         used = set().union(*(_references(stmt) for stmt in tree.body
                              if stmt not in imports)) | _exported(tree)
         for stmt in imports:
