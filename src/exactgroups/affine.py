@@ -129,15 +129,19 @@ def icc_affine_cyclic(g):
     no +-1 eigenvector in Z^2, and, for det g = 1, |tr(g)| > 2.  With det
     g = -1 and infinite order the trace is nonzero, so the eigenvalues are
     irrational and the group is ICC.  The answer is read from det(g - I) and
-    det(g + I): an integer matrix with eigenvalue +-1 has a rational, hence
-    an integer, eigenvector, so g has none in Z^2 exactly when both are nonzero.
+    det(g + I), that is det g - tr g + 1 and det g + tr g + 1: an integer
+    matrix with eigenvalue +-1 has a rational, hence an integer, eigenvector,
+    so g has none in Z^2 exactly when both are nonzero.  A g of finite order,
+    and anything but an integer 2x2 of det +-1 (`sl2.order_of`), raises
+    PreconditionError; no matrix is built.
     """
     import exactgroups.sl2 as sl2
     k = sl2.order_of(g)
     if k is not None:
         raise PreconditionError(f"g has finite order {k}")
-    ident = Matrix.identity(g.rows)
-    return (g - ident).det() != 0 and (g + ident).det() != 0
+    (a, b), (c, d) = g.num
+    det, tr = a * d - b * c, a + d
+    return det - tr + 1 != 0 and det + tr + 1 != 0
 
 
 def conj_class_ball(x, gens, radius):
@@ -325,8 +329,8 @@ def affine_automorphism(L, xi):
     `conj_class_ball` step, on the raw pairs of P, P^-1 and el, built by
     `AffineElement._trusted`.  Any other el takes P * el * P_inv.
     """
-    import exactgroups.sl2 as sl2
-    sl2._require_unimodular(L)
+    if L.rows != L.cols or not L.integral or L.det() not in (1, -1):
+        raise PreconditionError("expected a square integer matrix with det +-1")
     P = AffineElement(xi, L)
     if any(type(x) is not int for x in P.translation):
         raise PreconditionError("xi must be an integer vector")
@@ -474,15 +478,15 @@ def _cyclic_checks(g):
     return checks
 
 
-def _finite_closure_check(gens, dim, cap=24):
+def _finite_closure_check(gens, dim):
     """("pass", evidence) when the group generated by the dim x dim matrices
-    `gens` closes finitely; no generators give the trivial group."""
+    `gens` closes within 24 elements; no generators give the trivial group."""
     seen = {Matrix.identity(dim)}
     frontier = list(seen)
     alphabet = [g for g in gens] + [g.inverse() for g in gens]
     while frontier:
-        if len(seen) > cap:
-            return "unknown", {"reason": f"no closure within cap {cap}"}
+        if len(seen) > 24:
+            return "unknown", {"reason": "no closure within cap 24"}
         new = []
         for m in frontier:
             for g in alphabet:

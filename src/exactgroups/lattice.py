@@ -19,8 +19,8 @@ Conventions:
 
 from math import gcd, prod
 
-from .matrix import (Matrix, PreconditionError, Record, ShapeError, _bareiss, _normed,
-                     _over, _scaled)
+from .matrix import (Matrix, PreconditionError, Record, ShapeError, _bareiss, _over, _scaled,
+                     vec_norm)
 
 
 class LatticeBasis(Record):
@@ -33,7 +33,7 @@ class LatticeBasis(Record):
     __slots__ = ("dim", "rows")   # rows: tuple of integer tuples, in HNF
 
     def __init__(self, dim, rows):
-        rows = tuple(map(_normed, map(tuple, rows)))
+        rows = tuple(map(vec_norm, rows))
         if any(len(row) != dim for row in rows):
             raise ShapeError("basis rows must have length dim")
         Record.__init__(self, dim, rows)
@@ -68,10 +68,10 @@ class LatticeBasis(Record):
 
     def contains(self, v):
         """Membership by back-substitution against the echelon basis.  v is
-        read as the rows are (`matrix._normed`): a float or bool is refused."""
+        read as the rows are (`matrix.vec_norm`): a float or bool is refused."""
         if len(v) != self.dim:
             raise ShapeError("vector dimension mismatch")
-        return _combination(self.rows, _normed(tuple(v))) is not None
+        return _combination(self.rows, vec_norm(v)) is not None
 
 
 def _combination(rows, v):

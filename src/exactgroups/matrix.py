@@ -439,21 +439,19 @@ def _adjugate(d):
 
 # -- vector helpers --------------------------------------------------------
 
-def _normed(w):
-    """The tuple w with its entries normalized: w itself when all are ints."""
-    for x in w:
+def vec_norm(u):
+    """The tuple of u's entries normalized as matrix entries are (`_norm`):
+    u itself when it is a tuple of ints."""
+    u = tuple(u)
+    for x in u:
         if type(x) is not int:
-            return tuple(map(_norm, w))
-    return w
+            return tuple(map(_norm, u))
+    return u
 
 
 def vec_add(u, v):
-    return _normed(tuple(map(add, u, v)))
+    return vec_norm(map(add, u, v))
 
 
 def vec_sub(u, v):
-    return _normed(tuple(map(sub, u, v)))
-
-
-def vec_norm(u):
-    return _normed(tuple(u))
+    return vec_norm(map(sub, u, v))

@@ -17,16 +17,10 @@ MINUS_I = Matrix([[-1, 0], [0, -1]])
 
 GENERATORS = {"S": S, "T": T, "s": S_ALT, "t": T_ALT}
 
-SL2_TORSION_CAP = 12  # default power cap of order_of past 2x2
-
 # (det, trace) -> order of a 2x2 integer matrix of finite order other than
 # +-I.  By Cayley-Hamilton g^2 = tr(g) g - det(g) I, and the eigenvalues are
 # roots of unity only for these pairs; det -1 needs trace 0, and then g^2 = I.
 _FINITE_ORDERS = {(1, 0): 4, (1, 1): 6, (1, -1): 3, (-1, 0): 2}
-
-
-class OrderCapExceeded(PreconditionError):
-    """No power up to the cap reached the identity; order undecided."""
 
 
 def _require_sl2(g):
@@ -38,11 +32,6 @@ def _require_sl2(g):
         if a * d - b * c == 1:
             return rows
     raise PreconditionError("expected an integer 2x2 matrix of determinant 1")
-
-
-def _require_unimodular(g):
-    if g.rows != g.cols or not g.integral or g.det() not in (1, -1):
-        raise PreconditionError("expected a square integer matrix with det +-1")
 
 
 # -- words -----------------------------------------------------------------
@@ -95,34 +84,29 @@ def classify_sl2(g):
     (a, _), (_, d) = _require_sl2(g)
     tr = a + d
     if abs(tr) > 2:
-        return Sl2Class("hyperbolic")
+        return Sl2Class("hyperbolic", None, None)
     order = order_of(g)
     if order is None:   # trace +-2 and g != +-I
-        return Sl2Class("parabolic", sign=tr // 2)
-    return Sl2Class("elliptic", order=order)
+        return Sl2Class("parabolic", None, tr // 2)
+    return Sl2Class("elliptic", order, None)
 
 
-def order_of(g, cap=None):
-    """Smallest k with g^k = I, or None for proven infinite order.
+def order_of(g):
+    """Smallest k with g^k = I, or None for infinite order, for g in GL2(Z).
 
-    A 2x2 order comes in closed form from the determinant and trace, whatever
-    the cap.  Larger sizes multiply up to the cap (12 by default), and a cap
-    miss raises OrderCapExceeded rather than claiming infinite order.
+    The order is read from det and trace alone: +-I have orders 1 and 2, and
+    any other g has finite order exactly when (det, tr) is a key of
+    `_FINITE_ORDERS`.  Anything but an integer 2x2 of det +-1 raises
+    PreconditionError, and no matrix product is made.
     """
-    _require_unimodular(g)
-    if g.rows == 2:
+    if g.integral and g.rows == 2 == g.cols:
         (a, b), (c, d) = g.num
-        if b == c == 0 and a == d:   # +-I
-            return 1 if a == 1 else 2
-        return _FINITE_ORDERS.get((a * d - b * c, a + d))
-    cap = SL2_TORSION_CAP if cap is None else cap
-    ident = Matrix.identity(g.rows)
-    p = g
-    for k in range(1, cap + 1):
-        if p == ident:
-            return k
-        p = p * g
-    raise OrderCapExceeded(f"no order found within cap {cap}")
+        det = a * d - b * c
+        if det == 1 or det == -1:
+            if b == c == 0 and a == d:   # +-I
+                return 1 if a == 1 else 2
+            return _FINITE_ORDERS.get((det, a + d))
+    raise PreconditionError("expected an integer 2x2 matrix of determinant +-1")
 
 
 # -- generator-word decomposition ------------------------------------------
@@ -215,7 +199,7 @@ class CongruenceKind(Record):
             raise PreconditionError(f"unknown congruence family {family!r}")
         if type(level) is not int:
             import fractions
-            if type(level) is not fractions.Fraction or level.denominator != 1:
+            if not isinstance(level, fractions.Fraction) or level.denominator != 1:
                 raise PreconditionError(f"level must be an integer, got {level!r}")
             level = level.numerator
         if level < 1:

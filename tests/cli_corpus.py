@@ -364,6 +364,9 @@ def edge_requests():
     for g in (((0, 1), (1, 0)), ((1, 1), (0, -1)), ((1, 1), (1, 0)), ((2, 1), (1, 0)),
               ((0, 1), (1, 3)), ((-1, 1), (1, 0))):
         ask(["affine", "icc"], mat(g))
+    # affine icc past 2x2: a 1x1, a 3x3 of finite order and a 3x3 unipotent.
+    for g in (((1,),), ((0, 1, 0), (0, 0, 1), (1, 0, 0)), ((1, 1, 0), (0, 1, 0), (0, 0, 1))):
+        ask(["affine", "icc"], mat(g))
     # cocycle eval: an answer past the 4,300-digit limit, and a huge T power.
     hyp = {"generators": [mat(((2, 1), (1, 1))), mat(T)], "values": [["1", "0"], ["0", "1"]]}
     for gen, exp in ((0, 12000), (1, 10 ** 8)):

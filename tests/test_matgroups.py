@@ -10,16 +10,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import exactgroups.matrix as matrix
 import exactgroups.prng as prng
-from exactgroups.cocycle import CocycleSpec, gamma1_cocycle, gamma1_obstruction
+from exactgroups.affine import icc_affine_cyclic
+from exactgroups.cocycle import CocycleSpec, gamma1_cocycle, gamma1_obstruction, parity_domain
 from exactgroups.matrix import Matrix, PreconditionError
 from exactgroups.prng import SplitMix64
 from exactgroups.sl2 import (GENERATORS, MINUS_I, S, S_ALT, T, T_ALT,
-                             CongruenceKind, GenWord, OrderCapExceeded,
+                             CongruenceKind, GenWord,
                              classify_sl2, congruence_membership, decompose_st,
                              order_of, sample_subgroup_element,
                              subgroup_generators, to_st_word)
-from tests.conftest import det1_matrices, random_sl2, seeded
+from tests.conftest import det1_matrices, forbidden, random_sl2, seeded
 
 
 # -- generator identities --------------------------------------------------
@@ -90,9 +92,9 @@ def _order_by_powers(a, b, c, d):
 
 
 def test_order_of_2x2_closed_form():
-    # Order 6 once read as infinite under a cap of 2, and det -1 with
-    # infinite order once raised OrderCapExceeded.
-    assert order_of(Matrix([[1, -1], [1, 0]]), cap=2) == 6
+    # Order 6 once read as infinite under a power cap of 2, and det -1 with
+    # infinite order once raised a cap-miss error.
+    assert order_of(Matrix([[1, -1], [1, 0]])) == 6
     assert order_of(Matrix([[1, 1], [1, 0]])) is None
     checked = 0
     for a, b, c, d in itertools.product(range(-4, 5), repeat=4):
@@ -103,12 +105,29 @@ def test_order_of_2x2_closed_form():
 
 
 def test_order_of_larger_sizes():
-    perm = Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    assert order_of(perm) == 3
-    with pytest.raises(OrderCapExceeded):
-        order_of(Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
     with pytest.raises(PreconditionError):
         order_of(Matrix([[2, 0], [0, 1]]))
+
+
+def test_order_and_icc_refuse_all_but_gl2z_without_a_product():
+    # Past 2x2, order_of once multiplied up to 12 powers of g, and
+    # icc_affine_cyclic, which read its order, never answered: it raised
+    # "g has finite order k" or a cap miss.  Both now take only an integer
+    # 2x2 of det +-1, read from its entries, and refuse the rest alike.
+    message = "^expected an integer 2x2 matrix of determinant \\+-1$"
+    refused = [Matrix([[1]]), Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+               Matrix.identity(4), Matrix([[2, 0], [0, 1]]),
+               Matrix([[2, 0], [0, Fraction(1, 2)]])]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Matrix, "__mul__", forbidden("Matrix.__mul__"))
+        patch.setattr(matrix, "_int_mul", forbidden("matrix._int_mul"))
+        for g in refused:
+            for call in (order_of, icc_affine_cyclic):
+                with pytest.raises(PreconditionError, match=message):
+                    call(g)
+        assert order_of(Matrix([[0, 1], [1, 0]])) == 2
+        assert icc_affine_cyclic(Matrix([[0, 1], [1, 1]]))
+        assert not icc_affine_cyclic(T)
 
 
 # -- word decomposition ----------------------------------------------------
@@ -323,6 +342,20 @@ def test_congruence_level_must_be_an_integer():
     assert congruence_membership(kind, g) and gamma1_cocycle(Fraction(4), g) == (0, -1)
     with pytest.raises(PreconditionError, match="^level must be >= 1$"):
         CongruenceKind("gamma", Fraction(0))
+
+
+def test_congruence_level_reads_a_fraction_subclass_as_parity_domain_does():
+    # A Fraction subclass with denominator 1 was refused as a level, while
+    # parity_domain, matrix entries and vectors read it as its int.
+    class F(Fraction):
+        pass
+
+    kind = CongruenceKind("gamma1", F(4, 2))
+    assert kind == CongruenceKind("gamma1", 2) and type(kind.level) is int
+    assert parity_domain(F(4, 2), 0) == parity_domain(2, 0)
+    assert gamma1_cocycle(F(8, 2), Matrix([[1, 0], [4, 1]])) == (0, -1)
+    with pytest.raises(PreconditionError, match=re.escape("got F(5, 2)")):
+        CongruenceKind("gamma1", F(5, 2))
 
 
 def test_congruence_nesting():
