@@ -147,43 +147,42 @@ def icc_affine_cyclic(g):
 def conj_class_ball(x, gens, radius):
     """Number of distinct conjugates w x w^-1 for words w of length <= radius.
 
-    One breadth-first search, `_orbit_ball`, on the conjugates c = (a, C),
-    each a raw pair (translation, rows); no word is kept.  A letter g = (b, G)
-    with g^-1 = (b', H) steps c by `_conjugate` to g c g^-1 = (G a + b +
-    G C b', G C H), the one conjugation kernel, which `affine_automorphism`
-    runs too (written out for n = 2 and 3; the entries of a rational linear
-    part pass through it unnormalized).  The letters are the conjugations by
-    g and by g^-1, inverse maps, so letters 2k and 2k + 1 undo each other as
-    `_orbit_ball` requires.  The conjugates by words of length <= radius are
-    the points within distance radius of x in the graph c -- g c g^-1, and
-    breadth-first distance is the least word length, so the count is exact.
+    One breadth-first search, `_orbit_ball`, of one of two kinds; no word is
+    kept.  The letters are the conjugations by each g and g^-1, inverse maps,
+    so letters 2k and 2k + 1 undo each other as `_orbit_ball` requires.  The
+    conjugates by words of length <= radius are the points within distance
+    radius of x in the graph c -- g c g^-1, and breadth-first distance is the
+    least word length, so the count is exact.  A translation x = (v, I) has
+    w x w^-1 = (W v, I) for w = (a, W):
 
-    A translation x = (v, I) has w x w^-1 = (W v, I) for w = (a, W), so there
-    the search runs on v alone, under the letters' linear parts: flat 4-tuples
-    at n = 2, `Matrix.apply` otherwise.  No step normalizes: Fraction(k, 1)
-    and k are equal and hash alike, so each conjugate is counted once.
+    - at n = 2 the search runs on v alone, each letter a flat 2x2 4-tuple;
+    - else on the conjugates c = (a, C), raw (translation, rows) pairs (for
+      x = (v, I) exactly the points (W v, I)).  A letter g = (b, G) with
+      g^-1 = (-H b, H) steps c by `_conjugate`, the one conjugation kernel,
+      which `affine_automorphism` runs too.
 
-    With a "p/q" translation, the search runs on ints all the same:
-    conjugation by the dilation lam I maps (a, C) to (lam a, C) and is an
-    automorphism, so with lam the lcm of the denominators of the translations
-    the search uses (x's alone for a translation x, else x's and every
-    letter's), the dilated x and letters give the same count.
+    No step normalizes: Fraction(k, 1) and k are equal and hash alike.  A
+    "p/q" translation enters as an int: conjugation by the dilation lam I maps
+    (a, C) to (lam a, C) and is an automorphism, so with lam the lcm of the
+    denominators of the translations of x and the generators (one `_scaled`
+    call), the dilated x and letters give the same count.
     """
+    if type(radius) is not int:
+        raise PreconditionError(f"radius must be an integer, got {radius!r}")
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
-    alphabet = [h for g in gens for h in (g, g.inverse())]
+    inverses = [g.linear.inverse() for g in gens]
     if not radius:
         return 1   # x itself; a product across dimensions would be an error
     n = len(x.translation)
     if any(g.linear.rows != n for g in gens):
         raise ShapeError("dimension mismatch")
-    if x.linear == Matrix.identity(n):
-        letters = [(*h.linear.data[0], *h.linear.data[1]) if n == 2 else h.linear.apply
-                   for h in alphabet]
-        (start,) = _scaled([x.translation])[0]
+    start, *shifts = _scaled([x.translation, *[g.translation for g in gens]])[0]
+    if n == 2 and x.linear == Matrix.identity(2):
+        letters = [(*m.data[0], *m.data[1]) for g, h in zip(gens, inverses) for m in (g.linear, h)]
         return _orbit_ball(start, letters, radius)
-    start, *shifts = _scaled([x.translation, *[h.translation for h in alphabet]])[0]
-    raw = [(a, h.linear.data) for a, h in zip(shifts, alphabet)]
+    raw = [p for b, g, h in zip(shifts, gens, inverses) for p in (
+        (b, g.linear.data), (tuple([-sum(map(mul, row, b)) for row in h.data]), h.data))]
     letters = [partial(_conjugate, raw[i], raw[i ^ 1]) for i in range(len(raw))]
     return _orbit_ball((start, x.linear.data), letters, radius)
 
@@ -234,10 +233,11 @@ def _conjugate(g, g_inv, c):
 def _orbit_ball(start, letters, radius):
     """|{W start : W a product of at most `radius` of the `letters`}|, by
     breadth-first search on the points; letters 2k and 2k + 1 are inverse.
-    A point is a tuple, its own set key.  A letter is a function of a point or
-    a flat 2x2 4-tuple, whose product stays written out here: the slowest 1%
-    of `int-words` benchmark ops are this loop, and a function letter cost
-    8-13% of its time (Python 3.11.7; op_p99_ms 0.254 -> 0.297 ms, 4 pairs)."""
+    A point is a tuple, its own set key.  The two searches of `conj_class_ball`:
+    flat 2x2 4-tuple letters on a vector, whose product stays written out
+    here (the slowest 1% of `int-words` benchmark ops are this loop, and a
+    function letter cost 8-13% of its time: Python 3.11.7, op_p99_ms 0.254 ->
+    0.297 ms, 4 pairs), or `_conjugate` partials on (translation, rows) pairs."""
     flat = bool(letters) and type(letters[0]) is tuple
     seen = {start}
     frontier = [(start, None)]   # (point, index of the letter that made it)
@@ -440,11 +440,11 @@ def classify_subgroup(descriptor):
             checks.append(Check("relators", "unknown", {"count": 0}))
         level = _detect_gamma1_level(spec)
         if level is not None:
-            # xi = (1/N, 0) solves the stacked system, so a witness exists.
+            # xi = (1/N, 0) solves the stacked system, N >= 2, so the witness
+            # is that non-integral xi (or UnderdeterminedWitness is raised):
+            # no integral one exists, and the verdict is "pass".
             witness = cocycle.coboundary_witness(spec)
-            checks.append(Check("gamma1-obstruction",
-                                "fail" if witness.integral else "pass",
-                                {"level": level, "xi": witness.xi}))
+            checks.append(Check("gamma1-obstruction", "pass", {"level": level, "xi": witness.xi}))
         elif (values := _finf_values(spec)) is not None:
             # A shift that instantiates no relation is not an obstruction.
             absent = all(
@@ -467,11 +467,11 @@ def _cyclic_checks(g):
     cls = sl2.classify_sl2(g)
     checks.append(Check("linear-part-class", "pass",
                         {"kind": cls.kind, "order": cls.order, "sign": cls.sign}))
+    # det g = 1: det(g -+ I) = 2 -+ tr g is 0 only at the parabolic traces +-2.
     if cls.kind == "elliptic":
         checks.append(Check("icc", "unknown", {"reason": "finite order"}))
     else:
-        icc = icc_affine_cyclic(g)
-        checks.append(Check("icc", "pass" if icc else "fail",
+        checks.append(Check("icc", "pass" if cls.kind == "hyperbolic" else "fail",
                             {"trace": g.trace()}))
     # A single generator (with -I) is virtually cyclic, hence amenable.
     checks.append(Check("amenable-linear-part", "pass", {"form": "virtually cyclic"}))

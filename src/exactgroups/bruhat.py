@@ -188,11 +188,15 @@ def fact_check(which, g=None, seed=0, count=50, length=8):
 
     Facts 1-2 (sampled): words over the upper-triangular generators together
     with p_(12) (resp. p_(23)) stay inside the block subgroup with vanishing
-    (3,1),(3,2) entries (resp. (2,1),(3,1)).
+    (3,1),(3,2) entries (resp. (2,1),(3,1)); a negative count or length
+    raises PreconditionError.
     Facts 3-4 (single g, upper triangular): the iff statements relating the
     cell of the conjugate by p_(13) resp. p_(132) to the entries of g.
     """
     if which in (1, 2):
+        for name, k in (("count", count), ("length", length)):
+            if k < 0:
+                raise PreconditionError(f"{name} must be >= 0")
         import exactgroups.prng as prng
         rng = prng.SplitMix64(seed)
         zero_at = ((2, 0), (2, 1)) if which == 1 else ((1, 0), (2, 0))

@@ -225,6 +225,8 @@ class ParityCase(Record):
     __slots__ = ("case_id", "description")
 
     def accepts(self, g):
+        if g.rows != 2 or g.cols != 2:
+            raise ShapeError("expected a 2x2 matrix")
         k = self.case_id - 1
         return _halved(k % 2, k // 2, g) is not None
 

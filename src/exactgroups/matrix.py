@@ -164,7 +164,9 @@ class Matrix(Record):
     @lru_cache(maxsize=16, typed=True)
     def identity(n):
         """The n x n identity, built once per size: a Matrix is immutable.
-        typed=True keeps identity(2.0) from being answered by identity(2)."""
+        typed=True keeps identity(True) from being answered by identity(1)."""
+        if type(n) is not int:
+            raise TypeError(f"matrix size must be an int, got {type(n)!r}")
         if n < 1:
             raise ShapeError("matrix must have at least one row and column")
         return Matrix._of(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
@@ -207,6 +209,8 @@ class Matrix(Record):
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if type(k) is not int:
+            raise TypeError(f"matrix exponent must be an int, got {type(k)!r}")
         if self.rows != self.cols:
             raise ShapeError("power of a non-square matrix")
         base = self if k >= 0 else self.inverse()

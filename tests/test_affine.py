@@ -15,9 +15,9 @@ from exactgroups.cocycle import (CocycleSpec, UnderdeterminedWitness,
                                  finf_generator, gamma1_cocycle)
 from exactgroups.lattice import hnf
 from exactgroups.matrix import Matrix, PreconditionError, ShapeError, vec_norm
-from exactgroups.sl2 import CongruenceKind, S, T, congruence_membership
+from exactgroups.sl2 import CongruenceKind, S, T, congruence_membership, order_of
 from tests.conftest import (SL3_ELEMENTARIES, det1_matrices, forbid_fraction_arithmetic,
-                            random_sl2, random_unimodular, seeded)
+                            forbidden, random_sl2, random_unimodular, seeded)
 
 
 # -- group arithmetic ------------------------------------------------------
@@ -233,6 +233,19 @@ def test_conj_class_ball_sl3_matches_reference():
             assert conj_class_ball(x, gens, r) == _reference_ball(x, gens, r)
 
 
+def test_conj_class_ball_refuses_a_non_int_radius():
+    # A radius of True once answered the radius-1 count, and 2.0 failed in
+    # the interpreter's words; a negative radius keeps its own message.
+    x = AffineElement((1, 0), Matrix.identity(2))
+    gens = [AffineElement((0, 0), S), AffineElement((0, 0), T)]
+    for radius in (True, False, 2.0, Fraction(2, 1), "2"):
+        with pytest.raises(PreconditionError, match="^radius must be an integer, got "):
+            conj_class_ball(x, gens, radius)
+    with pytest.raises(PreconditionError, match="^radius must be >= 0$"):
+        conj_class_ball(x, gens, -1)
+    assert [conj_class_ball(x, gens, r) for r in (0, 1)] == [1, 3]
+
+
 def test_conj_class_ball_rational_translation():
     half = Fraction(1, 2)
     x = AffineElement((half, 0), Matrix.identity(2))
@@ -262,6 +275,31 @@ def test_conj_class_ball_rational_translation_takes_no_fraction_arithmetic(monke
         got = [conj_class_ball(x, gens, radius) for x, gens, radius, _ in cases]
     assert got == [want for *_, want in cases]
     assert all(want > 1 for *_, want in cases)
+
+
+def test_translation_balls_past_n2_take_the_pair_search(monkeypatch):
+    # A translation x at n = 3 and 4 once ran a search of its own on
+    # `Matrix.apply` letters; the pair search visits exactly its points
+    # (W v, I) and counts as the reference does, with int and "p/q"
+    # translations on x and on the letters.
+    rng = seeded(4404)
+
+    def shift(n, rational):
+        return tuple(Fraction(rng.int_in(-3, 3), rng.int_in(1, 4)) if rational
+                     else rng.int_in(-2, 2) for _ in range(n))
+
+    cases = []
+    for n in (3, 4):
+        for on_x, on_letters in ((False, False), (True, False), (False, True), (True, True)):
+            gens = [AffineElement(shift(n, on_letters), random_unimodular(rng, n, length=3))
+                    for _ in range(2)]
+            x = AffineElement(shift(n, on_x), Matrix.identity(n))
+            cases += [(x, gens, r, _reference_ball(x, gens, r)) for r in range(4)]
+    with monkeypatch.context() as patch:
+        patch.setattr(Matrix, "apply", forbidden("Matrix.apply"))
+        got = [conj_class_ball(x, gens, r) for x, gens, r, _ in cases]
+    assert got == [want for *_, want in cases]
+    assert sum(want > 1 for *_, want in cases) >= 20
 
 
 def _tuple_mul(p, q):
@@ -716,6 +754,21 @@ def test_classify_cyclic_linear():
     assert parab.verdict("icc") == "fail"
     torsion = classify_subgroup(CyclicLinear(S))
     assert torsion.verdict("icc") == "unknown"
+
+
+def test_cyclic_icc_verdict_is_read_from_the_class(monkeypatch):
+    # The icc check of a cyclic linear part reads "pass" for a hyperbolic
+    # class and "fail" for a parabolic one, without `icc_affine_cyclic`, on
+    # every infinite-order matrix with entries in [-5, 5], with and without
+    # -I: the verdicts an unpatched `icc_affine_cyclic` gives.
+    mats = [g for g in det1_matrices(5) if order_of(g) is None]
+    want = ["pass" if icc_affine_cyclic(g) else "fail" for g in mats]
+    with monkeypatch.context() as patch:
+        patch.setattr("exactgroups.affine.icc_affine_cyclic", forbidden("icc_affine_cyclic"))
+        for flag in (True, False):
+            got = [classify_subgroup(CyclicLinear(g, flag)).verdict("icc") for g in mats]
+            assert got == want
+    assert want.count("pass") > 100 and want.count("fail") > 10
 
 
 def test_classify_graph_gamma1():

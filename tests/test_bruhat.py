@@ -173,6 +173,16 @@ def test_fact1_fact2_sampled():
     assert fact_check(2, seed=123456, count=60, length=10)
 
 
+def test_fact1_fact2_refuse_a_negative_count_or_length():
+    # A negative count or length once answered True over no cases.
+    for which in (1, 2):
+        for kwargs, name in (({"count": -1}, "count"), ({"length": -1}, "length"),
+                             ({"count": -5, "length": 4}, "count")):
+            with pytest.raises(PreconditionError, match=f"^{name} must be >= 0$"):
+                fact_check(which, **kwargs)
+        assert fact_check(which, count=0) and fact_check(which, count=3, length=0)
+
+
 def test_fact_walk_matches_matrix_products():
     # Facts 1 and 2 walk int rows (`matrix._walk`); each walk reaches the
     # matrix of the Matrix product over the same SplitMix64 draws, and takes

@@ -16,7 +16,7 @@ from exactgroups.cocycle import (A_GEN, B_GEN, CoboundaryWitness, CocycleSpec,
                                  parity_domain, solve_full_coboundary,
                                  verify_relations, _evaluate)
 from exactgroups.lattice import solve_integer
-from exactgroups.matrix import Matrix, PreconditionError, vec_add, vec_sub
+from exactgroups.matrix import Matrix, PreconditionError, ShapeError, vec_add, vec_sub
 from exactgroups.sl2 import (MINUS_I, S_ALT, T, T_ALT, CongruenceKind,
                              _require_sl2, congruence_membership,
                              sample_subgroup_element)
@@ -523,6 +523,8 @@ def _central_reference(m, n, g):
 
 
 def _accepts_reference(case_id, g):
+    if (g.rows, g.cols) != (2, 2):
+        raise ShapeError("expected a 2x2 matrix")
     if case_id == 1:
         return True
     if case_id == 2:
@@ -600,7 +602,7 @@ def test_census_congruence_and_obstruction():
 
 def test_census_central_value_and_parity():
     # central_cocycle on (m, n) in [-3, 3]^2 and on non-integer m, and
-    # ParityCase.accepts on every 2x2 matrix here, SL2(Z) or not.
+    # ParityCase.accepts on every matrix here, SL2(Z) or not, 3x3 included.
     mats = det1_matrices(7)
     for g in mats + list(NOT_SL2):
         for m in range(-3, 4):
@@ -615,11 +617,12 @@ def test_census_central_value_and_parity():
     rational = [Matrix([[Fraction(p, q), b], [c, Fraction(r, q)]])
                 for p in (-3, -1, 1, 3) for r in (-2, 1, 3) for q in (1, 2, 3)
                 for b in (0, 1, Fraction(1, 2)) for c in (-2, 0, Fraction(3, 2))]
-    for g in mats + list(NOT_SL2[:3]) + rational:
+    for g in mats + list(NOT_SL2) + rational:
         for case_id in (1, 2, 3, 4):
             case = parity_domain((case_id - 1) % 2, (case_id - 1) // 2)
             assert case.case_id == case_id
-            assert case.accepts(g) == _accepts_reference(case_id, g), (case_id, g)
+            assert (_outcome(case.accepts, g)
+                    == _outcome(_accepts_reference, case_id, g)), (case_id, g)
 
 
 def _census_specs(count, seed):

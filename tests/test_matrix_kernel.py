@@ -135,8 +135,12 @@ def test_identity_is_built_once_per_size():
         with pytest.raises(AttributeError, match="^Matrix is immutable$"):
             ident.data = ((2,),)
     assert Matrix.identity(2) is not Matrix.identity(3)
-    with pytest.raises(TypeError):   # not answered from identity(2)'s entry
-        Matrix.identity(2.0)
+    # identity(True) once answered the 1x1 identity and identity(2.0) failed
+    # in the interpreter's words: neither is answered from an int's entry.
+    for n in (True, False, 2.0, Fraction(2, 1), "2"):
+        with pytest.raises(TypeError, match="^matrix size must be an int, got "):
+            Matrix.identity(n)
+    assert Matrix.identity(1).data == ((1,),)
 
 
 def test_mul_and_apply_against_fraction_reference():
@@ -395,6 +399,16 @@ def test_scalar_product_refuses_a_bool():
                 product()
     assert m * 3 == 3 * m == Matrix([[3, 6]])
     assert Fraction(1, 2) * m == m * Fraction(1, 2) == Matrix([[Fraction(1, 2), 1]])
+
+
+def test_power_refuses_a_non_int_exponent():
+    # g ** True once answered g, and g ** 2.0 failed in the interpreter's
+    # words ("unsupported operand type(s) for &").
+    g = Matrix([[2, 1], [1, 1]])
+    for k in (True, False, 2.0, Fraction(2, 1)):
+        with pytest.raises(TypeError, match="^matrix exponent must be an int, got "):
+            g ** k
+    assert g ** 2 == g * g and g ** -1 == g.inverse() and g ** 0 == Matrix.identity(2)
 
 
 def test_one_matrix_built_four_ways():
